@@ -23,7 +23,7 @@ from .lie import (DEFAULT_SIGMA, _frob, check_distortion, estimate_distortion,
                   exp_chart, log_chart, _uniform_coord_rows, from_coords,
                   AlgebraElement)
 from .measure import get_mollifier
-from .regularize import (FunctionOnP, RegularizedFunction, ScalingReport,
+from .regularize import (RegularizedFunction, ScalingReport,
                          c_alpha_estimate, regularize, scaling_slope)
 from .rng import make_rng
 
@@ -110,16 +110,50 @@ def choose_theta(config: CutoffConfig, delta: float) -> float:
     return config.budget * delta / (4.0 * config.distortion * config.sigma)
 
 
-def indicator_fattened(set_spec: CompactSetSpec, rho: float) -> FunctionOnP:
+@dataclass(frozen=True, eq=False)
+class FattenedIndicator:
+    """Indicator of the open rho-neighbourhood of a union of balls (1 where
+    the distance is strictly below rho), vectorised over homogeneous rows."""
+
+    set_spec: CompactSetSpec
+    rho: float
+
+    def __call__(self, rows) -> np.ndarray:
+        return (rows_dist_to_set(rows, self.set_spec) < self.rho).astype(np.float64)
+
+    def hermitian_forms(self, matrices) -> np.ndarray:
+        """Hermitian H, shape (S, B, k+1, k+1) for S matrices g and B balls,
+        with self(g z) = 1 exactly when z^H H[s, b] z > 0 for some ball b.
+
+        For a ball of unit centre c and R = radius + rho < pi/2, the image g z
+        lies within R of c exactly when |c^H g z|^2 > cos^2(R) |g z|^2, so
+        H = g^H (c c^H - cos^2(R) Id) g.  A ball with R >= pi/2 covers P^k
+        (H = Id); rho = 0 leaves nothing strictly below it (H = 0).
+        """
+        g = np.asarray(matrices, dtype=np.complex128)
+        d = g.shape[-1]
+        forms = np.zeros((g.shape[0], len(self.set_spec.balls), d, d), dtype=np.complex128)
+        if self.rho == 0.0:
+            return forms
+        gram = np.einsum("sij,sik->sjk", np.conj(g), g)
+        for b, ball in enumerate(self.set_spec.balls):
+            reach = ball.radius + self.rho
+            if reach >= 0.5 * math.pi:
+                forms[:, b] = np.eye(d)
+                continue
+            u = np.conj(ball.center.homog) @ g  # rows c^H g
+            forms[:, b] = np.conj(u)[:, :, None] * u[:, None, :] - math.cos(reach) ** 2 * gram
+        return forms
+
+
+def indicator_fattened(set_spec: CompactSetSpec, rho: float) -> FattenedIndicator:
     """Indicator of the open rho-neighbourhood of the set (1 where the
-    distance is strictly below rho), vectorised over homogeneous rows."""
+    distance is strictly below rho), vectorised over homogeneous rows.  It
+    also offers the Hermitian forms that let :func:`regularize` evaluate the
+    smoothed indicator as a sign test."""
     if rho < 0:
         raise ValueError("rho must be nonnegative")
-
-    def evaluator(rows):
-        return (rows_dist_to_set(rows, set_spec) < rho).astype(np.float64)
-
-    return evaluator
+    return FattenedIndicator(set_spec, float(rho))
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,13 +14,20 @@ homogeneous rows:
 
 Rows are arbitrary nonzero homogeneous representatives; evaluators normalise
 internally where needed.
+
+An evaluator may also offer ``hermitian_forms(matrices)``: Hermitian H of
+shape (S, B, k+1, k+1) with f(g_s z) = 1 exactly when z^H H[s, b] z > 0 for
+some b, and 0 otherwise.  The smoothed function is then evaluated as a sign
+test on one real matrix product per block: z^H H z is linear in the (k+1)^2
+real features |z_i|^2, Re(conj(z_i) z_j) and Im(conj(z_i) z_j), i < j, so
+neither the moved points nor their distances are ever formed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -31,7 +38,8 @@ from .measure import MollifierSpec, ScaledMeasure, sample_matrices
 
 FunctionOnP = Callable[[np.ndarray], np.ndarray]
 
-EVAL_CHUNK = 2048
+EVAL_CHUNK = 2048  # stored samples per evaluation block
+ROW_BLOCK = 128    # rows per evaluation block; bounds the working set for large m
 
 
 def regularize(f: FunctionOnP, theta: float, S: int, seed, mollifier: MollifierSpec) -> "RegularizedFunction":
@@ -47,14 +55,36 @@ def regularize(f: FunctionOnP, theta: float, S: int, seed, mollifier: MollifierS
     if S < 1:
         raise ValueError("S must be at least 1")
     d = mollifier.k + 1
+    forms = None
     if theta == 0.0:
         mats = np.zeros((0, d, d), dtype=np.complex128)
     else:
         x = sample_matrices(ScaledMeasure(mollifier, 1.0), S, seed)
         mats = _normalize_stack(_expm(theta * x))
+        if hasattr(f, "hermitian_forms"):
+            forms = _real_coefficients(f.hermitian_forms(mats))
+            forms.setflags(write=False)
     mats.setflags(write=False)
     return RegularizedFunction(source=f, theta=float(theta), matrices=mats,
-                               sample_seed=seed, S=int(S))
+                               sample_seed=seed, S=int(S), forms=forms)
+
+
+def _real_coefficients(hermitian: np.ndarray) -> np.ndarray:
+    """Coefficients (..., d*d) of z^H H z against :func:`_features` of z."""
+    d = hermitian.shape[-1]
+    i, j = np.triu_indices(d, 1)
+    off = hermitian[..., i, j]
+    diag = np.diagonal(hermitian, axis1=-2, axis2=-1).real
+    return np.concatenate([diag, 2.0 * off.real, -2.0 * off.imag], axis=-1)
+
+
+def _features(Z: np.ndarray) -> np.ndarray:
+    """Real features (d*d, m) of rows, one column per row: |z_i|^2, then Re
+    and Im of conj(z_i) z_j for i < j."""
+    i, j = np.triu_indices(Z.shape[1], 1)
+    Zt = Z.T
+    cross = np.conj(Zt[i]) * Zt[j]
+    return np.concatenate([Zt.real ** 2 + Zt.imag ** 2, cross.real, cross.imag])
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,9 +92,11 @@ class RegularizedFunction:
     """Frozen-sample smoothing of a bounded evaluator.
 
     ``matrices`` holds the S stored group elements, shape (S, k+1, k+1)
-    (empty for the pass-through case theta = 0).  Evaluation is
-    deterministic: the same (seed, S, theta, point) gives the same value
-    bit for bit.
+    (empty for the pass-through case theta = 0).  ``forms`` holds, when the
+    source offers Hermitian forms, their real coefficients per stored
+    element and form, shape (S, B, (k+1)^2); otherwise it is None and the
+    source is called on the moved points.  Evaluation is deterministic: the
+    same (seed, S, theta, point) gives the same value bit for bit.
     """
 
     source: FunctionOnP
@@ -72,22 +104,50 @@ class RegularizedFunction:
     matrices: np.ndarray
     sample_seed: int
     S: int
+    forms: Optional[np.ndarray] = None
 
     def eval_homog(self, rows) -> np.ndarray:
-        """Average of f over the moved points, for stacked homogeneous rows."""
+        """Average of f over the moved points, for stacked homogeneous rows.
+
+        Rows must be finite and nonzero.  The work is done in blocks of
+        EVAL_CHUNK stored elements by ROW_BLOCK rows, so memory stays bounded
+        for any number of rows."""
         Z = np.asarray(rows, dtype=np.complex128)
-        if Z.ndim != 2:
+        if Z.ndim != 2 or Z.shape[1] != self.matrices.shape[1]:
             raise ValueError("expected stacked homogeneous rows of shape (m, k+1)")
+        if not np.all(np.isfinite(Z)):
+            raise ValueError("homogeneous rows must be finite")
+        if np.any(np.all(Z == 0.0, axis=1)):
+            raise ValueError("a zero row is not a point")
         if self.theta == 0.0:
             return np.asarray(self.source(Z), dtype=np.float64)
-        m = Z.shape[0]
-        total = np.zeros(m)
-        for lo in range(0, self.matrices.shape[0], EVAL_CHUNK):
-            g = self.matrices[lo:lo + EVAL_CHUNK]
-            images = np.einsum("sij,mj->smi", g, Z)
-            vals = np.asarray(self.source(images.reshape(-1, Z.shape[1])), dtype=np.float64)
-            total += vals.reshape(g.shape[0], m).sum(axis=0)
+        if self.forms is None:
+            prepare, block_sum = np.asarray, self._source_sum
+        else:
+            prepare, block_sum = _features, self._form_hits
+        total = np.zeros(Z.shape[0])
+        for r in range(0, Z.shape[0], ROW_BLOCK):
+            block = prepare(Z[r:r + ROW_BLOCK])
+            for lo in range(0, self.matrices.shape[0], EVAL_CHUNK):
+                total[r:r + ROW_BLOCK] += block_sum(lo, block)
         return total / self.S
+
+    def _source_sum(self, lo: int, Z: np.ndarray) -> np.ndarray:
+        """Sum of f over the stored elements lo .. lo + EVAL_CHUNK, per row."""
+        g = self.matrices[lo:lo + EVAL_CHUNK]
+        images = np.einsum("sij,mj->smi", g, Z)
+        vals = np.asarray(self.source(images.reshape(-1, Z.shape[1])), dtype=np.float64)
+        return vals.reshape(g.shape[0], Z.shape[0]).sum(axis=0)
+
+    def _form_hits(self, lo: int, features: np.ndarray) -> np.ndarray:
+        """Count of stored elements lo .. lo + EVAL_CHUNK with some positive
+        form, per column of features."""
+        forms = self.forms[lo:lo + EVAL_CHUNK]
+        s, B, n = forms.shape
+        q = forms.reshape(s * B, n) @ features
+        if B > 1:
+            q = q.reshape(s, B, -1).max(axis=1)
+        return np.count_nonzero(q > 0.0, axis=0)
 
     def __call__(self, p: ProjectivePoint) -> float:
         return float(self.eval_homog(p.homog[None, :])[0])
@@ -110,6 +170,67 @@ def _noise_guard(numerators, values):
         raise StepTooSmall("finite differences sit below the roundoff floor of the values")
 
 
+def _check_stencil(order: int, step: float):
+    if order not in (1, 2):
+        raise ValueError("order must be 1 or 2")
+    if not 1e-5 <= step <= 1e-2:
+        raise ValueError("step must lie in [1e-5, 1e-2]")
+
+
+def _stencil(c: ChartCoordinates, order: int, step: float) -> np.ndarray:
+    """The rows finite_diff evaluates at c: for order 1 the pairs
+    base +- step*u; for order 2 the base, those pairs, then four rows per
+    pair of directions."""
+    base = c.coords
+    units = _real_directions(c)
+    if order == 1:
+        rows = np.empty((2 * len(units), base.size), dtype=np.complex128)
+        for a, u in enumerate(units):
+            rows[2 * a] = base + step * u
+            rows[2 * a + 1] = base - step * u
+        return rows
+    rows = [base]
+    for u in units:
+        rows.append(base + step * u)
+        rows.append(base - step * u)
+    for a, b in _pairs(len(units)):
+        rows.append(base + step * (units[a] + units[b]))
+        rows.append(base + step * (units[a] - units[b]))
+        rows.append(base - step * (units[a] - units[b]))
+        rows.append(base - step * (units[a] + units[b]))
+    return np.stack(rows)
+
+
+def _pairs(q: int) -> list:
+    return [(a, b) for a in range(q) for b in range(a + 1, q)]
+
+
+def _derivative(vals: np.ndarray, order: int, step: float) -> float:
+    """Reduce the values on one :func:`_stencil` to the derivative proxy."""
+    if order == 1:
+        diffs = vals[0::2] - vals[1::2]
+        _noise_guard(diffs, vals)
+        return float(np.linalg.norm(diffs / (2.0 * step)))
+
+    q = math.isqrt((vals.size - 1) // 2)  # the order-2 stencil has 1 + 2q^2 rows
+    f0 = vals[0]
+    hess = np.empty((q, q))
+    numerators = []
+    pos = 1
+    for a in range(q):
+        num = vals[pos] - 2.0 * f0 + vals[pos + 1]
+        hess[a, a] = num / step ** 2
+        numerators.append(num)
+        pos += 2
+    for a, b in _pairs(q):
+        num = vals[pos] - vals[pos + 1] - vals[pos + 2] + vals[pos + 3]
+        hess[a, b] = hess[b, a] = num / (4.0 * step ** 2)
+        numerators.append(num)
+        pos += 4
+    _noise_guard(np.asarray(numerators), vals)
+    return float(np.max(np.abs(hess)))
+
+
 def finite_diff(rf: RegularizedFunction, c: ChartCoordinates, order: int, step: float) -> float:
     """Central-difference derivative proxy in the 2k real chart directions.
 
@@ -120,60 +241,23 @@ def finite_diff(rf: RegularizedFunction, c: ChartCoordinates, order: int, step: 
     roundoff raise :class:`StepTooSmall`; exactly-zero differences (plateaus)
     are genuine zero derivatives.
     """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    if not 1e-5 <= step <= 1e-2:
-        raise ValueError("step must lie in [1e-5, 1e-2]")
-    base = c.coords
-    units = _real_directions(c)
-    q = len(units)
-
-    if order == 1:
-        rows = np.empty((2 * q, base.size), dtype=np.complex128)
-        for a, u in enumerate(units):
-            rows[2 * a] = base + step * u
-            rows[2 * a + 1] = base - step * u
-        vals = rf.eval_homog(rows)
-        diffs = vals[0::2] - vals[1::2]
-        _noise_guard(diffs, vals)
-        return float(np.linalg.norm(diffs / (2.0 * step)))
-
-    rows = [base]
-    for u in units:
-        rows.append(base + step * u)
-        rows.append(base - step * u)
-    pairs = [(a, b) for a in range(q) for b in range(a + 1, q)]
-    for a, b in pairs:
-        rows.append(base + step * (units[a] + units[b]))
-        rows.append(base + step * (units[a] - units[b]))
-        rows.append(base - step * (units[a] - units[b]))
-        rows.append(base - step * (units[a] + units[b]))
-    vals = rf.eval_homog(np.stack(rows))
-
-    f0 = vals[0]
-    hess = np.empty((q, q))
-    numerators = []
-    pos = 1
-    for a in range(q):
-        num = vals[pos] - 2.0 * f0 + vals[pos + 1]
-        hess[a, a] = num / step ** 2
-        numerators.append(num)
-        pos += 2
-    for a, b in pairs:
-        num = vals[pos] - vals[pos + 1] - vals[pos + 2] + vals[pos + 3]
-        hess[a, b] = hess[b, a] = num / (4.0 * step ** 2)
-        numerators.append(num)
-        pos += 4
-    _noise_guard(np.asarray(numerators), vals)
-    return float(np.max(np.abs(hess)))
+    _check_stencil(order, step)
+    return _derivative(rf.eval_homog(_stencil(c, order, step)), order, step)
 
 
 def c_alpha_estimate(rf: RegularizedFunction, grid, alpha: int, step: float) -> float:
-    """Empirical C^alpha seminorm proxy: max of finite_diff over the grid."""
+    """Empirical C^alpha seminorm proxy: max of finite_diff over the grid.
+
+    The stencils of all grid points are evaluated in one call; each point's
+    value and roundoff guard are then those of finite_diff at that point."""
     grid = list(grid)
     if not grid:
         raise ValueError("grid must be nonempty")
-    return max(finite_diff(rf, c, alpha, step) for c in grid)
+    _check_stencil(alpha, step)
+    stencils = [_stencil(c, alpha, step) for c in grid]
+    vals = rf.eval_homog(np.concatenate(stencils))
+    ends = np.cumsum([len(s) for s in stencils])
+    return max(_derivative(v, alpha, step) for v in np.split(vals, ends[:-1]))
 
 
 def scaling_slope(rows):

@@ -198,3 +198,12 @@ def test_rows_off_set_unreachable_distance(two_ball_set):
     rng = make_rng(40, 3)
     with pytest.raises(ValueError):
         rows_off_set(two_ball_set, 1.6, 10, rng)  # beyond the diameter
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+def test_eval_homog_rejects_non_points(bad, config_small, two_ball_set):
+    cf = pc.build_cutoff(two_ball_set, 0.1, config_small)
+    rows = uniform_rows(1, 5, make_rng(40, 4))
+    rows[2] = [bad, 0.0] if bad == 0.0 else [1.0, bad]
+    with pytest.raises(ValueError):
+        cf.eval_homog(rows)

@@ -7,6 +7,7 @@ import pytest
 import projcut as pc
 from projcut.errors import StepTooSmall
 from projcut.geometry import geodesic_row, tangent_row, uniform_rows
+from projcut.regularize import EVAL_CHUNK, ROW_BLOCK
 from projcut.rng import make_rng
 
 
@@ -104,12 +105,12 @@ def test_finite_diff_plateau_is_exact_zero(ball_indicator, mollifier_k1):
     assert pc.finite_diff(rf, c, 1, 1e-3) == 0.0  # deep inside the plateau
 
 
+def half_plus_dust(rows):
+    # a step of one ulp across Re(z1/z0) = 0.3: differences below roundoff
+    return 0.5 + np.finfo(np.float64).eps * (np.real(rows[:, 1] / rows[:, 0]) > 0.3)
+
+
 def test_finite_diff_noise_guard(mollifier_k1):
-    eps = np.finfo(np.float64).eps
-
-    def half_plus_dust(rows):
-        return 0.5 + eps * (np.real(rows[:, 1] / rows[:, 0]) > 0.3)
-
     rf = pc.regularize(half_plus_dust, 0.0, 1, seed=9, mollifier=mollifier_k1)
     c = pc.ChartCoordinates(0, np.array([1.0, 0.3]))
     with pytest.raises(StepTooSmall):
@@ -201,3 +202,74 @@ def test_scaling_report_sorts_rows():
     rows = ((0.05, 0.1, 3.0), (0.2, 0.4, 1.0), (0.1, 0.2, 2.0))
     report = pc.ScalingReport(1, rows, -1.0, 0.0)
     assert [r[0] for r in report.rows] == [0.2, 0.1, 0.05]
+
+
+def _band_heavy_rows(set_spec, rho, count, rng):
+    """Rows at distance within 0.03 of rho from the set, in random
+    directions, each under a random scale and phase."""
+    rows = []
+    for i in range(count):
+        b = set_spec.balls[i % len(set_spec.balls)]
+        t = min(b.radius + rho + 0.03 * (2.0 * rng.random() - 1.0), 0.5 * math.pi)
+        row = geodesic_row(b.center.homog, tangent_row(b.center.homog, rng), max(t, 0.0))
+        rows.append(row * rng.uniform(1e-3, 1e3) * np.exp(2j * math.pi * rng.random()))
+    return np.stack(rows)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_form_kernel_matches_generic_path(k):
+    # the quadratic-form sign test gives the same counts as calling the
+    # indicator on every moved point, bit for bit
+    rng = make_rng(31, k)
+    centers = uniform_rows(k, 3, rng)
+    set_spec = pc.CompactSetSpec(tuple(pc.Ball(pc.ProjectivePoint(c), r)
+                                       for c, r in zip(centers, (0.0, 0.05, 0.2))))
+    rho = 0.1
+    f = pc.indicator_fattened(set_spec, rho)
+    kwargs = dict(theta=0.3, S=EVAL_CHUNK + 301, seed=14, mollifier=pc.get_mollifier(k, 0.1))
+    kernel = pc.regularize(f, **kwargs)
+    generic = pc.regularize(lambda rows: f(rows), **kwargs)
+    assert kernel.forms.shape == (kwargs["S"], 3, (k + 1) ** 2)
+    assert generic.forms is None
+
+    rows = np.concatenate([_band_heavy_rows(set_spec, rho, 260, rng),
+                           uniform_rows(k, 40, rng)])
+    assert rows.shape[0] > 2 * ROW_BLOCK
+    chi = kernel.eval_homog(rows)
+    assert np.array_equal(chi, generic.eval_homog(rows))
+    assert np.count_nonzero((chi > 0.0) & (chi < 1.0)) >= 100  # the band is exercised
+
+
+@pytest.mark.parametrize("radius, rho, value", [(1.4, 0.3, 1.0), (0.2, 0.0, 0.0)])
+def test_form_kernel_constant_cases(radius, rho, value, mollifier_k1):
+    # a ball that covers P^k (radius + rho >= pi/2) and rho = 0
+    set_spec = pc.CompactSetSpec((pc.Ball(pc.ProjectivePoint([1.0, 0.3j]), radius),))
+    f = pc.indicator_fattened(set_spec, rho)
+    kwargs = dict(theta=0.3, S=500, seed=15, mollifier=mollifier_k1)
+    kernel = pc.regularize(f, **kwargs)
+    generic = pc.regularize(lambda rows: f(rows), **kwargs)
+    rows = np.concatenate([uniform_rows(1, 200, make_rng(31, 9)),
+                           [set_spec.balls[0].center.homog]])
+    chi = kernel.eval_homog(rows)
+    assert np.array_equal(chi, generic.eval_homog(rows))
+    assert np.all(chi == value)
+
+
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_c_alpha_estimate_equals_per_point_max(alpha, config_small, two_ball_set):
+    cf = pc.build_cutoff(two_ball_set, 0.1, config_small)
+    grid = pc.annulus_grid(two_ball_set, 0.1, 30, seed=2)
+    assert len({c.chart_index for c in grid}) == 2  # both charts in one batch
+    step = 3e-3
+    per_point = [pc.finite_diff(cf.rf, c, alpha, step) for c in grid]
+    assert max(per_point) > 0.0
+    assert pc.c_alpha_estimate(cf.rf, grid, alpha, step) == max(per_point)
+
+
+def test_c_alpha_estimate_noise_guard_per_point(mollifier_k1):
+    rf = pc.regularize(half_plus_dust, 0.0, 1, seed=9, mollifier=mollifier_k1)
+    plateau = [pc.ChartCoordinates(0, np.array([1.0, x])) for x in (0.0, 0.6)]
+    assert pc.c_alpha_estimate(rf, plateau, 1, 1e-3) == 0.0
+    grid = plateau[:1] + [pc.ChartCoordinates(0, np.array([1.0, 0.3]))] + plateau[1:]
+    with pytest.raises(StepTooSmall):
+        pc.c_alpha_estimate(rf, grid, 1, 1e-3)
