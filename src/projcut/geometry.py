@@ -2,9 +2,10 @@
 
 A point of P^k is a line through the origin of C^(k+1).  We store the
 canonical homogeneous representative (unit Euclidean norm, first significant
-component rotated onto the positive real axis), so equality and hashing
-behave like values.  Distances are geodesic distances of the Fubini-Study
-metric, normalised so the diameter of the space is pi/2.
+component rotated onto the positive real axis), so equality behaves like
+that of values, within EQ_TOL per coordinate.  Distances are geodesic
+distances of the Fubini-Study metric, normalised so the diameter of the
+space is pi/2.
 
 Batch helpers operate on stacked homogeneous rows, shape (m, k+1); rows need
 not be normalised.
@@ -64,7 +65,11 @@ class ProjectivePoint:
         return bool(np.max(np.abs(self.homog - other.homog)) <= EQ_TOL)
 
     def __hash__(self):
-        return hash(np.round(self.homog, 9).tobytes())
+        # Equality holds within EQ_TOL, and no rounding of the coordinates is
+        # constant on every such neighbourhood, so only the dimension is
+        # hashed: equal points always hash alike, at the cost of one hash
+        # bucket per dimension in sets and dicts.
+        return hash(self.homog.size)
 
     def __repr__(self):
         body = " : ".join(f"{z.real:.6g}{z.imag:+.6g}j" for z in self.homog)

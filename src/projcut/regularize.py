@@ -38,8 +38,13 @@ from .measure import MollifierSpec, ScaledMeasure, sample_matrices
 
 FunctionOnP = Callable[[np.ndarray], np.ndarray]
 
-EVAL_CHUNK = 2048  # stored samples per evaluation block
+EVAL_CHUNK = 2048  # stored samples per evaluation block on the generic path
 ROW_BLOCK = 128    # rows per evaluation block; bounds the working set for large m
+# Form values per GEMM on the form path: the samples per GEMM are this over
+# (forms per sample * rows in the block).  At k = 1 every product then stays
+# below the size at which OpenBLAS starts its threads, whose start-up can
+# stall a thin GEMM for milliseconds on a shared host.
+FORM_GEMM_OUTPUT = 2 ** 15
 
 
 def regularize(f: FunctionOnP, theta: float, S: int, seed, mollifier: MollifierSpec) -> "RegularizedFunction":
@@ -110,8 +115,8 @@ class RegularizedFunction:
         """Average of f over the moved points, for stacked homogeneous rows.
 
         Rows must be finite and nonzero.  The work is done in blocks of
-        EVAL_CHUNK stored elements by ROW_BLOCK rows, so memory stays bounded
-        for any number of rows."""
+        ROW_BLOCK rows by a bounded number of stored elements, so memory
+        stays bounded for any number of rows."""
         Z = np.asarray(rows, dtype=np.complex128)
         if Z.ndim != 2 or Z.shape[1] != self.matrices.shape[1]:
             raise ValueError("expected stacked homogeneous rows of shape (m, k+1)")
@@ -127,27 +132,32 @@ class RegularizedFunction:
             prepare, block_sum = _features, self._form_hits
         total = np.zeros(Z.shape[0])
         for r in range(0, Z.shape[0], ROW_BLOCK):
-            block = prepare(Z[r:r + ROW_BLOCK])
-            for lo in range(0, self.matrices.shape[0], EVAL_CHUNK):
-                total[r:r + ROW_BLOCK] += block_sum(lo, block)
+            total[r:r + ROW_BLOCK] = block_sum(prepare(Z[r:r + ROW_BLOCK]))
         return total / self.S
 
-    def _source_sum(self, lo: int, Z: np.ndarray) -> np.ndarray:
-        """Sum of f over the stored elements lo .. lo + EVAL_CHUNK, per row."""
-        g = self.matrices[lo:lo + EVAL_CHUNK]
-        images = np.einsum("sij,mj->smi", g, Z)
-        vals = np.asarray(self.source(images.reshape(-1, Z.shape[1])), dtype=np.float64)
-        return vals.reshape(g.shape[0], Z.shape[0]).sum(axis=0)
+    def _source_sum(self, Z: np.ndarray) -> np.ndarray:
+        """Sum of f over the stored elements, EVAL_CHUNK at a time, per row."""
+        total = np.zeros(Z.shape[0])
+        for lo in range(0, self.matrices.shape[0], EVAL_CHUNK):
+            g = self.matrices[lo:lo + EVAL_CHUNK]
+            images = np.einsum("sij,mj->smi", g, Z)
+            vals = np.asarray(self.source(images.reshape(-1, Z.shape[1])), dtype=np.float64)
+            total += vals.reshape(g.shape[0], Z.shape[0]).sum(axis=0)
+        return total
 
-    def _form_hits(self, lo: int, features: np.ndarray) -> np.ndarray:
-        """Count of stored elements lo .. lo + EVAL_CHUNK with some positive
-        form, per column of features."""
-        forms = self.forms[lo:lo + EVAL_CHUNK]
-        s, B, n = forms.shape
-        q = forms.reshape(s * B, n) @ features
-        if B > 1:
-            q = q.reshape(s, B, -1).max(axis=1)
-        return np.count_nonzero(q > 0.0, axis=0)
+    def _form_hits(self, features: np.ndarray) -> np.ndarray:
+        """Count of stored elements with some positive form, per column of
+        features, from GEMMs of about FORM_GEMM_OUTPUT values each."""
+        S, B, n = self.forms.shape
+        flat = self.forms.reshape(S * B, n)
+        step = max(1, FORM_GEMM_OUTPUT // (B * features.shape[1]))
+        hits = np.zeros(features.shape[1], dtype=np.int64)
+        for lo in range(0, S, step):
+            q = flat[lo * B:(lo + step) * B] @ features
+            if B > 1:
+                q = q.reshape(-1, B, q.shape[1]).max(axis=1)
+            hits += np.count_nonzero(q > 0.0, axis=0)
+        return hits
 
     def __call__(self, p: ProjectivePoint) -> float:
         return float(self.eval_homog(p.homog[None, :])[0])

@@ -115,6 +115,36 @@ def test_verify_cutoff_report(config_small, two_ball_set):
     assert payload["pass"] is True
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_certified_displacement_bounds_sampled_audits(k):
+    # the report's audit fields bound the brute-force audits on uniform
+    # rows, rows on K and rows at distance >= delta
+    config = pc.CutoffConfig.create(k, S=2000, seed=42)
+    rng = make_rng(42, k)
+    sset = pc.CompactSetSpec(tuple(pc.Ball(pc.ProjectivePoint(c), 0.05)
+                                   for c in uniform_rows(k, 2, rng)))
+    for delta in (0.2, 0.1, 0.05):
+        cf = pc.build_cutoff(sset, delta, config)
+        report = pc.verify_cutoff(cf, 20, 20, seed=k)
+        assert report.passed
+        assert report.euclid_audit_max == cf.frob_dev
+        assert report.fs_audit_max < report.fs_audit_bound
+        for rows in (uniform_rows(k, 100, rng), rows_on_set(sset, 50, rng),
+                     rows_off_set(sset, delta, 50, rng)):
+            assert max_fs_displacement(cf.rf.matrices, rows) <= report.fs_audit_max
+            assert max_euclid_ratio(cf.rf.matrices, rows) <= report.euclid_audit_max
+
+
+def test_verify_cutoff_runs_no_sampled_audit(config_small, two_ball_set, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_cutoff ran a sampled audit")
+
+    monkeypatch.setattr("projcut.cutoff.max_fs_displacement", refuse)
+    monkeypatch.setattr("projcut.cutoff.max_euclid_ratio", refuse)
+    cf = pc.build_cutoff(two_ball_set, 0.1, config_small)
+    assert pc.verify_cutoff(cf, 80, 80, seed=3).passed
+
+
 def test_monotone_support(config_small, two_ball_set):
     d1, d2 = 0.05, 0.15
     cf1 = pc.build_cutoff(two_ball_set, d1, config_small)

@@ -231,6 +231,19 @@ def test_point_equality_and_hash():
     assert p != pc.ProjectivePoint([1.0, 2.0, 0.0])
 
 
+def test_equal_points_hash_alike_across_rounding_boundary():
+    # canonical second coordinates 2e-13 either side of 0.1234567885: equal
+    # within the tolerance, yet they round to different 9-digit values
+    c = 0.1234567885
+    t = c / math.sqrt(1.0 - c * c)
+    p = pc.ProjectivePoint([1.0, t - 2e-13])
+    q = pc.ProjectivePoint([1.0, t + 2e-13])
+    assert np.round(p.homog[1].real, 9) != np.round(q.homog[1].real, 9)
+    assert p == q
+    assert hash(p) == hash(q)
+    assert len({p, q}) == 1
+
+
 def test_point_validation():
     with pytest.raises(ValueError):
         pc.ProjectivePoint([0.0, 0.0])

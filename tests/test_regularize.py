@@ -7,7 +7,7 @@ import pytest
 import projcut as pc
 from projcut.errors import StepTooSmall
 from projcut.geometry import geodesic_row, tangent_row, uniform_rows
-from projcut.regularize import EVAL_CHUNK, ROW_BLOCK
+from projcut.regularize import EVAL_CHUNK, FORM_GEMM_OUTPUT, ROW_BLOCK
 from projcut.rng import make_rng
 
 
@@ -238,6 +238,27 @@ def test_form_kernel_matches_generic_path(k):
     chi = kernel.eval_homog(rows)
     assert np.array_equal(chi, generic.eval_homog(rows))
     assert np.count_nonzero((chi > 0.0) & (chi < 1.0)) >= 100  # the band is exercised
+
+
+@pytest.fixture(scope="module")
+def three_ball_pair(mollifier_k1):
+    """Form kernel and generic path over one frozen sample, three balls at
+    k = 1, S not a multiple of the samples per GEMM for any block below."""
+    rng = make_rng(32, 0)
+    set_spec = pc.CompactSetSpec(tuple(pc.Ball(pc.ProjectivePoint(c), r)
+                                       for c, r in zip(uniform_rows(1, 3, rng), (0.0, 0.05, 0.2))))
+    f = pc.indicator_fattened(set_spec, 0.1)
+    kwargs = dict(theta=0.3, S=FORM_GEMM_OUTPUT // 3 + 301, seed=16, mollifier=mollifier_k1)
+    return set_spec, pc.regularize(f, **kwargs), pc.regularize(lambda rows: f(rows), **kwargs)
+
+
+@pytest.mark.parametrize("m", [1, 50, ROW_BLOCK + 1])
+def test_form_kernel_blocking_matches_generic_path(m, three_ball_pair):
+    set_spec, kernel, generic = three_ball_pair
+    for rows_in_block in {min(m, ROW_BLOCK), m % ROW_BLOCK or ROW_BLOCK}:
+        assert kernel.S % (FORM_GEMM_OUTPUT // (3 * rows_in_block)) != 0
+    rows = _band_heavy_rows(set_spec, 0.1, m, make_rng(32, m))
+    assert np.array_equal(kernel.eval_homog(rows), generic.eval_homog(rows))
 
 
 @pytest.mark.parametrize("radius, rho, value", [(1.4, 0.3, 1.0), (0.2, 0.0, 0.0)])
