@@ -52,7 +52,7 @@ print(f"Kolmogorov-Smirnov distance to the radial law: {ks:.5f} "
 count = 200000
 rng = np.random.default_rng(2)
 r_mc = sigma * rng.random(count) ** (1.0 / n)
-vals = spec.norm_const * spec.radial_profile(r_mc / sigma)
+vals = spec.norm_const * pc.bump_profile(r_mc / sigma)
 volume = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0) * sigma ** n
 print(f"Monte-Carlo mass: {volume * vals.mean():.5f} "
       f"+- {volume * vals.std(ddof=1) / math.sqrt(count):.5f} (target 1)")

@@ -27,7 +27,7 @@ from .geometry import CompactSetSpec
 from .lie import (DEFAULT_SIGMA, AlgebraElement, ShearParams,
                   _uniform_coord_rows, chart_translate, chart_translate_jacobian,
                   exp_chart, exp_sl, from_coords, log_chart, phi_normalize, shear)
-from .measure import get_mollifier
+from .measure import bump_profile, get_mollifier
 from .rng import make_rng
 
 DEFAULT_BANDS = {1: (-1.5, -0.5), 2: (-2.6, -1.4)}
@@ -150,7 +150,7 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def cmd_verify(cfg: RunConfig, out: Path, threads: int) -> int:
+def cmd_verify(cfg: RunConfig, out: Path) -> int:
     config = _cutoff_config(cfg)
     all_pass = True
     for delta in cfg.deltas:
@@ -197,7 +197,7 @@ def _expected_header(k: int) -> list:
     return cols
 
 
-def cmd_eval(cfg: RunConfig, points_path: str, out: Path, threads: int) -> int:
+def cmd_eval(cfg: RunConfig, points_path: str, out: Path) -> int:
     expected = _expected_header(cfg.k)
     try:
         with open(points_path, encoding="utf-8", newline="") as f:
@@ -237,7 +237,7 @@ def cmd_eval(cfg: RunConfig, points_path: str, out: Path, threads: int) -> int:
     return 0
 
 
-def cmd_diagnostics(cfg: RunConfig, out: Path, threads: int) -> int:
+def cmd_diagnostics(cfg: RunConfig, out: Path) -> int:
     k, sigma, seed = cfg.k, cfg.sigma, cfg.seed
 
     # chart round trips on the 0.2-ball
@@ -275,7 +275,7 @@ def cmd_diagnostics(cfg: RunConfig, out: Path, threads: int) -> int:
     mc_rng = make_rng(seed, 63)
     count = 200000
     radii = sigma * mc_rng.random(count) ** (1.0 / n)
-    vals = mollifier.norm_const * mollifier.radial_profile(radii / sigma)
+    vals = mollifier.norm_const * bump_profile(radii / sigma)
     ball_volume = (math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)) * sigma ** n
     mass_mc = float(ball_volume * vals.mean())
     mass_mc_stderr = float(ball_volume * vals.std(ddof=1) / math.sqrt(count))
@@ -328,14 +328,14 @@ def main(argv=None) -> int:
             cfg.seed = args.seed
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
         if args.command == "verify":
-            return cmd_verify(cfg, out, threads)
+            return cmd_verify(cfg, out)
         if args.command == "scaling":
+            threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
             return cmd_scaling(cfg, out, threads)
         if args.command == "eval":
-            return cmd_eval(cfg, args.points, out, threads)
-        return cmd_diagnostics(cfg, out, threads)
+            return cmd_eval(cfg, args.points, out)
+        return cmd_diagnostics(cfg, out)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad
@@ -65,7 +65,6 @@ class MollifierSpec:
     k: int
     sigma: float
     norm_const: Optional[float] = None
-    radial_profile: Callable = bump_profile
 
     def __post_init__(self):
         if self.k < 1:
@@ -85,7 +84,7 @@ class MollifierSpec:
     def _trapezoid_mass(self) -> float:
         # independent cross-check of the quadrature constant
         t = np.linspace(0.0, 1.0, 20001)
-        pdf = t ** (self.n - 1) * self.radial_profile(t)
+        pdf = t ** (self.n - 1) * bump_profile(t)
         return float(
             self.norm_const * sphere_area(self.n) * self.sigma ** self.n
             * np.trapezoid(pdf, t)
@@ -97,7 +96,7 @@ def density(spec: MollifierSpec, x):
     Frobenius norm only."""
     m = x.mat if isinstance(x, AlgebraElement) else np.asarray(x, dtype=np.complex128)
     r = np.sqrt((np.abs(m) ** 2).sum(axis=(-2, -1)))
-    return spec.norm_const * spec.radial_profile(r / spec.sigma)
+    return spec.norm_const * bump_profile(r / spec.sigma)
 
 
 @dataclass(frozen=True, eq=False)

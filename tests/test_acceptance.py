@@ -139,7 +139,7 @@ def test_criterion_06_measure_correctness():
     rng = make_rng(46, 0)
     count = 1000000
     radii = 0.1 * rng.random(count) ** (1.0 / n)
-    vals = spec.norm_const * spec.radial_profile(radii / 0.1)
+    vals = spec.norm_const * pc.bump_profile(radii / 0.1)
     volume = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0) * 0.1 ** n
     mass_mc = volume * vals.mean()
     stderr = volume * vals.std(ddof=1) / math.sqrt(count)

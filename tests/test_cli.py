@@ -65,6 +65,16 @@ def test_verify_single_sample_still_passes(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+def test_verify_wide_sigma_passes(tmp_path):
+    # the log chart is not defined on every group element the wide sigma-ball
+    # reaches; config creation must not depend on it
+    cfg = write_config(tmp_path / "wide.json", sigma=0.5, S=300, n_inner=20, n_outer=20)
+    out = tmp_path / "out"
+    result = run_cli("verify", "--config", str(cfg), "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    assert json.loads((out / "verify_0.1.json").read_text())["pass"] is True
+
+
 def test_verify_reruns_byte_identical(verify_config, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run_cli("verify", "--config", str(verify_config), "--out", str(out1)).returncode == 0

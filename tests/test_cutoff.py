@@ -33,6 +33,19 @@ def test_config_create_caps_theta_at_one():
     assert cfg.budget < 1.0
 
 
+def test_config_create_never_calls_the_log_chart(monkeypatch):
+    expected = pc.CutoffConfig.create(1, S=50, seed=11, c_samples=1000)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("CutoffConfig.create called the log chart")
+
+    monkeypatch.setattr("projcut.lie.log_chart", refuse)
+    monkeypatch.setattr("projcut.cutoff.log_chart", refuse)
+    cfg = pc.CutoffConfig.create(1, S=50, seed=11, c_samples=1000)
+    fields = ("k", "sigma", "delta0", "S", "seed", "distortion", "budget")
+    assert [getattr(cfg, f) for f in fields] == [getattr(expected, f) for f in fields]
+
+
 def test_choose_theta_chain(config_small):
     cfg = config_small
     for delta in (0.39, 0.2, 0.1, 0.013):
@@ -182,6 +195,17 @@ def test_annulus_grid_inside_annulus(two_ball_set):
     for c in grid:
         d = pc.dist_to_set(c.to_point(), two_ball_set)
         assert 0.25 * delta - 1e-12 <= d <= delta + 1e-12
+
+
+def test_annulus_grid_fallback_on_covering_ball():
+    # a ball of radius >= pi/2 covers P^k, so no draw lands in the annulus and
+    # every point comes from the unconditioned fallback after 200 * count draws
+    cover = pc.CompactSetSpec((pc.Ball(pc.ProjectivePoint([1.0, 0.2j]), 0.5 * math.pi),))
+    grid = annulus_grid(cover, 0.1, 5, seed=9)
+    assert len(grid) == 5
+    again = annulus_grid(cover, 0.1, 5, seed=9)
+    assert all(a.chart_index == b.chart_index and np.array_equal(a.coords, b.coords)
+               for a, b in zip(grid, again))
 
 
 def test_scaling_experiment_smoke(config_small, two_ball_set):

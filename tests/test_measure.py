@@ -48,7 +48,7 @@ def test_normalization_mass_against_monte_carlo():
     rng = make_rng(20, 0)
     count = 100000
     radii = sigma * rng.random(count) ** (1.0 / n)
-    vals = spec.norm_const * spec.radial_profile(radii / sigma)
+    vals = spec.norm_const * pc.bump_profile(radii / sigma)
     volume = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0) * sigma ** n
     mass = volume * vals.mean()
     stderr = volume * vals.std(ddof=1) / math.sqrt(count)
