@@ -13,8 +13,7 @@ import numpy as np
 
 import projcut as pc
 
-config = pc.CutoffConfig.create(k=1, sigma=0.1, delta0=0.4, S=8000, seed=42,
-                                c_samples=2000)
+config = pc.CutoffConfig.create(k=1, sigma=0.1, delta0=0.4, S=8000, seed=42)
 print(f"distortion constant C = {config.distortion:.4f}, "
       f"budget C' = {config.budget:.4f}, theta_max = {config.theta_max:.4f}")
 

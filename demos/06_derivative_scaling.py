@@ -9,8 +9,7 @@ Expected: slope ~ -1 for the gradient, ~ -2 for the Hessian.
 
 import projcut as pc
 
-config = pc.CutoffConfig.create(k=1, sigma=0.1, delta0=0.4, S=6000, seed=42,
-                                c_samples=2000)
+config = pc.CutoffConfig.create(k=1, sigma=0.1, delta0=0.4, S=6000, seed=42)
 K = pc.CompactSetSpec((
     pc.Ball(pc.ProjectivePoint([1.0, 0.2 + 0.1j]), 0.05),
     pc.Ball(pc.ProjectivePoint([0.3, 1.0]), 0.05),

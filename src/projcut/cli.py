@@ -34,7 +34,7 @@ DEFAULT_BANDS = {1: (-1.5, -0.5), 2: (-2.6, -1.4)}
 
 _KNOWN_KEYS = {
     "k", "sigma", "delta0", "S", "seed", "alpha", "deltas", "set", "grid",
-    "n_inner", "n_outer", "c_samples", "slope_band", "out_dir",
+    "n_inner", "n_outer", "slope_band", "out_dir",
 }
 
 
@@ -51,7 +51,6 @@ class RunConfig:
     grid: int
     n_inner: int
     n_outer: int
-    c_samples: int
     slope_band: Optional[tuple]
     out_dir: Optional[str]
 
@@ -95,9 +94,6 @@ def load_config(path) -> RunConfig:
     grid = _num("grid", 400, int)
     n_inner = _num("n_inner", 200, int)
     n_outer = _num("n_outer", 200, int)
-    c_samples = _num("c_samples", 2000, int)
-    if c_samples < 1000:
-        raise ConfigError("c_samples: must be at least 1000")
 
     deltas = data.get("deltas")
     if not isinstance(deltas, list) or not deltas:
@@ -132,12 +128,11 @@ def load_config(path) -> RunConfig:
         raise ConfigError("out_dir: expected a string path")
 
     return RunConfig(k, sigma, delta0, S, seed, alpha, deltas, set_spec, grid,
-                     n_inner, n_outer, c_samples, slope_band, out_dir)
+                     n_inner, n_outer, slope_band, out_dir)
 
 
 def _cutoff_config(cfg: RunConfig) -> CutoffConfig:
-    return CutoffConfig.create(cfg.k, cfg.sigma, cfg.delta0, cfg.S, cfg.seed,
-                               cfg.c_samples)
+    return CutoffConfig.create(cfg.k, cfg.sigma, cfg.delta0, cfg.S, cfg.seed)
 
 
 def _write_json(path: Path, payload: dict):

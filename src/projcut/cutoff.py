@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError, DeltaOutOfRange
 from .geometry import (Ball, CompactSetSpec, ProjectivePoint, geodesic_row,
                        rows_dist_to_set, tangent_row, to_chart, uniform_rows)
-# log_chart is unused here but kept: the benchmark tracer binds cutoff.log_chart by name
+# log_chart and check_distortion are unused here but kept: the benchmark tracer binds them by name
 from .lie import DEFAULT_SIGMA, _frob, check_distortion, estimate_distortion, log_chart
 from .measure import get_mollifier
 from .regularize import (RegularizedFunction, ScalingReport,
@@ -38,11 +38,11 @@ _AUDIT_CHUNK = 1024
 class CutoffConfig:
     """Fixed data for a family of cut-offs.
 
-    ``distortion`` is the two-sided constant relating ||x|| to
-    ||exp_chart(x) - Id|| on the sigma-ball; ``budget`` in (0, 1] is the
-    fraction of the delta/4 displacement budget spent at delta0, so the
-    smoothing scale for a given delta is budget * delta / (4 * distortion *
-    sigma).
+    ``distortion`` is the closed-form C with ||exp_chart(x) - Id|| <= C ||x||
+    for ||x|| <= min(sigma, delta0 / (4 sqrt(k+1))), a ball holding every
+    stored sample; ``budget`` in (0, 1] is the fraction of the delta/4
+    displacement budget spent at delta0, so the smoothing scale for a given
+    delta is budget * delta / (4 * distortion * sigma).
     """
 
     k: int
@@ -77,12 +77,12 @@ class CutoffConfig:
 
     @classmethod
     def create(cls, k: int, sigma: float = DEFAULT_SIGMA, delta0: float = DEFAULT_DELTA0,
-               S: int = DEFAULT_S, seed: int = DEFAULT_SEED, c_samples: int = 2000) -> "CutoffConfig":
-        """Estimate the distortion constant, validate it on a 10x fresh
-        sample, and fix the budget."""
-        c = estimate_distortion(sigma, c_samples, seed, k)
-        if not check_distortion(sigma, c, 10 * c_samples, seed, k):
-            raise ConfigError("distortion: safety margin failed on a fresh sample set")
+               S: int = DEFAULT_S, seed: int = DEFAULT_SEED) -> "CutoffConfig":
+        """Take the closed-form distortion constant and fix the budget.  Samples
+        theta * y have theta ||y|| < min(sigma, delta0 / (4 C)), and C >= sqrt(k+1)."""
+        c = estimate_distortion(min(sigma, delta0 / (4.0 * math.sqrt(k + 1))), k)
+        if math.isinf(c):
+            raise ConfigError(f"delta0: {delta0:g} is too large for the distortion bound")
         theta_max = min(1.0, delta0 / (4.0 * c * sigma))
         budget = min(1.0, 4.0 * c * theta_max * sigma / delta0)
         return cls(k, sigma, delta0, S, seed, c, budget)
@@ -245,7 +245,7 @@ def rows_off_set(set_spec: CompactSetSpec, min_dist: float, count: int, rng) -> 
             have += keep.shape[0]
         if have >= count:
             return np.concatenate(out)[:count]
-    raise ValueError(f"could not find {count} points at distance >= {min_dist} from the set")
+    raise ConfigError(f"set: could not find {count} points at distance >= {min_dist:g} from it")
 
 
 def max_fs_displacement(matrices: np.ndarray, rows) -> float:

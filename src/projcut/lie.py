@@ -301,12 +301,16 @@ def _distortion_ratio(sigma: float, k: int, count: int, rng) -> float:
     return float(max((nx[keep] / dev[keep]).max(), (dev[keep] / nx[keep]).max()))
 
 
-def estimate_distortion(sigma: float, samples: int = 2000, seed: int = 0, k: int = 1) -> float:
-    """Two-sided constant C with ||x|| / C <= ||exp_chart(x) - Id|| <= C ||x||
-    on the sigma-ball, estimated by sampling and padded by a 1.1 safety factor."""
-    if samples < 1000:
-        raise ValueError("need at least 1000 samples")
-    return 1.1 * _distortion_ratio(sigma, k, samples, make_rng(seed, 21))
+def estimate_distortion(radius: float, k: int = 1) -> float:
+    """C with ||exp_chart(x) - Id||_F <= C ||x||_F for traceless ||x||_F <= s = radius,
+    inf if none: ||x - x00 Id|| <= sqrt(k+1) s, |x00| <= sqrt(k/(k+1)) s and the
+    series remainder r = e^s - 1 - s give, increasing in s,
+    (sqrt(k+1) + (1 + sqrt(k+1)) r/s) / (1 - sqrt(k/(k+1)) s - r)."""
+    s = float(radius)
+    r = math.expm1(s) - s
+    denom = 1.0 - math.sqrt(k / (k + 1.0)) * s - r
+    root = math.sqrt(k + 1.0)
+    return (root + (1.0 + root) * r / s) / denom if denom > 0 else math.inf
 
 
 def check_distortion(sigma: float, c: float, samples: int, seed: int = 0, k: int = 1) -> bool:

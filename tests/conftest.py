@@ -7,7 +7,7 @@ import projcut as pc
 @pytest.fixture(scope="session")
 def config_small():
     # desk-scale configuration shared by the module tests
-    return pc.CutoffConfig.create(1, S=1500, seed=7, c_samples=1000)
+    return pc.CutoffConfig.create(1, S=1500, seed=7)
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,7 @@ def write_config(path, **overrides):
     cfg = {
         "k": 1, "sigma": 0.1, "delta0": 0.4, "S": 600, "seed": 42,
         "alpha": 1, "deltas": [0.1], "set": BASE_SET,
-        "grid": 40, "n_inner": 40, "n_outer": 40, "c_samples": 1000,
+        "grid": 40, "n_inner": 40, "n_outer": 40,
     }
     cfg.update(overrides)
     path.write_text(json.dumps(cfg))
@@ -218,6 +218,25 @@ def test_k_out_of_range(tmp_path):
     result = run_cli("verify", "--config", str(cfg), "--out", str(tmp_path / "out"))
     assert result.returncode == 2
     assert "k" in result.stderr
+
+
+def test_verify_unreachable_distance_is_a_config_error(tmp_path):
+    # one ball covering nearly all of P^1 leaves no point at distance delta
+    big = {"balls": [{"center": [[1, 0], [0, 0]], "radius": 1.5}]}
+    cfg = write_config(tmp_path / "big.json", set=big, S=300)
+    result = run_cli("verify", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert result.returncode == 2
+    assert "set" in result.stderr
+
+
+def test_verify_k3_passes_on_seed_zero(tmp_path):
+    # the sampled distortion check used to refuse this seed at k=3
+    ball = {"balls": [{"center": [[1, 0], [0.2, 0.1], [0, 0], [0.1, 0]], "radius": 0.05}]}
+    cfg = write_config(tmp_path / "k3.json", k=3, set=ball, S=300, n_inner=10, n_outer=10)
+    out = tmp_path / "out"
+    result = run_cli("verify", "--config", str(cfg), "--out", str(out), "--seed", "0")
+    assert result.returncode == 0, result.stderr
+    assert json.loads((out / "verify_0.1.json").read_text())["pass"] is True
 
 
 def test_bundled_configs_are_valid():

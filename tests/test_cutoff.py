@@ -27,21 +27,34 @@ def test_config_validation():
 
 def test_config_create_caps_theta_at_one():
     # tiny working radius: the maximal scale saturates at 1 and the budget shrinks
-    cfg = pc.CutoffConfig.create(1, sigma=0.02, delta0=0.4, S=10, seed=3, c_samples=1000)
+    cfg = pc.CutoffConfig.create(1, sigma=0.02, delta0=0.4, S=10, seed=3)
     assert cfg.theta_max == pytest.approx(1.0, rel=1e-12)
     assert cfg.budget == pytest.approx(4.0 * cfg.distortion * 0.02 / 0.4, rel=1e-12)
     assert cfg.budget < 1.0
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_config_create_accepts_every_seed(k):
+    # the closed-form constant refuses no sampling seed
+    for seed in range(100):
+        cfg = pc.CutoffConfig.create(k, S=10, seed=seed)
+        assert cfg.distortion == pc.estimate_distortion(0.4 / (4.0 * math.sqrt(k + 1)), k)
+
+
+def test_config_create_refuses_delta0_without_distortion_bound():
+    with pytest.raises(ConfigError, match="delta0"):
+        pc.CutoffConfig.create(1, sigma=1.0, delta0=6.0)
+
+
 def test_config_create_never_calls_the_log_chart(monkeypatch):
-    expected = pc.CutoffConfig.create(1, S=50, seed=11, c_samples=1000)
+    expected = pc.CutoffConfig.create(1, S=50, seed=11)
 
     def refuse(*args, **kwargs):
         raise AssertionError("CutoffConfig.create called the log chart")
 
     monkeypatch.setattr("projcut.lie.log_chart", refuse)
     monkeypatch.setattr("projcut.cutoff.log_chart", refuse)
-    cfg = pc.CutoffConfig.create(1, S=50, seed=11, c_samples=1000)
+    cfg = pc.CutoffConfig.create(1, S=50, seed=11)
     fields = ("k", "sigma", "delta0", "S", "seed", "distortion", "budget")
     assert [getattr(cfg, f) for f in fields] == [getattr(expected, f) for f in fields]
 

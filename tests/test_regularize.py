@@ -45,7 +45,7 @@ def test_far_point_vanishes_with_displacement_audit(ball_indicator, mollifier_k1
     center, f = ball_indicator
     theta = 0.05
     rf = pc.regularize(f, theta, 2000, seed=3, mollifier=mollifier_k1)
-    c = pc.estimate_distortion(0.1, 2000, seed=3, k=1)
+    c = pc.estimate_distortion(0.1, 1)
     gap = 2.0 * c * theta * 0.1
 
     rng = make_rng(30, 1)
