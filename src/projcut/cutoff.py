@@ -80,6 +80,10 @@ class CutoffConfig:
                S: int = DEFAULT_S, seed: int = DEFAULT_SEED) -> "CutoffConfig":
         """Take the closed-form distortion constant and fix the budget.  Samples
         theta * y have theta ||y|| < min(sigma, delta0 / (4 C)), and C >= sqrt(k+1)."""
+        if not sigma > 0:
+            raise ConfigError("sigma: must be positive")
+        if not delta0 > 0:
+            raise ConfigError("delta0: must be positive")
         c = estimate_distortion(min(sigma, delta0 / (4.0 * math.sqrt(k + 1))), k)
         if math.isinf(c):
             raise ConfigError(f"delta0: {delta0:g} is too large for the distortion bound")

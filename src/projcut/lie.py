@@ -25,8 +25,12 @@ DEFAULT_EPSILON = 0.3  # validity radius for shear offsets
 DEFAULT_SIGMA = 0.1    # working radius on the traceless matrices
 TRACE_TOL = 1e-12
 
-_EXP_TERMS = 20
 _LOG_TERMS = 40
+_UNIT_ROUNDOFF = 2.0 ** -53
+# Multiply-adds per real product in from_coords.  Below 2^18 OpenBLAS runs a
+# GEMM on one thread; starting its threads for these thin products costs more
+# time than it saves and keeps their buffers resident.
+_GEMM_SIZE = 2 ** 18 - 1
 
 
 def norm_s(x) -> float:
@@ -131,20 +135,76 @@ def _frob(stack) -> np.ndarray:
 
 
 def _expm(stack) -> np.ndarray:
-    """Scaling-and-squaring with a truncated exponential series, batched."""
-    a = np.asarray(stack, dtype=np.complex128)
+    """Matrix exponential of a stack of square matrices.
+
+    The stack is scaled by 2^-q until t = max ||A||_F / 2^q <= 0.25, and the
+    exponential series is truncated at the smallest degree m >= 1 whose
+    remainder t^(m+1)/(m+1)! e^t is below the unit roundoff 2^-53 (m <= 12).
+    2x2 matrices sum it in the Cayley-Hamilton form :func:`_expm2`, larger
+    ones by Horner's rule; the result is then squared q times.
+    """
+    a = np.ascontiguousarray(stack, dtype=np.complex128)
     d = a.shape[-1]
-    worst = float(_frob(a).max()) if a.size else 0.0
+    flat = a.view(np.float64).reshape(-1, 2 * d * d)
+    worst = math.sqrt(float(np.einsum("ij,ij->i", flat, flat).max())) if a.size else 0.0
     squarings = 0
     while worst / (2.0 ** squarings) > 0.25:
         squarings += 1
-    a = a / (2.0 ** squarings)
-    eye = np.eye(d, dtype=np.complex128)
-    out = np.broadcast_to(eye, a.shape) / math.factorial(_EXP_TERMS)
-    for j in range(_EXP_TERMS - 1, -1, -1):
-        out = a @ out + eye / math.factorial(j)
+    if squarings:
+        a = a / (2.0 ** squarings)
+    degree = max(1, _taylor_degree(worst / (2.0 ** squarings)))
+    if d == 2:
+        out = _expm2(a, degree)
+    else:
+        diag = np.arange(d)
+        # Horner from I/m!, whose first product with a is a/m!
+        out = a / math.factorial(degree)
+        out[..., diag, diag] += 1.0 / math.factorial(degree - 1)
+        for j in range(degree - 2, -1, -1):
+            out = a @ out
+            out[..., diag, diag] += 1.0 / math.factorial(j)
     for _ in range(squarings):
         out = out @ out
+    return out
+
+
+def _taylor_degree(t: float) -> int:
+    """Smallest m with t^(m+1)/(m+1)! e^t <= 2^-53, which bounds the
+    truncation error of the degree-m exponential series at ||A||_F <= t."""
+    m, tail = 0, t * math.exp(t)
+    while tail > _UNIT_ROUNDOFF:
+        m += 1
+        tail *= t / (m + 1)
+    return m
+
+
+def _expm2(a: np.ndarray, degree: int) -> np.ndarray:
+    """Exponential of a stack of 2x2 matrices by Cayley-Hamilton.
+
+    With tau = tr(A)/2 and B = A - tau Id, B^2 = nu Id for nu = -det B, so
+    e^A = e^tau (c(nu) Id + s(nu) B) with c(nu) = sum nu^j/(2j)! and
+    s(nu) = sum nu^j/(2j+1)!, which are cosh(mu) and sinh(mu)/mu for
+    mu^2 = nu.  Both sums run to the power of nu that keeps every term of
+    the degree-``degree`` exponential series.
+    """
+    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    tau = 0.5 * (a00 + a11)
+    half_gap = 0.5 * (a00 - a11)  # B = [[half_gap, a01], [a10, -half_gap]]
+    nu = a01 * a10 + half_gap * half_gap
+    top = degree // 2
+    c = np.full_like(nu, 1.0 / math.factorial(2 * top))
+    s = np.full_like(nu, 1.0 / math.factorial(2 * top + 1))
+    for j in range(top - 1, -1, -1):
+        c = c * nu + 1.0 / math.factorial(2 * j)
+        s = s * nu + 1.0 / math.factorial(2 * j + 1)
+    scale = np.exp(tau)
+    c *= scale
+    s *= scale
+    out = np.empty_like(a)
+    out[..., 0, 0] = c + s * half_gap
+    out[..., 0, 1] = s * a01
+    out[..., 1, 0] = s * a10
+    out[..., 1, 1] = c - s * half_gap
     return out
 
 
@@ -278,8 +338,20 @@ def to_coords(x) -> np.ndarray:
 
 
 def from_coords(v, k: int) -> np.ndarray:
-    """Traceless matrix with the given real coordinates in :func:`sl_basis`."""
-    return np.einsum("...a,aij->...ij", np.asarray(v, dtype=np.float64), sl_basis(k))
+    """Traceless matrices with the given real coordinates in :func:`sl_basis`,
+    for rows v of shape (..., 2k^2 + 4k): real matrix products of the rows
+    with the basis read as real and imaginary parts, in blocks of at most
+    _GEMM_SIZE multiply-adds."""
+    v = np.asarray(v, dtype=np.float64)
+    basis = sl_basis(k)
+    d = k + 1
+    real = basis.view(np.float64).reshape(basis.shape[0], 2 * d * d)
+    rows = v.reshape(-1, basis.shape[0])
+    out = np.empty((rows.shape[0], 2 * d * d))
+    step = max(1, _GEMM_SIZE // real.size)
+    for lo in range(0, rows.shape[0], step):
+        np.matmul(rows[lo:lo + step], real, out=out[lo:lo + step])
+    return out.view(np.complex128).reshape(v.shape[:-1] + (d, d))
 
 
 def _uniform_coord_rows(sigma: float, k: int, count: int, rng) -> np.ndarray:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -53,7 +54,8 @@ def regularize(f: FunctionOnP, theta: float, S: int, seed, mollifier: MollifierS
 
     theta = 0 returns the pass-through evaluator (the Dirac case).  The same
     seed yields the same x_j for every theta, so evaluators at different
-    scales share their randomness.
+    scales share their randomness; the draw itself is shared too, so the
+    builds of one command at several theta sample it once.
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
@@ -64,14 +66,22 @@ def regularize(f: FunctionOnP, theta: float, S: int, seed, mollifier: MollifierS
     if theta == 0.0:
         mats = np.zeros((0, d, d), dtype=np.complex128)
     else:
-        x = sample_matrices(ScaledMeasure(mollifier, 1.0), S, seed)
-        mats = _normalize_stack(_expm(theta * x))
+        mats = _normalize_stack(_expm(theta * _unit_draws(mollifier, int(S), int(seed))))
         if hasattr(f, "hermitian_forms"):
             forms = _real_coefficients(f.hermitian_forms(mats))
             forms.setflags(write=False)
     mats.setflags(write=False)
     return RegularizedFunction(source=f, theta=float(theta), matrices=mats,
                                sample_seed=seed, S=int(S), forms=forms)
+
+
+@lru_cache(maxsize=1)
+def _unit_draws(mollifier: MollifierSpec, S: int, seed: int) -> np.ndarray:
+    """The S unit-scale draws x_j for (mollifier, S, seed), read-only and
+    kept for the next call with the same key."""
+    x = sample_matrices(ScaledMeasure(mollifier, 1.0), S, seed)
+    x.setflags(write=False)
+    return x
 
 
 def _real_coefficients(hermitian: np.ndarray) -> np.ndarray:

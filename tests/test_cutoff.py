@@ -46,6 +46,12 @@ def test_config_create_refuses_delta0_without_distortion_bound():
         pc.CutoffConfig.create(1, sigma=1.0, delta0=6.0)
 
 
+@pytest.mark.parametrize("field", ["sigma", "delta0"])
+def test_config_create_refuses_zero_sigma_and_delta0(field):
+    with pytest.raises(ConfigError, match=field):
+        pc.CutoffConfig.create(1, **{field: 0.0})
+
+
 def test_config_create_never_calls_the_log_chart(monkeypatch):
     expected = pc.CutoffConfig.create(1, S=50, seed=11)
 

@@ -53,8 +53,31 @@ def test_exp_matches_scipy():
             assert np.max(np.abs(pc.exp_sl(m) - scipy.linalg.expm(m))) <= 1e-11
 
 
+def test_exp_batched_mixed_norms_match_scipy():
+    # one stack, so a single squaring count and degree serve tiny and large members
+    rng = make_rng(10, 4)
+    norms = (0.0, 1e-9, 1e-3, 0.03, 0.5, 3.0)
+    for d in (2, 3, 4):
+        stack = np.stack([random_traceless(rng, d, norm=n) for n in norms for _ in range(4)])
+        out = pc.exp_sl(stack)
+        for m, e in zip(stack, out):
+            ref = scipy.linalg.expm(m)
+            assert np.max(np.abs(e - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_exp_of_non_traceless_2x2_matches_scipy():
+    rng = make_rng(10, 5)
+    stack = rng.standard_normal((50, 2, 2)) + 1j * rng.standard_normal((50, 2, 2))
+    stack *= (3.0 * rng.random(50) / np.linalg.norm(stack, axis=(1, 2)))[:, None, None]
+    out = pc.exp_sl(stack)
+    for m, e in zip(stack, out):
+        ref = scipy.linalg.expm(m)
+        assert np.max(np.abs(e - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_exp_examples():
-    assert np.array_equal(pc.exp_sl(np.zeros((3, 3))), np.eye(3))
+    for d in (2, 3):
+        assert np.array_equal(pc.exp_sl(np.zeros((d, d))), np.eye(d))
     rng = make_rng(10, 2)
     for _ in range(50):
         m = random_traceless(rng, 2, norm=0.5)
@@ -255,6 +278,17 @@ def test_sl_basis_orthonormal_and_spanning():
         assert np.max(np.abs(pc.from_coords(v, k) - m)) <= 1e-14
         # coordinates carry the Frobenius norm
         assert np.linalg.norm(v) == pytest.approx(np.linalg.norm(m), rel=1e-12)
+
+
+def test_from_coords_matches_einsum_reference():
+    for k in (1, 2, 3):
+        basis = pc.sl_basis(k)
+        # 600 rows span several of from_coords' products at k = 3
+        v = make_rng(13, 10 + k).standard_normal((2, 300, basis.shape[0]))
+        ref = np.einsum("...a,aij->...ij", v, basis)
+        out = pc.from_coords(v, k)
+        assert out.shape == v.shape[:-1] + (k + 1, k + 1)
+        assert np.max(np.abs(out - ref)) <= 1e-15 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_estimate_distortion_basics():

@@ -7,7 +7,8 @@ import pytest
 import projcut as pc
 from projcut.errors import StepTooSmall
 from projcut.geometry import geodesic_row, tangent_row, uniform_rows
-from projcut.regularize import EVAL_CHUNK, FORM_GEMM_OUTPUT, ROW_BLOCK
+from projcut.lie import _expm, _normalize_stack
+from projcut.regularize import EVAL_CHUNK, FORM_GEMM_OUTPUT, ROW_BLOCK, _unit_draws
 from projcut.rng import make_rng
 
 
@@ -39,6 +40,18 @@ def test_constant_one_stays_one(mollifier_k1):
     rng = make_rng(30, 0)
     for row in uniform_rows(1, 50, rng):
         assert rf(pc.ProjectivePoint(row)) == 1.0
+
+
+def test_unit_draw_is_shared_across_theta(mollifier_k1):
+    # two scales, one draw: each stores what a fresh uncached draw would give
+    for theta in (0.2, 0.05):
+        rf = pc.regularize(ones, theta, 300, seed=9, mollifier=mollifier_k1)
+        fresh = pc.sample_matrices(pc.ScaledMeasure(mollifier_k1, 1.0), 300, 9)
+        assert np.array_equal(rf.matrices, _normalize_stack(_expm(theta * fresh)))
+    draws = _unit_draws(mollifier_k1, 300, 9)
+    assert _unit_draws(mollifier_k1, 300, 9) is draws
+    with pytest.raises(ValueError):
+        draws[0, 0, 0] = 1.0
 
 
 def test_far_point_vanishes_with_displacement_audit(ball_indicator, mollifier_k1):
