@@ -34,7 +34,7 @@ DEFAULT_BANDS = {1: (-1.5, -0.5), 2: (-2.6, -1.4)}
 
 _KNOWN_KEYS = {
     "k", "sigma", "delta0", "S", "seed", "alpha", "deltas", "set", "grid",
-    "n_inner", "n_outer", "slope_band", "out_dir",
+    "n_inner", "n_outer", "slope_band",
 }
 
 
@@ -52,7 +52,6 @@ class RunConfig:
     n_inner: int
     n_outer: int
     slope_band: Optional[tuple]
-    out_dir: Optional[str]
 
 
 def load_config(path) -> RunConfig:
@@ -123,16 +122,12 @@ def load_config(path) -> RunConfig:
             raise ConfigError("slope_band: expected [lo, hi] with lo < hi")
         slope_band = (float(slope_band[0]), float(slope_band[1]))
 
-    out_dir = data.get("out_dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigError("out_dir: expected a string path")
-
     return RunConfig(k, sigma, delta0, S, seed, alpha, deltas, set_spec, grid,
-                     n_inner, n_outer, slope_band, out_dir)
+                     n_inner, n_outer, slope_band)
 
 
 def _cutoff_config(cfg: RunConfig) -> CutoffConfig:
-    return CutoffConfig.create(cfg.k, cfg.sigma, cfg.delta0, cfg.S, cfg.seed)
+    return CutoffConfig(cfg.k, cfg.sigma, cfg.delta0, cfg.S, cfg.seed)
 
 
 def _write_json(path: Path, payload: dict):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .geometry import (Ball, CompactSetSpec, ProjectivePoint, geodesic_row,
 # log_chart and check_distortion are unused here but kept: the benchmark tracer binds them by name
 from .lie import DEFAULT_SIGMA, _frob, check_distortion, estimate_distortion, log_chart
 from .measure import get_mollifier
-from .regularize import (RegularizedFunction, ScalingReport,
+from .regularize import (RegularizedFunction, ScalingReport, _stored_images,
                          c_alpha_estimate, regularize, scaling_slope)
 from .rng import make_rng
 
@@ -31,7 +31,6 @@ DEFAULT_DELTA0 = 0.4
 DEFAULT_S = 20000
 DEFAULT_SEED = 42
 DEFAULT_STEP = {1: 1e-3, 2: 3e-3}
-_AUDIT_CHUNK = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,57 +38,44 @@ class CutoffConfig:
     """Fixed data for a family of cut-offs.
 
     ``distortion`` is the closed-form C with ||exp_chart(x) - Id|| <= C ||x||
-    for ||x|| <= min(sigma, delta0 / (4 sqrt(k+1))), a ball holding every
-    stored sample; ``budget`` in (0, 1] is the fraction of the delta/4
-    displacement budget spent at delta0, so the smoothing scale for a given
-    delta is budget * delta / (4 * distortion * sigma).
+    for ||x|| <= min(sigma, delta0 / (4 sqrt(k+1))).  That ball holds every
+    stored sample: samples theta * y have theta ||y|| < min(sigma,
+    delta0 / (4 C)), and C >= sqrt(k+1).  ``budget`` in (0, 1] is the
+    fraction of the delta/4 displacement budget spent at delta0, so the
+    smoothing scale for a given delta is budget * delta / (4 * distortion *
+    sigma).  Both are computed from (k, sigma, delta0) at construction.
     """
 
     k: int
-    sigma: float
-    delta0: float
-    S: int
-    seed: int
-    distortion: float
-    budget: float
+    sigma: float = DEFAULT_SIGMA
+    delta0: float = DEFAULT_DELTA0
+    S: int = DEFAULT_S
+    seed: int = DEFAULT_SEED
+    distortion: float = field(init=False)
+    budget: float = field(init=False)
 
     def __post_init__(self):
         if not isinstance(self.k, int) or self.k < 1:
             raise ConfigError("k: must be a positive integer")
-        if self.sigma <= 0:
+        if not self.sigma > 0:
             raise ConfigError("sigma: must be positive")
-        if self.delta0 <= 0:
+        if not self.delta0 > 0:
             raise ConfigError("delta0: must be positive")
         if self.S < 1:
             raise ConfigError("S: must be at least 1")
         if self.seed < 0:
             raise ConfigError("seed: must be nonnegative")
-        if self.distortion < 1.0:
-            raise ConfigError("distortion: must be at least 1")
-        if not 0.0 < self.budget <= 1.0:
-            raise ConfigError("budget: must lie in (0, 1]")
-        if self.theta_max > 1.0 + 1e-12:
-            raise ConfigError("budget: implied maximal theta exceeds 1")
+        c = estimate_distortion(min(self.sigma, self.delta0 / (4.0 * math.sqrt(self.k + 1))),
+                                self.k)
+        if math.isinf(c):
+            raise ConfigError(f"delta0: {self.delta0:g} is too large for the distortion bound")
+        theta_max = min(1.0, self.delta0 / (4.0 * c * self.sigma))
+        object.__setattr__(self, "distortion", c)
+        object.__setattr__(self, "budget", min(1.0, 4.0 * c * theta_max * self.sigma / self.delta0))
 
     @property
     def theta_max(self) -> float:
         return self.budget * self.delta0 / (4.0 * self.distortion * self.sigma)
-
-    @classmethod
-    def create(cls, k: int, sigma: float = DEFAULT_SIGMA, delta0: float = DEFAULT_DELTA0,
-               S: int = DEFAULT_S, seed: int = DEFAULT_SEED) -> "CutoffConfig":
-        """Take the closed-form distortion constant and fix the budget.  Samples
-        theta * y have theta ||y|| < min(sigma, delta0 / (4 C)), and C >= sqrt(k+1)."""
-        if not sigma > 0:
-            raise ConfigError("sigma: must be positive")
-        if not delta0 > 0:
-            raise ConfigError("delta0: must be positive")
-        c = estimate_distortion(min(sigma, delta0 / (4.0 * math.sqrt(k + 1))), k)
-        if math.isinf(c):
-            raise ConfigError(f"delta0: {delta0:g} is too large for the distortion bound")
-        theta_max = min(1.0, delta0 / (4.0 * c * sigma))
-        budget = min(1.0, 4.0 * c * theta_max * sigma / delta0)
-        return cls(k, sigma, delta0, S, seed, c, budget)
 
 
 def choose_theta(config: CutoffConfig, delta: float) -> float:
@@ -260,9 +246,7 @@ def max_fs_displacement(matrices: np.ndarray, rows) -> float:
     Z = np.asarray(rows, dtype=np.complex128)
     Z = Z / np.linalg.norm(Z, axis=1, keepdims=True)
     worst = 0.0
-    for lo in range(0, matrices.shape[0], _AUDIT_CHUNK):
-        g = matrices[lo:lo + _AUDIT_CHUNK]
-        images = np.einsum("sij,mj->smi", g, Z)
+    for images in _stored_images(matrices, Z):
         ip = np.abs(np.einsum("smi,mi->sm", images, np.conj(Z)))
         xn = np.linalg.norm(images, axis=2)
         fs = np.arccos(np.clip(ip / xn, 0.0, 1.0))
@@ -280,12 +264,9 @@ def max_euclid_ratio(matrices: np.ndarray, rows) -> float:
     pivots = Z[np.arange(Z.shape[0]), np.argmax(np.abs(Z), axis=1)]
     zeta = Z / pivots[:, None]
     zn = np.linalg.norm(zeta, axis=1)
-    eye = np.eye(Z.shape[1])
     worst = 0.0
-    for lo in range(0, matrices.shape[0], _AUDIT_CHUNK):
-        g = matrices[lo:lo + _AUDIT_CHUNK] - eye
-        moved = np.einsum("sij,mj->smi", g, zeta)
-        ratio = np.linalg.norm(moved, axis=2) / zn
+    for images in _stored_images(matrices, zeta):
+        ratio = np.linalg.norm(images - zeta, axis=2) / zn
         worst = max(worst, float(ratio.max()))
     return worst
 

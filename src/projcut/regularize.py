@@ -84,6 +84,13 @@ def _unit_draws(mollifier: MollifierSpec, S: int, seed: int) -> np.ndarray:
     return x
 
 
+def _stored_images(matrices: np.ndarray, Z: np.ndarray):
+    """The rows Z (m, d) moved by the stored matrices (S, d, d), one block of
+    EVAL_CHUNK matrices at a time: yields arrays (block, m, d) of g z."""
+    for lo in range(0, matrices.shape[0], EVAL_CHUNK):
+        yield np.einsum("sij,mj->smi", matrices[lo:lo + EVAL_CHUNK], Z)
+
+
 def _real_coefficients(hermitian: np.ndarray) -> np.ndarray:
     """Coefficients (..., d*d) of z^H H z against :func:`_features` of z."""
     d = hermitian.shape[-1]
@@ -148,11 +155,9 @@ class RegularizedFunction:
     def _source_sum(self, Z: np.ndarray) -> np.ndarray:
         """Sum of f over the stored elements, EVAL_CHUNK at a time, per row."""
         total = np.zeros(Z.shape[0])
-        for lo in range(0, self.matrices.shape[0], EVAL_CHUNK):
-            g = self.matrices[lo:lo + EVAL_CHUNK]
-            images = np.einsum("sij,mj->smi", g, Z)
+        for images in _stored_images(self.matrices, Z):
             vals = np.asarray(self.source(images.reshape(-1, Z.shape[1])), dtype=np.float64)
-            total += vals.reshape(g.shape[0], Z.shape[0]).sum(axis=0)
+            total += vals.reshape(images.shape[0], Z.shape[0]).sum(axis=0)
         return total
 
     def _form_hits(self, features: np.ndarray) -> np.ndarray:

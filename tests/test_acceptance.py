@@ -41,12 +41,12 @@ def random_point_balls(k, seed):
 
 @pytest.fixture(scope="module")
 def config_k1():
-    return pc.CutoffConfig.create(1, S=S, seed=42)
+    return pc.CutoffConfig(1, S=S, seed=42)
 
 
 @pytest.fixture(scope="module")
 def config_k2():
-    return pc.CutoffConfig.create(2, S=S, seed=42)
+    return pc.CutoffConfig(2, S=S, seed=42)
 
 
 @pytest.fixture(scope="module")

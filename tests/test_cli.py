@@ -203,6 +203,32 @@ def test_unknown_config_field(tmp_path):
     assert "bogus" in result.stderr
 
 
+def test_out_dir_is_an_unknown_config_field(tmp_path):
+    # output goes to --out; the config key that nothing read is gone
+    cfg = write_config(tmp_path / "out_dir.json", out_dir=str(tmp_path / "elsewhere"))
+    result = run_cli("verify", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert result.returncode == 2
+    assert "out_dir: unknown config field" in result.stderr
+
+
+def test_verify_and_eval_run_without_scipy(verify_config, tmp_path):
+    # numpy is the only run-time dependency: block every scipy import
+    pts = tmp_path / "pts.csv"
+    pts.write_text("re0,im0,re1,im1\n1,0,0.2,0.1\n0,0,1,0\n")
+    verify = ["verify", "--config", str(verify_config), "--out", str(tmp_path / "v")]
+    evaluate = ["eval", "--config", str(verify_config), "--points", str(pts),
+                "--out", str(tmp_path / "e")]
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from projcut import cli\n"
+        f"print(cli.main({verify!r}), cli.main({evaluate!r}))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0", "0"]
+
+
 def test_missing_set_field(tmp_path):
     cfg = write_config(tmp_path / "noset.json")
     data = json.loads(cfg.read_text())

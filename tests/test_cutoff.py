@@ -14,20 +14,16 @@ from projcut.rng import make_rng
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        pc.CutoffConfig(0, 0.1, 0.4, 100, 1, 1.6, 1.0)
+        pc.CutoffConfig(0, 0.1, 0.4, 100, 1)
     with pytest.raises(ConfigError):
-        pc.CutoffConfig(1, 0.1, 0.4, 0, 1, 1.6, 1.0)
-    with pytest.raises(ConfigError):
-        pc.CutoffConfig(1, 0.1, 0.4, 100, 1, 0.9, 1.0)
-    with pytest.raises(ConfigError):
-        pc.CutoffConfig(1, 0.1, 0.4, 100, 1, 1.6, 1.5)
-    with pytest.raises(ConfigError):
-        pc.CutoffConfig(1, 0.1, 4.0, 100, 1, 1.1, 1.0)  # theta_max above 1
+        pc.CutoffConfig(1, 0.1, 0.4, 0, 1)
+    with pytest.raises(TypeError):  # distortion and budget are computed, not passed
+        pc.CutoffConfig(1, 0.1, 0.4, 100, 1, 1.6, 1.0)
 
 
 def test_config_create_caps_theta_at_one():
     # tiny working radius: the maximal scale saturates at 1 and the budget shrinks
-    cfg = pc.CutoffConfig.create(1, sigma=0.02, delta0=0.4, S=10, seed=3)
+    cfg = pc.CutoffConfig(1, sigma=0.02, delta0=0.4, S=10, seed=3)
     assert cfg.theta_max == pytest.approx(1.0, rel=1e-12)
     assert cfg.budget == pytest.approx(4.0 * cfg.distortion * 0.02 / 0.4, rel=1e-12)
     assert cfg.budget < 1.0
@@ -37,30 +33,30 @@ def test_config_create_caps_theta_at_one():
 def test_config_create_accepts_every_seed(k):
     # the closed-form constant refuses no sampling seed
     for seed in range(100):
-        cfg = pc.CutoffConfig.create(k, S=10, seed=seed)
+        cfg = pc.CutoffConfig(k, S=10, seed=seed)
         assert cfg.distortion == pc.estimate_distortion(0.4 / (4.0 * math.sqrt(k + 1)), k)
 
 
 def test_config_create_refuses_delta0_without_distortion_bound():
     with pytest.raises(ConfigError, match="delta0"):
-        pc.CutoffConfig.create(1, sigma=1.0, delta0=6.0)
+        pc.CutoffConfig(1, sigma=1.0, delta0=6.0)
 
 
 @pytest.mark.parametrize("field", ["sigma", "delta0"])
 def test_config_create_refuses_zero_sigma_and_delta0(field):
     with pytest.raises(ConfigError, match=field):
-        pc.CutoffConfig.create(1, **{field: 0.0})
+        pc.CutoffConfig(1, **{field: 0.0})
 
 
 def test_config_create_never_calls_the_log_chart(monkeypatch):
-    expected = pc.CutoffConfig.create(1, S=50, seed=11)
+    expected = pc.CutoffConfig(1, S=50, seed=11)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("CutoffConfig.create called the log chart")
+        raise AssertionError("the CutoffConfig constructor called the log chart")
 
     monkeypatch.setattr("projcut.lie.log_chart", refuse)
     monkeypatch.setattr("projcut.cutoff.log_chart", refuse)
-    cfg = pc.CutoffConfig.create(1, S=50, seed=11)
+    cfg = pc.CutoffConfig(1, S=50, seed=11)
     fields = ("k", "sigma", "delta0", "S", "seed", "distortion", "budget")
     assert [getattr(cfg, f) for f in fields] == [getattr(expected, f) for f in fields]
 
@@ -151,7 +147,7 @@ def test_verify_cutoff_report(config_small, two_ball_set):
 def test_certified_displacement_bounds_sampled_audits(k):
     # the report's audit fields bound the brute-force audits on uniform
     # rows, rows on K and rows at distance >= delta
-    config = pc.CutoffConfig.create(k, S=2000, seed=42)
+    config = pc.CutoffConfig(k, S=2000, seed=42)
     rng = make_rng(42, k)
     sset = pc.CompactSetSpec(tuple(pc.Ball(pc.ProjectivePoint(c), 0.05)
                                    for c in uniform_rows(k, 2, rng)))

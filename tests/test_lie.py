@@ -299,7 +299,7 @@ def test_estimate_distortion_basics():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_closed_form_distortion_holds_on_fresh_samples(k):
-    # the sampled two-sided ratio on the ball of create's radius is the oracle
+    # the sampled two-sided ratio on the ball of CutoffConfig's radius is the oracle
     radius = min(0.1, 0.4 / (4.0 * math.sqrt(k + 1)))  # defaults sigma, delta0
     c = pc.estimate_distortion(radius, k)
     assert c >= math.sqrt(k + 1)

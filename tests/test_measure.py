@@ -40,6 +40,16 @@ def test_normalization_scales_as_sigma_power():
         assert c1 > 0.0 and math.isfinite(c1)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_normalization_matches_adaptive_quadrature(k):
+    # the trapezoid total of the sampler's table against scipy's quad
+    n = real_dimension(k)
+    radial, _ = quad(lambda t: t ** (n - 1) * pc.bump_profile(t), 0.0, 1.0,
+                     epsabs=0.0, epsrel=1e-13, limit=200)
+    oracle = 1.0 / (pc.measure.sphere_area(n) * 0.1 ** n * radial)
+    assert pc.normalization(k, 0.1) == pytest.approx(oracle, rel=1e-14, abs=0.0)
+
+
 def test_normalization_mass_against_monte_carlo():
     # independent mass estimate: uniform-ball average times ball volume
     k, sigma = 1, 0.1
