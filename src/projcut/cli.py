@@ -54,6 +54,16 @@ class RunConfig:
     slope_band: Optional[tuple]
 
 
+def _finite_number(value) -> bool:
+    """A finite JSON number: an int or a float, not a boolean."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def load_config(path) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as f:
@@ -70,10 +80,11 @@ def load_config(path) -> RunConfig:
 
     def _num(name, default, kind, positive=True):
         value = data.get(name, default)
-        try:
-            value = kind(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{name}: expected a number") from None
+        if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ConfigError(f"{name}: expected an integer")
+        if kind is float and not _finite_number(value):
+            raise ConfigError(f"{name}: expected a finite number")
+        value = kind(value)
         if positive and value <= 0:
             raise ConfigError(f"{name}: must be positive")
         return value
@@ -97,10 +108,9 @@ def load_config(path) -> RunConfig:
     deltas = data.get("deltas")
     if not isinstance(deltas, list) or not deltas:
         raise ConfigError("deltas: required nonempty list")
-    try:
-        deltas = [float(d) for d in deltas]
-    except (TypeError, ValueError):
-        raise ConfigError("deltas: entries must be numbers") from None
+    if not all(_finite_number(d) for d in deltas):
+        raise ConfigError("deltas: entries must be finite numbers")
+    deltas = [float(d) for d in deltas]
     for d in deltas:
         if not DELTA_FLOOR < d < delta0:
             raise ConfigError(f"deltas: {d} outside ({DELTA_FLOOR}, delta0={delta0})")
@@ -117,7 +127,7 @@ def load_config(path) -> RunConfig:
     slope_band = data.get("slope_band")
     if slope_band is not None:
         if (not isinstance(slope_band, list) or len(slope_band) != 2
-                or not all(isinstance(v, (int, float)) for v in slope_band)
+                or not all(_finite_number(v) for v in slope_band)
                 or not slope_band[0] < slope_band[1]):
             raise ConfigError("slope_band: expected [lo, hi] with lo < hi")
         slope_band = (float(slope_band[0]), float(slope_band[1]))

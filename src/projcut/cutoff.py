@@ -57,10 +57,10 @@ class CutoffConfig:
     def __post_init__(self):
         if not isinstance(self.k, int) or self.k < 1:
             raise ConfigError("k: must be a positive integer")
-        if not self.sigma > 0:
-            raise ConfigError("sigma: must be positive")
-        if not self.delta0 > 0:
-            raise ConfigError("delta0: must be positive")
+        if not (self.sigma > 0 and math.isfinite(self.sigma)):
+            raise ConfigError("sigma: must be positive and finite")
+        if not (self.delta0 > 0 and math.isfinite(self.delta0)):
+            raise ConfigError("delta0: must be positive and finite")
         if self.S < 1:
             raise ConfigError("S: must be at least 1")
         if self.seed < 0:
@@ -97,36 +97,28 @@ class FattenedIndicator:
     def __call__(self, rows) -> np.ndarray:
         return (rows_dist_to_set(rows, self.set_spec) < self.rho).astype(np.float64)
 
-    def hermitian_forms(self, matrices) -> np.ndarray:
-        """Hermitian H, shape (S, B, k+1, k+1) for S matrices g and B balls,
-        with self(g z) = 1 exactly when z^H H[s, b] z > 0 for some ball b.
+    def ball_tests(self):
+        """Unit centres c, shape (B, k+1), and levels l, shape (B,), with
+        self(z) = 1 exactly when |c_b^H z|^2 > l_b |z|^2 for some ball b.
 
-        For a ball of unit centre c and R = radius + rho < pi/2, the image g z
-        lies within R of c exactly when |c^H g z|^2 > cos^2(R) |g z|^2, so
-        H = g^H (c c^H - cos^2(R) Id) g.  A ball with R >= pi/2 covers P^k
-        (H = Id); rho = 0 leaves nothing strictly below it (H = 0).
+        For a ball of unit centre c and R = radius + rho < pi/2, z lies
+        within R of c exactly when |c^H z|^2 > cos^2(R) |z|^2.  A ball with
+        R >= pi/2 covers P^k (level -1: the test always holds); rho = 0
+        leaves nothing strictly below it (centre 0, level 0: it never holds).
         """
-        g = np.asarray(matrices, dtype=np.complex128)
-        d = g.shape[-1]
-        forms = np.zeros((g.shape[0], len(self.set_spec.balls), d, d), dtype=np.complex128)
+        balls = self.set_spec.balls
+        centres = np.stack([ball.center.homog for ball in balls])
         if self.rho == 0.0:
-            return forms
-        gram = np.einsum("sij,sik->sjk", np.conj(g), g)
-        for b, ball in enumerate(self.set_spec.balls):
-            reach = ball.radius + self.rho
-            if reach >= 0.5 * math.pi:
-                forms[:, b] = np.eye(d)
-                continue
-            u = np.conj(ball.center.homog) @ g  # rows c^H g
-            forms[:, b] = np.conj(u)[:, :, None] * u[:, None, :] - math.cos(reach) ** 2 * gram
-        return forms
+            return np.zeros_like(centres), np.zeros(len(balls))
+        reach = [ball.radius + self.rho for ball in balls]
+        return centres, np.array([-1.0 if r >= 0.5 * math.pi else math.cos(r) ** 2 for r in reach])
 
 
 def indicator_fattened(set_spec: CompactSetSpec, rho: float) -> FattenedIndicator:
     """Indicator of the open rho-neighbourhood of the set (1 where the
     distance is strictly below rho), vectorised over homogeneous rows.  It
-    also offers the Hermitian forms that let :func:`regularize` evaluate the
-    smoothed indicator as a sign test."""
+    also states its balls as quadratic tests, which let :func:`regularize`
+    evaluate the smoothed indicator as a sign test."""
     if rho < 0:
         raise ValueError("rho must be nonnegative")
     return FattenedIndicator(set_spec, float(rho))

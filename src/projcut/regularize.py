@@ -15,12 +15,15 @@ homogeneous rows:
 Rows are arbitrary nonzero homogeneous representatives; evaluators normalise
 internally where needed.
 
-An evaluator may also offer ``hermitian_forms(matrices)``: Hermitian H of
-shape (S, B, k+1, k+1) with f(g_s z) = 1 exactly when z^H H[s, b] z > 0 for
-some b, and 0 otherwise.  The smoothed function is then evaluated as a sign
-test on one real matrix product per block: z^H H z is linear in the (k+1)^2
-real features |z_i|^2, Re(conj(z_i) z_j) and Im(conj(z_i) z_j), i < j, so
-neither the moved points nor their distances are ever formed.
+An evaluator may also offer ``ball_tests()``: centres c_b, shape (B, k+1),
+and levels l_b, shape (B,), with f(z) = 1 exactly when |c_b^H z|^2 >
+l_b |z|^2 for some b, and 0 otherwise.  The smoothed function is then
+evaluated as a sign test on one real matrix product per block: the test on
+g_s z is |c_b^H g_s z|^2 - l_b |g_s z|^2 > 0, a quadratic form in z that is
+linear in the (k+1)^2 real features |z_i|^2, Re(conj(z_i) z_j) and
+Im(conj(z_i) z_j), i < j.  Its coefficients are built once per stored
+element from rank-one terms, so neither the moved points nor their
+distances are ever formed.
 """
 
 from __future__ import annotations
@@ -67,12 +70,11 @@ def regularize(f: FunctionOnP, theta: float, S: int, seed, mollifier: MollifierS
         mats = np.zeros((0, d, d), dtype=np.complex128)
     else:
         mats = _normalize_stack(_expm(theta * _unit_draws(mollifier, int(S), int(seed))))
-        if hasattr(f, "hermitian_forms"):
-            forms = _real_coefficients(f.hermitian_forms(mats))
+        if hasattr(f, "ball_tests"):
+            forms = _form_coefficients(mats, *f.ball_tests())
             forms.setflags(write=False)
     mats.setflags(write=False)
-    return RegularizedFunction(source=f, theta=float(theta), matrices=mats,
-                               sample_seed=seed, S=int(S), forms=forms)
+    return RegularizedFunction(source=f, theta=float(theta), matrices=mats, S=int(S), forms=forms)
 
 
 @lru_cache(maxsize=1)
@@ -91,13 +93,26 @@ def _stored_images(matrices: np.ndarray, Z: np.ndarray):
         yield np.einsum("sij,mj->smi", matrices[lo:lo + EVAL_CHUNK], Z)
 
 
-def _real_coefficients(hermitian: np.ndarray) -> np.ndarray:
-    """Coefficients (..., d*d) of z^H H z against :func:`_features` of z."""
-    d = hermitian.shape[-1]
-    i, j = np.triu_indices(d, 1)
-    off = hermitian[..., i, j]
-    diag = np.diagonal(hermitian, axis1=-2, axis2=-1).real
-    return np.concatenate([diag, 2.0 * off.real, -2.0 * off.imag], axis=-1)
+def _form_coefficients(matrices, centres, levels) -> np.ndarray:
+    """Coefficients (S, B, d*d) of |c_b^H g z|^2 - l_b |g z|^2 against
+    :func:`_features` of z, for the stored g and the ball tests (c_b, l_b):
+    P(c_b^H g) - l_b sum_r P(g_r), g_r the rows of g.  The row sum is kept
+    once per stored element, not per ball."""
+    forms = _rank_one(np.conj(centres) @ matrices)
+    row_sum = np.zeros((matrices.shape[0], forms.shape[-1]))
+    for r in range(matrices.shape[1]):
+        row_sum += _rank_one(matrices[:, r])
+    for b, level in enumerate(levels):
+        forms[:, b] -= level * row_sum
+    return forms
+
+
+def _rank_one(U: np.ndarray) -> np.ndarray:
+    """Coefficients P(u), shape (..., d*d), of |u . z|^2 against
+    :func:`_features` of z, one per row u of U (..., d)."""
+    i, j = np.triu_indices(U.shape[-1], 1)
+    cross = 2.0 * U[..., i] * np.conj(U[..., j])
+    return np.concatenate([U.real ** 2 + U.imag ** 2, cross.real, cross.imag], axis=-1)
 
 
 def _features(Z: np.ndarray) -> np.ndarray:
@@ -115,16 +130,16 @@ class RegularizedFunction:
 
     ``matrices`` holds the S stored group elements, shape (S, k+1, k+1)
     (empty for the pass-through case theta = 0).  ``forms`` holds, when the
-    source offers Hermitian forms, their real coefficients per stored
-    element and form, shape (S, B, (k+1)^2); otherwise it is None and the
-    source is called on the moved points.  Evaluation is deterministic: the
-    same (seed, S, theta, point) gives the same value bit for bit.
+    source offers ball tests, the real coefficients of each test on the
+    moved point per stored element and ball, shape (S, B, (k+1)^2);
+    otherwise it is None and the source is called on the moved points.
+    Evaluation is deterministic: the same (seed, S, theta, point) gives the
+    same value bit for bit.
     """
 
     source: FunctionOnP
     theta: float
     matrices: np.ndarray
-    sample_seed: int
     S: int
     forms: Optional[np.ndarray] = None
 

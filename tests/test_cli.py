@@ -1,9 +1,12 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+
+from projcut.cli import main
 
 BASE_SET = {
     "balls": [
@@ -237,6 +240,21 @@ def test_missing_set_field(tmp_path):
     result = run_cli("verify", "--config", str(cfg), "--out", str(tmp_path / "out"))
     assert result.returncode == 2
     assert "set" in result.stderr
+
+
+@pytest.mark.parametrize("field, value", [
+    ("k", 1.7), ("k", True), ("alpha", 1.9), ("S", 300.9), ("S", "300"),
+    ("seed", 3.5), ("grid", False), ("n_inner", 20.5), ("n_outer", 20.0),
+    ("sigma", "0.1"), ("sigma", True), ("sigma", math.inf), ("delta0", math.inf),
+    pytest.param("delta0", 10 ** 400, id="'delta0'-10**400"),
+    ("deltas", [0.1, "0.05"]), ("deltas", [True]), ("slope_band", [-2.0, True]),
+], ids=repr)
+def test_config_numbers_are_not_coerced(field, value, tmp_path, capsys):
+    # integer fields take JSON integers, real fields finite JSON numbers:
+    # nothing is truncated, parsed from a string or read from a boolean
+    cfg = write_config(tmp_path / "bad.json", **{field: value})
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: {field}:" in capsys.readouterr().err
 
 
 def test_k_out_of_range(tmp_path):

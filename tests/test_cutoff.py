@@ -48,6 +48,13 @@ def test_config_create_refuses_zero_sigma_and_delta0(field):
         pc.CutoffConfig(1, **{field: 0.0})
 
 
+@pytest.mark.parametrize("field", ["sigma", "delta0"])
+def test_config_refuses_infinite_sigma_and_delta0(field):
+    # an infinite value gives theta = 0 and no stored matrices to build from
+    with pytest.raises(ConfigError, match=field):
+        pc.CutoffConfig(1, **{field: math.inf})
+
+
 def test_config_create_never_calls_the_log_chart(monkeypatch):
     expected = pc.CutoffConfig(1, S=50, seed=11)
 

@@ -8,7 +8,7 @@ import projcut as pc
 from projcut.errors import StepTooSmall
 from projcut.geometry import geodesic_row, tangent_row, uniform_rows
 from projcut.lie import _expm, _normalize_stack
-from projcut.regularize import EVAL_CHUNK, FORM_GEMM_OUTPUT, ROW_BLOCK, _unit_draws
+from projcut.regularize import EVAL_CHUNK, FORM_GEMM_OUTPUT, ROW_BLOCK, _features, _unit_draws
 from projcut.rng import make_rng
 
 
@@ -251,6 +251,26 @@ def test_form_kernel_matches_generic_path(k):
     chi = kernel.eval_homog(rows)
     assert np.array_equal(chi, generic.eval_homog(rows))
     assert np.count_nonzero((chi > 0.0) & (chi < 1.0)) >= 100  # the band is exercised
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_form_coefficients_are_the_ball_tests(k):
+    # each coefficient row applied to the features of z is the value
+    # |c^H g z|^2 - l |g z|^2 of its ball's test, the covering ball included
+    rng = make_rng(33, k)
+    set_spec = pc.CompactSetSpec(tuple(pc.Ball(pc.ProjectivePoint(c), r)
+                                       for c, r in zip(uniform_rows(k, 3, rng), (0.0, 0.2, 1.5))))
+    f = pc.indicator_fattened(set_spec, 0.1)
+    centres, levels = f.ball_tests()
+    assert levels[2] == -1.0  # 1.5 + 0.1 >= pi/2
+    rf = pc.regularize(f, theta=0.3, S=50, seed=17, mollifier=pc.get_mollifier(k, 0.1))
+    Z = uniform_rows(k, 40, rng) * rng.uniform(0.5, 2.0, (40, 1))
+    images = np.einsum("sij,mj->smi", rf.matrices, Z)  # g z, shape (S, m, k+1)
+    direct = (np.abs(images @ np.conj(centres).T) ** 2
+              - levels * np.linalg.norm(images, axis=2, keepdims=True) ** 2)
+    values = rf.forms @ _features(Z)  # shape (S, B, m)
+    norms = np.linalg.norm(Z, axis=1) ** 2
+    assert np.all(np.abs(values - direct.transpose(0, 2, 1)) <= 1e-12 * norms)
 
 
 @pytest.fixture(scope="module")
