@@ -32,6 +32,10 @@ from .rng import make_rng
 
 DEFAULT_BANDS = {1: (-1.5, -0.5), 2: (-2.6, -1.4)}
 
+# Upper bounds on the integer fields that size allocations; each is at least
+# 10x the largest value any bundled config, test, demo or benchmark uses.
+CEILINGS = {"S": 10 ** 6, "grid": 10 ** 5, "n_inner": 10 ** 5, "n_outer": 10 ** 5}
+
 _KNOWN_KEYS = {
     "k", "sigma", "delta0", "S", "seed", "alpha", "deltas", "set", "grid",
     "n_inner", "n_outer", "slope_band",
@@ -87,6 +91,8 @@ def load_config(path) -> RunConfig:
         value = kind(value)
         if positive and value <= 0:
             raise ConfigError(f"{name}: must be positive")
+        if name in CEILINGS and value > CEILINGS[name]:
+            raise ConfigError(f"{name}: must be at most {CEILINGS[name]}")
         return value
 
     k = _num("k", 1, int)
@@ -111,6 +117,8 @@ def load_config(path) -> RunConfig:
     if not all(_finite_number(d) for d in deltas):
         raise ConfigError("deltas: entries must be finite numbers")
     deltas = [float(d) for d in deltas]
+    if len(set(deltas)) < len(deltas):
+        raise ConfigError("deltas: entries must be distinct")
     for d in deltas:
         if not DELTA_FLOOR < d < delta0:
             raise ConfigError(f"deltas: {d} outside ({DELTA_FLOOR}, delta0={delta0})")
@@ -221,19 +229,21 @@ def cmd_eval(cfg: RunConfig, points_path: str, out: Path) -> int:
                 raise ConfigError(f"points: row {lineno}: zero vector is not a point")
             rows.append([complex(values[2 * i], values[2 * i + 1])
                          for i in range(cfg.k + 1)])
+    # build before writing: a config error leaves no output behind
+    config = _cutoff_config(cfg)
+    chi = []
+    if rows:
+        cf = build_cutoff(cfg.set_spec, cfg.deltas[0], config)
+        chi = cf.eval_homog(np.asarray(rows, dtype=np.complex128))
     out_path = out / (Path(points_path).stem + "_chi.csv")
     with open(out_path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(expected + ["chi"])
-        if rows:
-            config = _cutoff_config(cfg)
-            cf = build_cutoff(cfg.set_spec, cfg.deltas[0], config)
-            chi = cf.eval_homog(np.asarray(rows, dtype=np.complex128))
-            for record, value in zip(rows, chi):
-                flat = []
-                for z in record:
-                    flat += [_fmt(z.real), _fmt(z.imag)]
-                writer.writerow(flat + [_fmt(float(value))])
+        for record, value in zip(rows, chi):
+            flat = []
+            for z in record:
+                flat += [_fmt(z.real), _fmt(z.imag)]
+            writer.writerow(flat + [_fmt(float(value))])
     return 0
 
 

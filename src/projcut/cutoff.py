@@ -318,30 +318,31 @@ def annulus_grid(set_spec: CompactSetSpec, delta: float, count: int,
 
 
 def _scaling_row(task):
-    set_spec, delta, alpha, config, grid_points, step, tag = task
+    set_spec, delta, alpha, config, grid_points, tag = task
     cf = build_cutoff(set_spec, delta, config)
     grid = annulus_grid(set_spec, delta, grid_points, config.seed, tag)
-    semi = c_alpha_estimate(cf.rf, grid, alpha, step)
+    semi = c_alpha_estimate(cf.rf, grid, alpha, DEFAULT_STEP[alpha])
     return (delta, cf.theta, semi)
 
 
 def scaling_experiment(set_spec: CompactSetSpec, deltas, alpha: int,
                        config: CutoffConfig, grid_points: int = 400,
-                       step: float = None, workers: int = 1) -> ScalingReport:
-    """Build the cut-off for each delta with the shared seed, estimate the
-    C^alpha seminorm proxy on an annulus grid, and regress log-log.
+                       workers: int = 1) -> ScalingReport:
+    """Build the cut-off for each of at least 3 distinct deltas with the
+    shared seed, estimate the C^alpha seminorm proxy on an annulus grid with
+    the step DEFAULT_STEP[alpha], and regress log-log.
 
     Rows with vanishing seminorm mark the experiment degenerate (constant
     function); the slope is then reported as NaN.
     """
     deltas = sorted(float(d) for d in deltas)
+    if len(set(deltas)) < len(deltas):
+        raise ValueError("deltas must be distinct")
     if len(deltas) < 3:
         raise ValueError("need at least 3 deltas")
     if alpha not in (1, 2):
         raise ValueError("alpha must be 1 or 2")
-    if step is None:
-        step = DEFAULT_STEP[alpha]
-    tasks = [(set_spec, d, alpha, config, grid_points, step, i)
+    tasks = [(set_spec, d, alpha, config, grid_points, i)
              for i, d in enumerate(reversed(deltas))]
     if workers and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -18,9 +18,8 @@ below order n-1 at t = 0, so the error is O(h^n) with h = 1/(_CDF_NODES-1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -67,19 +66,19 @@ def normalization(k: int, sigma: float) -> float:
 @dataclass(frozen=True, eq=False)
 class MollifierSpec:
     """Radial bump density on the traceless matrices, supported in the
-    open sigma-ball; total mass is cross-checked at construction."""
+    open sigma-ball.  ``norm_const`` is computed from (k, sigma) at
+    construction, and the total mass it gives is cross-checked there."""
 
     k: int
     sigma: float
-    norm_const: Optional[float] = None
+    norm_const: float = field(init=False)
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be a positive integer")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
-        if self.norm_const is None:
-            object.__setattr__(self, "norm_const", normalization(self.k, self.sigma))
+        object.__setattr__(self, "norm_const", normalization(self.k, self.sigma))
         mass = self._trapezoid_mass()
         if abs(mass - 1.0) > 1e-3:
             raise ValueError(f"density mass {mass:.6f} deviates from 1 beyond 1e-3")

@@ -193,20 +193,58 @@ class RegularizedFunction:
         return float(self.eval_homog(p.homog[None, :])[0])
 
 
-def _real_directions(c: ChartCoordinates) -> list:
-    slots = [j for j in range(c.k + 1) if j != c.chart_index]
-    units = []
-    for w in (1.0, 1.0j):
-        for j in slots:
-            u = np.zeros(c.k + 1, dtype=np.complex128)
-            u[j] = w
-            units.append(u)
-    return units
+def _offsets(q: int, order: int) -> np.ndarray:
+    """Stencil rows in units of the step along q real directions e_a: for
+    order 1 +e_a, -e_a per direction; for order 2 the base, those pairs,
+    then +(e_a+e_b), +(e_a-e_b), -(e_a-e_b), -(e_a+e_b) for each pair
+    a < b in triu_indices order."""
+    eye = np.eye(q)
+    rows = np.stack([eye, -eye], axis=1).reshape(2 * q, q)
+    if order == 1:
+        return rows
+    a, b = np.triu_indices(q, 1)
+    plus, minus = eye[a] + eye[b], eye[a] - eye[b]
+    pairs = np.stack([plus, minus, -minus, -plus], axis=1).reshape(-1, q)
+    return np.concatenate([np.zeros((1, q)), rows, pairs])
+
+
+def _stencil_rows(grid, order: int, step: float) -> np.ndarray:
+    """The stencils of all grid points, shape (points, rows, k+1): each
+    point's base moved by step times the :func:`_offsets` rows along its
+    2k real chart directions, the units e_j and then i e_j for the slots j
+    off its chart.  The offsets are 0, +-1 and +-i, so the rows are exact."""
+    base = np.stack([c.coords for c in grid])
+    d = base.shape[1]
+    charts = np.array([c.chart_index for c in grid])[:, None]
+    slots = np.arange(d - 1) + (np.arange(d - 1) >= charts)
+    real = np.eye(d)[slots]
+    units = np.concatenate([real, 1j * real], axis=1)
+    return base[:, None, :] + step * (_offsets(2 * (d - 1), order) @ units)
+
+
+def _derivatives(vals: np.ndarray, order: int, step: float) -> np.ndarray:
+    """Reduce the values (points, rows) on :func:`_stencil_rows` to one
+    derivative proxy per point: the gradient norm for order 1, the largest
+    absolute Hessian entry for order 2."""
+    if order == 1:
+        diffs = vals[:, 0::2] - vals[:, 1::2]
+        _noise_guard(diffs, vals)
+        return np.array([np.linalg.norm(g) for g in diffs / (2.0 * step)])
+    q = math.isqrt(vals.shape[1] // 2)  # the order-2 stencil has 1 + 2q^2 rows
+    diag = (vals[:, 1:2 * q + 1:2] - 2.0 * vals[:, :1]) + vals[:, 2:2 * q + 2:2]
+    pairs = vals[:, 2 * q + 1:]
+    cross = ((pairs[:, 0::4] - pairs[:, 1::4]) - pairs[:, 2::4]) + pairs[:, 3::4]
+    _noise_guard(np.concatenate([diag, cross], axis=1), vals)
+    return np.maximum(np.abs(diag / step ** 2).max(axis=1),
+                      np.abs(cross / (4.0 * step ** 2)).max(axis=1))
 
 
 def _noise_guard(numerators, values):
-    nz = np.abs(numerators[numerators != 0.0])
-    if nz.size and nz.max() < 8.0 * np.finfo(np.float64).eps * float(np.abs(values).max()):
+    """Raise when some point has a nonzero numerator yet all of its
+    numerators lie below 8 units of roundoff of its largest value."""
+    floor = 8.0 * np.finfo(np.float64).eps * np.abs(values).max(axis=1)
+    below = np.abs(numerators).max(axis=1) < floor
+    if np.any(below & np.any(numerators != 0.0, axis=1)):
         raise StepTooSmall("finite differences sit below the roundoff floor of the values")
 
 
@@ -217,60 +255,6 @@ def _check_stencil(order: int, step: float):
         raise ValueError("step must lie in [1e-5, 1e-2]")
 
 
-def _stencil(c: ChartCoordinates, order: int, step: float) -> np.ndarray:
-    """The rows finite_diff evaluates at c: for order 1 the pairs
-    base +- step*u; for order 2 the base, those pairs, then four rows per
-    pair of directions."""
-    base = c.coords
-    units = _real_directions(c)
-    if order == 1:
-        rows = np.empty((2 * len(units), base.size), dtype=np.complex128)
-        for a, u in enumerate(units):
-            rows[2 * a] = base + step * u
-            rows[2 * a + 1] = base - step * u
-        return rows
-    rows = [base]
-    for u in units:
-        rows.append(base + step * u)
-        rows.append(base - step * u)
-    for a, b in _pairs(len(units)):
-        rows.append(base + step * (units[a] + units[b]))
-        rows.append(base + step * (units[a] - units[b]))
-        rows.append(base - step * (units[a] - units[b]))
-        rows.append(base - step * (units[a] + units[b]))
-    return np.stack(rows)
-
-
-def _pairs(q: int) -> list:
-    return [(a, b) for a in range(q) for b in range(a + 1, q)]
-
-
-def _derivative(vals: np.ndarray, order: int, step: float) -> float:
-    """Reduce the values on one :func:`_stencil` to the derivative proxy."""
-    if order == 1:
-        diffs = vals[0::2] - vals[1::2]
-        _noise_guard(diffs, vals)
-        return float(np.linalg.norm(diffs / (2.0 * step)))
-
-    q = math.isqrt((vals.size - 1) // 2)  # the order-2 stencil has 1 + 2q^2 rows
-    f0 = vals[0]
-    hess = np.empty((q, q))
-    numerators = []
-    pos = 1
-    for a in range(q):
-        num = vals[pos] - 2.0 * f0 + vals[pos + 1]
-        hess[a, a] = num / step ** 2
-        numerators.append(num)
-        pos += 2
-    for a, b in _pairs(q):
-        num = vals[pos] - vals[pos + 1] - vals[pos + 2] + vals[pos + 3]
-        hess[a, b] = hess[b, a] = num / (4.0 * step ** 2)
-        numerators.append(num)
-        pos += 4
-    _noise_guard(np.asarray(numerators), vals)
-    return float(np.max(np.abs(hess)))
-
-
 def finite_diff(rf: RegularizedFunction, c: ChartCoordinates, order: int, step: float) -> float:
     """Central-difference derivative proxy in the 2k real chart directions.
 
@@ -279,30 +263,30 @@ def finite_diff(rf: RegularizedFunction, c: ChartCoordinates, order: int, step: 
     stored sample matrices, so the differenced function is the smooth frozen
     average.  Differences that are nonzero yet smaller than 8 units of
     roundoff raise :class:`StepTooSmall`; exactly-zero differences (plateaus)
-    are genuine zero derivatives.
+    are genuine zero derivatives.  This is :func:`c_alpha_estimate` on the
+    one-point grid.
     """
-    _check_stencil(order, step)
-    return _derivative(rf.eval_homog(_stencil(c, order, step)), order, step)
+    return c_alpha_estimate(rf, [c], order, step)
 
 
 def c_alpha_estimate(rf: RegularizedFunction, grid, alpha: int, step: float) -> float:
     """Empirical C^alpha seminorm proxy: max of finite_diff over the grid.
 
-    The stencils of all grid points are evaluated in one call; each point's
-    value and roundoff guard are then those of finite_diff at that point."""
+    The stencils of all grid points are evaluated in one call; the roundoff
+    guard of :func:`finite_diff` applies to each point on its own."""
     grid = list(grid)
     if not grid:
         raise ValueError("grid must be nonempty")
     _check_stencil(alpha, step)
-    stencils = [_stencil(c, alpha, step) for c in grid]
-    vals = rf.eval_homog(np.concatenate(stencils))
-    ends = np.cumsum([len(s) for s in stencils])
-    return max(_derivative(v, alpha, step) for v in np.split(vals, ends[:-1]))
+    rows = _stencil_rows(grid, alpha, step)
+    vals = rf.eval_homog(rows.reshape(-1, rows.shape[-1])).reshape(rows.shape[:2])
+    return float(_derivatives(vals, alpha, step).max())
 
 
 def scaling_slope(rows):
     """Least-squares slope of log(seminorm) against log(delta), with its
-    standard error.  Needs at least 3 strictly positive rows."""
+    standard error.  Needs at least 3 strictly positive rows, not all at
+    one delta."""
     rows = list(rows)
     if len(rows) < 3:
         raise ValueError("need at least 3 rows")
@@ -310,6 +294,8 @@ def scaling_slope(rows):
     semis = np.array([r[1] for r in rows], dtype=np.float64)
     if np.any(deltas <= 0.0) or np.any(semis <= 0.0):
         raise ValueError("rows must be strictly positive")
+    if np.all(deltas == deltas[0]):
+        raise ValueError("deltas must vary")
     x = np.log(deltas)
     y = np.log(semis)
     xc = x - x.mean()

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from projcut.cli import main
+from projcut.cli import CEILINGS, load_config, main
+from projcut.errors import ConfigError
 
 BASE_SET = {
     "balls": [
@@ -125,6 +126,15 @@ def test_scaling_needs_three_deltas(tmp_path):
     assert "deltas" in result.stderr
 
 
+@pytest.mark.parametrize("deltas", [[0.1, 0.1, 0.1], [0.2, 0.1, 0.1]])
+def test_scaling_rejects_repeated_deltas(deltas, tmp_path):
+    cfg = write_config(tmp_path / "repeat.json", deltas=deltas)
+    result = run_cli("scaling", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--threads", "1")
+    assert result.returncode == 2
+    assert "config error: deltas:" in result.stderr
+
+
 def test_scaling_threads_agree(scaling_config, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run_cli("scaling", "--config", str(scaling_config), "--out", str(out1),
@@ -155,6 +165,20 @@ def test_eval_empty_input(verify_config, tmp_path):
                      "--out", str(out))
     assert result.returncode == 0
     assert (out / "empty_chi.csv").read_text() == "re0,im0,re1,im1,chi\n"
+
+
+@pytest.mark.parametrize("points", ["", "re0,im0,re1,im1\n", "re0,im0,re1,im1\n1,0,0,0\n"])
+def test_eval_config_error_writes_nothing(points, tmp_path):
+    # verify refuses this config; eval must too, whatever the points, and
+    # before it opens the output
+    cfg = write_config(tmp_path / "wide.json", sigma=1.0, delta0=6.0)
+    pts = tmp_path / "pts.csv"
+    pts.write_text(points)
+    out = tmp_path / "out"
+    result = run_cli("eval", "--config", str(cfg), "--points", str(pts), "--out", str(out))
+    assert result.returncode == 2
+    assert "delta0" in result.stderr
+    assert not (out / "pts_chi.csv").exists()
 
 
 def test_eval_malformed_row_reports_line(verify_config, tmp_path):
@@ -255,6 +279,17 @@ def test_config_numbers_are_not_coerced(field, value, tmp_path, capsys):
     cfg = write_config(tmp_path / "bad.json", **{field: value})
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert f"config error: {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", sorted(CEILINGS))
+def test_integer_fields_have_ceilings(field, tmp_path, capsys):
+    # refused at parse time, before anything of that size is allocated
+    for value in (CEILINGS[field] + 1, 10 ** 30):
+        cfg = write_config(tmp_path / "huge.json", **{field: value})
+        with pytest.raises(ConfigError, match=f"^{field}: must be at most"):
+            load_config(cfg)
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert f"config error: {field}:" in capsys.readouterr().err
 
 
 def test_k_out_of_range(tmp_path):

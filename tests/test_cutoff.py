@@ -270,6 +270,12 @@ def test_scaling_experiment_validation(config_small, two_ball_set):
                               grid_points=5, workers=1)
 
 
+@pytest.mark.parametrize("deltas", [[0.1, 0.1, 0.1], [0.2, 0.1, 0.1], [0.2, 0.1, 0.1, 0.05]])
+def test_scaling_experiment_rejects_repeated_deltas(deltas, config_small, two_ball_set):
+    with pytest.raises(ValueError, match="distinct"):
+        pc.scaling_experiment(two_ball_set, deltas, 1, config_small, grid_points=5, workers=1)
+
+
 def test_rows_off_set_unreachable_distance(two_ball_set):
     rng = make_rng(40, 3)
     with pytest.raises(ValueError):

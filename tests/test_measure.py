@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import cumulative_simpson, quad
 
 import projcut as pc
+from projcut import measure
 from projcut.errors import ThetaZero
 from projcut.lie import from_coords, to_coords
 from projcut.measure import real_dimension, sample_rows
@@ -65,9 +66,10 @@ def test_normalization_mass_against_monte_carlo():
     assert abs(mass - 1.0) <= 3.0 * stderr
 
 
-def test_mollifier_rejects_wrong_constant():
+def test_mollifier_rejects_wrong_constant(monkeypatch):
+    monkeypatch.setattr(measure, "normalization", lambda k, sigma: 123.0)
     with pytest.raises(ValueError):
-        pc.MollifierSpec(1, 0.1, norm_const=123.0)
+        pc.MollifierSpec(1, 0.1)
 
 
 def test_density_support_and_center(mollifier_k1):

@@ -211,6 +211,11 @@ def test_scaling_slope_validation():
         pc.scaling_slope([(0.1, 1.0), (0.2, 2.0), (0.3, -1.0)])
 
 
+def test_scaling_slope_needs_varying_deltas():
+    with pytest.raises(ValueError, match="vary"):
+        pc.scaling_slope([(0.1, 78.34), (0.1, 81.84), (0.1, 80.0)])
+
+
 def test_scaling_report_sorts_rows():
     rows = ((0.05, 0.1, 3.0), (0.2, 0.4, 1.0), (0.1, 0.2, 2.0))
     report = pc.ScalingReport(1, rows, -1.0, 0.0)
@@ -327,3 +332,39 @@ def test_c_alpha_estimate_noise_guard_per_point(mollifier_k1):
     grid = plateau[:1] + [pc.ChartCoordinates(0, np.array([1.0, 0.3]))] + plateau[1:]
     with pytest.raises(StepTooSmall):
         pc.c_alpha_estimate(rf, grid, 1, 1e-3)
+
+
+def chart_quadratic(j, A, b):
+    """f = x.A.x / 2 + b.x in the real chart coordinates x of chart j: the
+    real parts of the slots off the chart, then their imaginary parts."""
+    def f(rows):
+        zeta = np.delete(rows / rows[:, j:j + 1], j, axis=1)
+        x = np.concatenate([zeta.real, zeta.imag], axis=1)
+        return 0.5 * np.einsum("ma,ab,mb->m", x, A, x) + x @ b
+    return f
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_stencil_layout_exact_on_chart_quadratics(k):
+    # theta = 0 passes f through, and central differences are exact on a
+    # quadratic, so the proxies pin the real directions and the pair layout;
+    # each Hessian entry in turn, mixed Re/Im products included, is made the
+    # largest
+    q = 2 * k
+    rng = make_rng(32, k)
+    A0 = rng.uniform(-1.0, 1.0, (q, q))
+    A0 = 0.5 * (A0 + A0.T)
+    b = rng.uniform(-1.0, 1.0, q)
+    mollifier = pc.get_mollifier(k, 0.1)
+    for j in (0, k):
+        coords = rng.uniform(-0.5, 0.5, k + 1) + 1j * rng.uniform(-0.5, 0.5, k + 1)
+        coords[j] = 1.0
+        c = pc.ChartCoordinates(j, coords)
+        x0 = np.concatenate([np.delete(coords, j).real, np.delete(coords, j).imag])
+        for a, e in zip(*np.triu_indices(q)):
+            A = A0.copy()
+            A[a, e] = A[e, a] = 3.0 if a == e else -3.0
+            rf = pc.regularize(chart_quadratic(j, A, b), 0.0, 1, seed=0, mollifier=mollifier)
+            assert pc.finite_diff(rf, c, 1, 1e-3) == pytest.approx(
+                np.linalg.norm(A @ x0 + b), abs=1e-6)
+            assert pc.finite_diff(rf, c, 2, 3e-3) == pytest.approx(3.0, abs=1e-6)
