@@ -61,10 +61,11 @@ class CutoffConfig:
             raise ConfigError("sigma: must be positive and finite")
         if not (self.delta0 > 0 and math.isfinite(self.delta0)):
             raise ConfigError("delta0: must be positive and finite")
-        if self.S < 1:
-            raise ConfigError("S: must be at least 1")
-        if self.seed < 0:
-            raise ConfigError("seed: must be nonnegative")
+        # int or numpy integer, not bool: regularize would truncate anything else
+        if not (type(self.S) is int or isinstance(self.S, np.integer)) or self.S < 1:
+            raise ConfigError("S: must be an integer, at least 1")
+        if not (type(self.seed) is int or isinstance(self.seed, np.integer)) or self.seed < 0:
+            raise ConfigError("seed: must be a nonnegative integer")
         c = estimate_distortion(min(self.sigma, self.delta0 / (4.0 * math.sqrt(self.k + 1))),
                                 self.k)
         if math.isinf(c):

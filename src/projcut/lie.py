@@ -27,6 +27,10 @@ TRACE_TOL = 1e-12
 
 _LOG_TERMS = 40
 _UNIT_ROUNDOFF = 2.0 ** -53
+# Samples per block of the structure-of-arrays kernels (:func:`_sample_blocks`):
+# large enough that each entry vector amortises numpy's per-call cost, small
+# enough that a block's products and powers stay in cache.
+SAMPLE_BLOCK = 2048
 # Multiply-adds per real product in from_coords.  Below 2^18 OpenBLAS runs a
 # GEMM on one thread; starting its threads for these thin products costs more
 # time than it saves and keeps their buffers resident.
@@ -134,38 +138,85 @@ def _frob(stack) -> np.ndarray:
     return np.sqrt((np.abs(stack) ** 2).sum(axis=(-2, -1)))
 
 
+def _sample_blocks(stack):
+    """Yield (rows, block) for a stack (S, d, d): the slice of SAMPLE_BLOCK
+    samples and a copy of their matrices laid out (d, d, n), so that every
+    matrix entry is one contiguous length-n vector."""
+    for lo in range(0, stack.shape[0], SAMPLE_BLOCK):
+        rows = slice(lo, lo + SAMPLE_BLOCK)
+        yield rows, stack[rows].transpose(1, 2, 0).copy()
+
+
+def _block_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product of two blocks laid out (d, d, n), sample by sample:
+    d broadcast multiply-adds over the contracted index."""
+    out = a[:, 0, None] * b[0]
+    for j in range(1, a.shape[1]):
+        out += a[:, j, None] * b[j]
+    return out
+
+
 def _expm(stack) -> np.ndarray:
     """Matrix exponential of a stack of square matrices.
 
     The stack is scaled by 2^-q until t = max ||A||_F / 2^q <= 0.25, and the
     exponential series is truncated at the smallest degree m >= 1 whose
     remainder t^(m+1)/(m+1)! e^t is below the unit roundoff 2^-53 (m <= 12).
-    2x2 matrices sum it in the Cayley-Hamilton form :func:`_expm2`, larger
-    ones by Horner's rule; the result is then squared q times.
+    The work runs over :func:`_sample_blocks`: 2x2 matrices sum the series
+    in the Cayley-Hamilton form :func:`_expm2`, larger ones by
+    :func:`_taylor_ps`; the result is then squared q times.  Every sample
+    gets the same arithmetic wherever it sits in the stack.
     """
     a = np.ascontiguousarray(stack, dtype=np.complex128)
     d = a.shape[-1]
-    flat = a.view(np.float64).reshape(-1, 2 * d * d)
-    worst = math.sqrt(float(np.einsum("ij,ij->i", flat, flat).max())) if a.size else 0.0
+    flat = a.reshape(-1, d, d)
+    real = flat.view(np.float64).reshape(-1, 2 * d * d)
+    worst = math.sqrt(float(np.einsum("ij,ij->i", real, real).max())) if a.size else 0.0
     squarings = 0
     while worst / (2.0 ** squarings) > 0.25:
         squarings += 1
-    if squarings:
-        a = a / (2.0 ** squarings)
     degree = max(1, _taylor_degree(worst / (2.0 ** squarings)))
-    if d == 2:
-        out = _expm2(a, degree)
-    else:
-        diag = np.arange(d)
-        # Horner from I/m!, whose first product with a is a/m!
-        out = a / math.factorial(degree)
-        out[..., diag, diag] += 1.0 / math.factorial(degree - 1)
-        for j in range(degree - 2, -1, -1):
-            out = a @ out
-            out[..., diag, diag] += 1.0 / math.factorial(j)
-    for _ in range(squarings):
-        out = out @ out
-    return out
+    series = _expm2 if d == 2 else _taylor_ps
+    out = np.empty_like(flat)
+    for rows, block in _sample_blocks(flat):
+        if squarings:
+            block *= 2.0 ** -squarings
+        e = series(block, degree)
+        for _ in range(squarings):
+            e = _block_product(e, e)
+        out[rows] = e.transpose(2, 0, 1)
+    return out.reshape(a.shape)
+
+
+def _taylor_ps(a: np.ndarray, degree: int) -> np.ndarray:
+    """Degree-``degree`` exponential series of a block laid out (d, d, n) by
+    Paterson-Stockmeyer: with s = ceil(sqrt(degree)) and the powers A^2..A^s,
+    the series is Horner's rule in A^s over the chunks sum_j A^j/(is+j)!,
+    j < s.  That takes s - 1 + floor(degree/s) block products, one fewer
+    when s divides the degree (3 at degree 6, where Horner in A takes 5)."""
+    s = math.isqrt(degree - 1) + 1
+    powers = [None, a]
+    for _ in range(s - 1):
+        powers.append(_block_product(powers[-1], a))
+    coef = [1.0 / math.factorial(j) for j in range(degree + 1)]
+    diag = np.arange(a.shape[0])
+
+    def chunk(i, acc):
+        # acc plus the chunk of A^(is): A^j/(is+j)! for j < s, is+j <= degree
+        for j in range(1, min(s, degree - i * s + 1)):
+            acc += coef[i * s + j] * powers[j]
+        acc[diag, diag] += coef[i * s]
+        return acc
+
+    top = degree // s
+    if degree % s:
+        acc = chunk(top, np.zeros_like(a))
+    else:  # the top chunk is Id/degree!, so its product with A^s is free
+        top -= 1
+        acc = chunk(top, coef[degree] * powers[s])
+    for i in range(top - 1, -1, -1):
+        acc = chunk(i, _block_product(acc, powers[s]))
+    return acc
 
 
 def _taylor_degree(t: float) -> int:
@@ -179,7 +230,8 @@ def _taylor_degree(t: float) -> int:
 
 
 def _expm2(a: np.ndarray, degree: int) -> np.ndarray:
-    """Exponential of a stack of 2x2 matrices by Cayley-Hamilton.
+    """Exponential of a block of 2x2 matrices laid out (2, 2, n), by
+    Cayley-Hamilton.
 
     With tau = tr(A)/2 and B = A - tau Id, B^2 = nu Id for nu = -det B, so
     e^A = e^tau (c(nu) Id + s(nu) B) with c(nu) = sum nu^j/(2j)! and
@@ -187,7 +239,7 @@ def _expm2(a: np.ndarray, degree: int) -> np.ndarray:
     mu^2 = nu.  Both sums run to the power of nu that keeps every term of
     the degree-``degree`` exponential series.
     """
-    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    (a00, a01), (a10, a11) = a
     tau = 0.5 * (a00 + a11)
     half_gap = 0.5 * (a00 - a11)  # B = [[half_gap, a01], [a10, -half_gap]]
     nu = a01 * a10 + half_gap * half_gap
@@ -201,10 +253,10 @@ def _expm2(a: np.ndarray, degree: int) -> np.ndarray:
     c *= scale
     s *= scale
     out = np.empty_like(a)
-    out[..., 0, 0] = c + s * half_gap
-    out[..., 0, 1] = s * a01
-    out[..., 1, 0] = s * a10
-    out[..., 1, 1] = c - s * half_gap
+    out[0, 0] = c + s * half_gap
+    out[0, 1] = s * a01
+    out[1, 0] = s * a10
+    out[1, 1] = c - s * half_gap
     return out
 
 

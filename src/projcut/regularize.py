@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import StepTooSmall
 from .geometry import ChartCoordinates, ProjectivePoint
-from .lie import _expm, _normalize_stack
+from .lie import _expm, _normalize_stack, _sample_blocks
 from .measure import MollifierSpec, ScaledMeasure, sample_matrices
 
 FunctionOnP = Callable[[np.ndarray], np.ndarray]
@@ -96,23 +96,32 @@ def _stored_images(matrices: np.ndarray, Z: np.ndarray):
 def _form_coefficients(matrices, centres, levels) -> np.ndarray:
     """Coefficients (S, B, d*d) of |c_b^H g z|^2 - l_b |g z|^2 against
     :func:`_features` of z, for the stored g and the ball tests (c_b, l_b):
-    P(c_b^H g) - l_b sum_r P(g_r), g_r the rows of g.  The row sum is kept
-    once per stored element, not per ball."""
-    forms = _rank_one(np.conj(centres) @ matrices)
-    row_sum = np.zeros((matrices.shape[0], forms.shape[-1]))
-    for r in range(matrices.shape[1]):
-        row_sum += _rank_one(matrices[:, r])
-    for b, level in enumerate(levels):
-        forms[:, b] -= level * row_sum
+    P(c_b^H g) - l_b sum_r P(g_r), g_r the rows of g.  The work runs over
+    :func:`_sample_blocks`; the row sum is kept once per stored element,
+    not per ball."""
+    S, d = matrices.shape[:2]
+    levels = np.asarray(levels, dtype=np.float64)
+    forms = np.empty((S, levels.size, d * d))
+    weights = np.conj(centres).T[:, :, None]  # (d, B, 1)
+    for rows, g in _sample_blocks(matrices):
+        u = g[0][:, None] * weights[0]  # (d, B, n): entry j of c_b^H g
+        for i in range(1, d):
+            u += g[i][:, None] * weights[i]
+        row_sum = _rank_one(g[0])
+        for r in range(1, d):
+            row_sum += _rank_one(g[r])
+        block = _rank_one(u) - levels[:, None] * row_sum[:, None]  # (d*d, B, n)
+        forms[rows] = block.transpose(2, 1, 0)
     return forms
 
 
 def _rank_one(U: np.ndarray) -> np.ndarray:
-    """Coefficients P(u), shape (..., d*d), of |u . z|^2 against
-    :func:`_features` of z, one per row u of U (..., d)."""
-    i, j = np.triu_indices(U.shape[-1], 1)
-    cross = 2.0 * U[..., i] * np.conj(U[..., j])
-    return np.concatenate([U.real ** 2 + U.imag ** 2, cross.real, cross.imag], axis=-1)
+    """Coefficients P(u), shape (d*d, ...), of |u . z|^2 against
+    :func:`_features` of z, for vectors u laid out along the leading axis
+    of U (d, ...)."""
+    i, j = np.triu_indices(U.shape[0], 1)
+    cross = 2.0 * U[i] * np.conj(U[j])
+    return np.concatenate([U.real ** 2 + U.imag ** 2, cross.real, cross.imag])
 
 
 def _features(Z: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ import pytest
 
 from projcut.cli import CEILINGS, load_config, main
 from projcut.errors import ConfigError
+from projcut.lie import SAMPLE_BLOCK
 
 BASE_SET = {
     "balls": [
@@ -329,3 +330,5 @@ def test_bundled_configs_are_valid():
     for name in names:
         cfg = load_config(config_dir / name)
         assert cfg.S == 20000 and cfg.seed == 42
+    cfg = load_config(config_dir / "verify_k3.json")  # several sample blocks at k = 3
+    assert cfg.k == 3 and cfg.S > 2 * SAMPLE_BLOCK

@@ -21,6 +21,20 @@ def test_config_validation():
         pc.CutoffConfig(1, 0.1, 0.4, 100, 1, 1.6, 1.0)
 
 
+@pytest.mark.parametrize("field, value", [("S", 2.5), ("S", True), ("S", math.nan),
+                                          ("S", np.float64(3.0)), ("S", np.True_),
+                                          ("seed", 1.5), ("seed", False), ("seed", math.nan)])
+def test_config_refuses_non_integer_counts(field, value):
+    # regularize would otherwise truncate them silently
+    with pytest.raises(ConfigError, match=f"^{field}: "):
+        pc.CutoffConfig(1, **{field: value})
+
+
+def test_config_accepts_numpy_integers():
+    cfg = pc.CutoffConfig(1, S=np.int64(10), seed=np.uint32(3))
+    assert cfg.S == 10 and cfg.seed == 3
+
+
 def test_config_create_caps_theta_at_one():
     # tiny working radius: the maximal scale saturates at 1 and the budget shrinks
     cfg = pc.CutoffConfig(1, sigma=0.02, delta0=0.4, S=10, seed=3)

@@ -6,7 +6,8 @@ import scipy.linalg
 
 import projcut as pc
 from projcut.errors import (DegenerateImage, NormalizationUndefined, OutOfChart)
-from projcut.lie import _logm, _uniform_coord_rows
+from projcut import lie
+from projcut.lie import SAMPLE_BLOCK, _expm, _logm, _taylor_degree, _uniform_coord_rows
 from projcut.rng import make_rng
 
 from conftest import random_traceless
@@ -63,6 +64,44 @@ def test_exp_batched_mixed_norms_match_scipy():
         for m, e in zip(stack, out):
             ref = scipy.linalg.expm(m)
             assert np.max(np.abs(e - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _equal_norm_stack(rng, d, norm, count):
+    # one Frobenius norm for the whole stack, so that every sample alone
+    # takes the squaring count and degree of the stack
+    return np.stack([random_traceless(rng, d, norm=norm) for _ in range(count)])
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+@pytest.mark.parametrize("norm", [0.2, 1.7])  # 0 and 3 squarings
+def test_exp_blocks_match_scipy_and_single_calls(d, norm):
+    rng = make_rng(10, 6 * d + int(norm))
+    stack = _equal_norm_stack(rng, d, norm, 2 * SAMPLE_BLOCK + 37)
+    out = _expm(stack)
+    ref = scipy.linalg.expm(stack)
+    err = np.abs(out - ref).max(axis=(1, 2))
+    assert np.all(err <= 1e-12 * np.abs(ref).max(axis=(1, 2)))
+    # no result depends on where its sample sits among the blocks
+    for j in range(stack.shape[0]):
+        assert np.array_equal(out[j], _expm(stack[j:j + 1])[0])
+
+
+def test_exp_takes_three_block_products_at_degree_six(monkeypatch):
+    # Paterson-Stockmeyer at degree 6: A^2, A^3 and one Horner step in A^3,
+    # where Horner's rule in A takes 5
+    calls = []
+    product = lie._block_product
+
+    def counted(a, b):
+        calls.append(a.shape[-1])
+        return product(a, b)
+
+    monkeypatch.setattr(lie, "_block_product", counted)
+    norm = 0.01
+    assert _taylor_degree(norm) == 6
+    stack = _equal_norm_stack(make_rng(10, 7), 4, norm, 2 * SAMPLE_BLOCK + 37)
+    _expm(stack)
+    assert calls == [SAMPLE_BLOCK] * 3 + [SAMPLE_BLOCK] * 3 + [37] * 3
 
 
 def test_exp_of_non_traceless_2x2_matches_scipy():

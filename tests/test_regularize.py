@@ -7,8 +7,9 @@ import pytest
 import projcut as pc
 from projcut.errors import StepTooSmall
 from projcut.geometry import geodesic_row, tangent_row, uniform_rows
-from projcut.lie import _expm, _normalize_stack
-from projcut.regularize import EVAL_CHUNK, FORM_GEMM_OUTPUT, ROW_BLOCK, _features, _unit_draws
+from projcut.lie import SAMPLE_BLOCK, _expm, _normalize_stack
+from projcut.regularize import (EVAL_CHUNK, FORM_GEMM_OUTPUT, ROW_BLOCK, _features,
+                                _form_coefficients, _unit_draws)
 from projcut.rng import make_rng
 
 
@@ -276,6 +277,28 @@ def test_form_coefficients_are_the_ball_tests(k):
     values = rf.forms @ _features(Z)  # shape (S, B, m)
     norms = np.linalg.norm(Z, axis=1) ** 2
     assert np.all(np.abs(values - direct.transpose(0, 2, 1)) <= 1e-12 * norms)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_form_coefficient_rows_do_not_depend_on_block(k):
+    # over several sample blocks each row is the ball tests' value, and bit
+    # for bit the row of the one-element call
+    rng = make_rng(34, k)
+    d = k + 1
+    S = 2 * SAMPLE_BLOCK + 37
+    noise = rng.standard_normal((S, d, d)) + 1j * rng.standard_normal((S, d, d))
+    g = _normalize_stack(np.eye(d) + 0.05 * noise)
+    centres = uniform_rows(k, 3, rng)
+    levels = np.array([0.9, 0.5, -1.0])
+    forms = _form_coefficients(g, centres, levels)
+    assert forms.shape == (S, 3, d * d)
+    Z = uniform_rows(k, 20, rng)
+    images = np.einsum("sij,mj->smi", g, Z)
+    direct = (np.abs(images @ np.conj(centres).T) ** 2
+              - levels * np.linalg.norm(images, axis=2, keepdims=True) ** 2)
+    assert np.all(np.abs(forms @ _features(Z) - direct.transpose(0, 2, 1)) <= 1e-12)
+    for j in range(S):
+        assert np.array_equal(forms[j], _form_coefficients(g[j:j + 1], centres, levels)[0])
 
 
 @pytest.fixture(scope="module")
