@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .cutoff import (CutoffConfig, DEFAULT_DELTA0, DEFAULT_S, DEFAULT_SEED,
-                     DELTA_FLOOR, build_cutoff, scaling_experiment, verify_cutoff)
+                     DELTA_FLOOR, build_cutoff, check_S, scaling_experiment, verify_cutoff)
 from .errors import ConfigError
 from .geometry import CompactSetSpec
 from .lie import (DEFAULT_SIGMA, AlgebraElement, ShearParams,
@@ -34,7 +34,8 @@ DEFAULT_BANDS = {1: (-1.5, -0.5), 2: (-2.6, -1.4)}
 
 # Upper bounds on the integer fields that size allocations; each is at least
 # 10x the largest value any bundled config, test, demo or benchmark uses.
-CEILINGS = {"S": 10 ** 6, "grid": 10 ** 5, "n_inner": 10 ** 5, "n_outer": 10 ** 5}
+# S is bounded by cutoff.check_S, the check that CutoffConfig applies.
+CEILINGS = {"grid": 10 ** 5, "n_inner": 10 ** 5, "n_outer": 10 ** 5}
 
 _KNOWN_KEYS = {
     "k", "sigma", "delta0", "S", "seed", "alpha", "deltas", "set", "grid",
@@ -100,7 +101,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError("k: must be 1, 2, or 3")
     sigma = _num("sigma", DEFAULT_SIGMA, float)
     delta0 = _num("delta0", DEFAULT_DELTA0, float)
-    S = _num("S", DEFAULT_S, int)
+    S = check_S(_num("S", DEFAULT_S, int))
     seed = _num("seed", DEFAULT_SEED, int, positive=False)
     if seed < 0:
         raise ConfigError("seed: must be nonnegative")

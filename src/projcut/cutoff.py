@@ -20,7 +20,7 @@ from .errors import ConfigError, DeltaOutOfRange
 from .geometry import (Ball, CompactSetSpec, ProjectivePoint, geodesic_row,
                        rows_dist_to_set, tangent_row, to_chart, uniform_rows)
 # log_chart and check_distortion are unused here but kept: the benchmark tracer binds them by name
-from .lie import DEFAULT_SIGMA, _frob, check_distortion, estimate_distortion, log_chart
+from .lie import DEFAULT_SIGMA, check_distortion, estimate_distortion, log_chart
 from .measure import get_mollifier
 from .regularize import (RegularizedFunction, ScalingReport, _stored_images,
                          c_alpha_estimate, regularize, scaling_slope)
@@ -31,6 +31,18 @@ DEFAULT_DELTA0 = 0.4
 DEFAULT_S = 20000
 DEFAULT_SEED = 42
 DEFAULT_STEP = {1: 1e-3, 2: 3e-3}
+MAX_S = 10 ** 6  # 50x the default: a larger S is refused before anything is allocated
+
+
+def check_S(S) -> int:
+    """Return S if it is an integer (not a boolean) in [1, MAX_S], else
+    raise :class:`ConfigError`; the one check of the sample count."""
+    # int or numpy integer, not bool: regularize would truncate anything else
+    if not (type(S) is int or isinstance(S, np.integer)) or S < 1:
+        raise ConfigError("S: must be an integer, at least 1")
+    if S > MAX_S:
+        raise ConfigError(f"S: must be at most {MAX_S}")
+    return S
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,9 +73,7 @@ class CutoffConfig:
             raise ConfigError("sigma: must be positive and finite")
         if not (self.delta0 > 0 and math.isfinite(self.delta0)):
             raise ConfigError("delta0: must be positive and finite")
-        # int or numpy integer, not bool: regularize would truncate anything else
-        if not (type(self.S) is int or isinstance(self.S, np.integer)) or self.S < 1:
-            raise ConfigError("S: must be an integer, at least 1")
+        check_S(self.S)
         if not (type(self.seed) is int or isinstance(self.seed, np.integer)) or self.seed < 0:
             raise ConfigError("seed: must be a nonnegative integer")
         c = estimate_distortion(min(self.sigma, self.delta0 / (4.0 * math.sqrt(self.k + 1))),
@@ -150,9 +160,10 @@ def build_cutoff(set_spec: CompactSetSpec, delta: float, config: CutoffConfig) -
     """Smooth the indicator of the delta/2-neighbourhood at the matched scale.
 
     Every stored group element is audited against the per-sample bound
-    distortion * theta * sigma on its Frobenius distance from the identity;
-    the largest such distance is kept as ``frob_dev`` and certifies the
-    displacement bounds of :func:`verify_cutoff`.
+    distortion * theta * sigma on its Frobenius distance from the identity:
+    the largest such distance, the evaluator's certificate ``rf.eps``, is
+    kept as ``frob_dev`` and certifies the displacement bounds of
+    :func:`verify_cutoff`.
     """
     if not DELTA_FLOOR < delta < config.delta0:
         raise DeltaOutOfRange(f"delta must lie in ({DELTA_FLOOR}, {config.delta0})")
@@ -162,8 +173,7 @@ def build_cutoff(set_spec: CompactSetSpec, delta: float, config: CutoffConfig) -
     rf = regularize(indicator_fattened(set_spec, 0.5 * delta), theta, config.S,
                     config.seed, get_mollifier(config.k, config.sigma))
     bound = config.distortion * theta * config.sigma
-    eye = np.eye(config.k + 1)
-    worst = float(_frob(rf.matrices - eye).max())
+    worst = rf.eps
     if worst > bound:
         raise ConfigError(
             f"distortion: stored sample deviates by {worst:.3e}, above the bound {bound:.3e}"
@@ -274,7 +284,13 @@ def verify_cutoff(cf: CutoffFunction, n_inner: int = 200, n_outer: int = 200,
     displacement against delta / 2.  (c) and (d) are certified for every
     point of P^k from the Frobenius audit of :func:`build_cutoff`, at no
     cost per point.  They gate the exactness assertions: (a) and (b) are
-    forced to 0 at every point whenever (d) holds.
+    forced to 0 at every point whenever (d) holds.  The evaluator decides
+    rows by the same certificate: a point of the set lies delta / 2 inside
+    its ball's reach, a point at distance >= delta lies delta / 2 beyond
+    every reach, and fs < delta / 2.  So (a) and (b) are settled without
+    any matrix product whenever fs clears delta / 2 by more than the
+    decision margins, as in every bundled config; the products are checked
+    against the indicator on moved points in the test suite instead.
 
     With eps = cf.frob_dev >= ||g - Id||_F >= ||g - Id||_2 for every stored
     g, the report gives eps for (c), a bound on ||(g - Id) zeta|| / ||zeta||

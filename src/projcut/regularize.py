@@ -18,18 +18,27 @@ internally where needed.
 An evaluator may also offer ``ball_tests()``: centres c_b, shape (B, k+1),
 and levels l_b, shape (B,), with f(z) = 1 exactly when |c_b^H z|^2 >
 l_b |z|^2 for some b, and 0 otherwise.  The smoothed function is then
-evaluated as a sign test on one real matrix product per block: the test on
-g_s z is |c_b^H g_s z|^2 - l_b |g_s z|^2 > 0, a quadratic form in z that is
-linear in the (k+1)^2 real features |z_i|^2, Re(conj(z_i) z_j) and
+evaluated as a sign test on real matrix products: the test on g_s z is
+|c_b^H g_s z|^2 - l_b |g_s z|^2 > 0, a quadratic form in z that is linear
+in the (k+1)^2 real features |z_i|^2, Re(conj(z_i) z_j) and
 Im(conj(z_i) z_j), i < j.  Its coefficients are built once per stored
 element from rank-one terms, so neither the moved points nor their
 distances are ever formed.
+
+The build also certifies how far the stored elements move points:
+eps = max ||g - Id||_F, so that no g moves any point by more than
+fs = asin(eps / (1 - eps)) when eps < 1/2.  A test holds on all of a ball
+of reach R about c_b, so every moved point of a row within R - fs of c_b
+passes it, and none of a row at R + fs or beyond does.  Each row is first
+placed against these levels: a row inside some ball is decided 1, a row
+outside every ball is decided 0, and only the rows left, the band rows,
+go through the products, and only for their candidate balls.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -37,7 +46,7 @@ import numpy as np
 
 from .errors import StepTooSmall
 from .geometry import ChartCoordinates, ProjectivePoint
-from .lie import _expm, _normalize_stack, _sample_blocks
+from .lie import SAMPLE_BLOCK, _expm, _frob, _normalize_stack, _sample_blocks
 from .measure import MollifierSpec, ScaledMeasure, sample_matrices
 
 FunctionOnP = Callable[[np.ndarray], np.ndarray]
@@ -45,10 +54,18 @@ FunctionOnP = Callable[[np.ndarray], np.ndarray]
 EVAL_CHUNK = 2048  # stored samples per evaluation block on the generic path
 ROW_BLOCK = 128    # rows per evaluation block; bounds the working set for large m
 # Form values per GEMM on the form path: the samples per GEMM are this over
-# (forms per sample * rows in the block).  At k = 1 every product then stays
-# below the size at which OpenBLAS starts its threads, whose start-up can
-# stall a thin GEMM for milliseconds on a shared host.
+# the rows in the block, one ball's forms at a time.  At k = 1 every product
+# then stays below the size at which OpenBLAS starts its threads, whose
+# start-up can stall a thin GEMM for milliseconds on a shared host.
 FORM_GEMM_OUTPUT = 2 ** 15
+# Margins of the row decisions.  DECISION_ANGLE (radians) covers the
+# roundoff of the ratio |c^H z|^2 / |z|^2 and of its levels, which is below
+# 5e-8 rad even where cos^2 is flattest.  DECISION_VALUE narrows the reach
+# on the cos^2 scale, so that every moved point of a decided row clears its
+# test by DECISION_VALUE |c|^2 |g z|^2, far above the roundoff of the
+# products (about 1e-14 |c|^2 |z|^2 at k = 3).
+DECISION_ANGLE = 1e-7
+DECISION_VALUE = 1e-9
 
 
 def regularize(f: FunctionOnP, theta: float, S: int, seed, mollifier: MollifierSpec) -> "RegularizedFunction":
@@ -65,16 +82,20 @@ def regularize(f: FunctionOnP, theta: float, S: int, seed, mollifier: MollifierS
     if S < 1:
         raise ValueError("S must be at least 1")
     d = mollifier.k + 1
-    forms = None
+    forms, eps = None, 0.0
     if theta == 0.0:
         mats = np.zeros((0, d, d), dtype=np.complex128)
     else:
         mats = _normalize_stack(_expm(theta * _unit_draws(mollifier, int(S), int(seed))))
         if hasattr(f, "ball_tests"):
-            forms = _form_coefficients(mats, *f.ball_tests())
+            forms, eps = _form_coefficients(mats, *f.ball_tests())
             forms.setflags(write=False)
+        else:
+            eps = max(_deviation(mats, slice(lo, lo + SAMPLE_BLOCK))
+                      for lo in range(0, mats.shape[0], SAMPLE_BLOCK))
     mats.setflags(write=False)
-    return RegularizedFunction(source=f, theta=float(theta), matrices=mats, S=int(S), forms=forms)
+    return RegularizedFunction(source=f, theta=float(theta), matrices=mats, S=int(S),
+                               forms=forms, eps=eps)
 
 
 @lru_cache(maxsize=1)
@@ -93,17 +114,25 @@ def _stored_images(matrices: np.ndarray, Z: np.ndarray):
         yield np.einsum("sij,mj->smi", matrices[lo:lo + EVAL_CHUNK], Z)
 
 
-def _form_coefficients(matrices, centres, levels) -> np.ndarray:
-    """Coefficients (S, B, d*d) of |c_b^H g z|^2 - l_b |g z|^2 against
+def _deviation(matrices, rows) -> float:
+    """max of ||g - Id||_F over matrices[rows]."""
+    return float(_frob(matrices[rows] - np.eye(matrices.shape[1])).max())
+
+
+def _form_coefficients(matrices, centres, levels):
+    """Coefficients (B, S, d*d) of |c_b^H g z|^2 - l_b |g z|^2 against
     :func:`_features` of z, for the stored g and the ball tests (c_b, l_b):
-    P(c_b^H g) - l_b sum_r P(g_r), g_r the rows of g.  The work runs over
-    :func:`_sample_blocks`; the row sum is kept once per stored element,
-    not per ball."""
+    P(c_b^H g) - l_b sum_r P(g_r), g_r the rows of g.  Each ball's forms
+    are one contiguous (S, d*d) slab.  Returned with eps, the largest
+    ||g - Id||_F.  The work runs over :func:`_sample_blocks`; the row sum
+    is kept once per stored element, not per ball."""
     S, d = matrices.shape[:2]
     levels = np.asarray(levels, dtype=np.float64)
-    forms = np.empty((S, levels.size, d * d))
+    forms = np.empty((levels.size, S, d * d))
     weights = np.conj(centres).T[:, :, None]  # (d, B, 1)
+    eps = 0.0
     for rows, g in _sample_blocks(matrices):
+        eps = max(eps, _deviation(matrices, rows))
         u = g[0][:, None] * weights[0]  # (d, B, n): entry j of c_b^H g
         for i in range(1, d):
             u += g[i][:, None] * weights[i]
@@ -111,8 +140,44 @@ def _form_coefficients(matrices, centres, levels) -> np.ndarray:
         for r in range(1, d):
             row_sum += _rank_one(g[r])
         block = _rank_one(u) - levels[:, None] * row_sum[:, None]  # (d*d, B, n)
-        forms[rows] = block.transpose(2, 1, 0)
-    return forms
+        forms[:, rows] = block.transpose(1, 2, 0)
+    return forms, eps
+
+
+def _decision_levels(centres, levels, eps):
+    """Levels (inner, outer), shape (B,), on the ratio |c_b^H z|^2 / |z|^2
+    of a row z: above inner_b every moved point g z passes test b, and at
+    or below outer_b none does.  Nothing is decided when eps >= 1/2.
+
+    With t = |c^H z|^2 / (|c|^2 |z|^2) = cos^2 dist(z, c) and the level
+    l = l_b / |c|^2, a moved point clears test b by the value margin when
+    t(g z) >= l + DECISION_VALUE, and fails it by that margin when
+    t(g z) <= l - DECISION_VALUE.  Those are the balls of reach
+    R = acos(sqrt(l +- DECISION_VALUE)) about c, and a level at or below 0
+    holds everywhere.  Since g moves z by less than fs, the row decides
+    the test when it lies within R - fs - DECISION_ANGLE, or at
+    R + fs + DECISION_ANGLE or beyond."""
+    B = len(levels)
+    inner, outer = np.full(B, np.inf), np.full(B, -1.0)
+    if eps >= 0.5:
+        return inner, outer
+    shift = math.asin(eps / (1.0 - eps)) + DECISION_ANGLE
+    for b, (c2, level) in enumerate(zip(np.sum(np.abs(centres) ** 2, axis=1), levels)):
+        if c2 == 0.0:  # the test is -l |g z|^2 > 0: decided by the sign of l alone
+            inner[b], outer[b] = (-1.0, -1.0) if level < 0.0 else (np.inf, np.inf)
+            continue
+        passes, fails = level / c2 + DECISION_VALUE, level / c2 - DECISION_VALUE
+        if passes <= 0.0:
+            inner[b] = -1.0
+        elif passes < 1.0:
+            reach = math.acos(math.sqrt(passes)) - shift
+            if reach > 0.0:
+                inner[b] = c2 * math.cos(reach) ** 2
+        if 0.0 < fails < 1.0:
+            reach = math.acos(math.sqrt(fails)) + shift
+            if reach < 0.5 * math.pi:
+                outer[b] = c2 * math.cos(reach) ** 2
+    return inner, outer
 
 
 def _rank_one(U: np.ndarray) -> np.ndarray:
@@ -140,8 +205,11 @@ class RegularizedFunction:
     ``matrices`` holds the S stored group elements, shape (S, k+1, k+1)
     (empty for the pass-through case theta = 0).  ``forms`` holds, when the
     source offers ball tests, the real coefficients of each test on the
-    moved point per stored element and ball, shape (S, B, (k+1)^2);
-    otherwise it is None and the source is called on the moved points.
+    moved point per ball and stored element, shape (B, S, (k+1)^2), one
+    contiguous slab per ball; otherwise it is None and the source is called
+    on the moved points.  ``eps`` is the displacement certificate, the
+    largest ||g - Id||_F over the stored g (0 when none is stored); on the
+    form path it decides the rows and balls that skip the products.
     Evaluation is deterministic: the same (seed, S, theta, point) gives the
     same value bit for bit.
     """
@@ -151,13 +219,32 @@ class RegularizedFunction:
     matrices: np.ndarray
     S: int
     forms: Optional[np.ndarray] = None
+    eps: float = 0.0
+    # (conj(centres).T, inner, outer) of the ball tests, see _decision_levels
+    _decisions: Optional[tuple] = field(init=False, repr=False, default=None)
+
+    def __post_init__(self):
+        if self.forms is not None:
+            centres, levels = self.source.ball_tests()
+            object.__setattr__(self, "_decisions", (np.conj(centres).T,
+                                                    *_decision_levels(centres, levels, self.eps)))
 
     def eval_homog(self, rows) -> np.ndarray:
         """Average of f over the moved points, for stacked homogeneous rows.
 
         Rows must be finite and nonzero.  The work is done in blocks of
         ROW_BLOCK rows by a bounded number of stored elements, so memory
-        stays bounded for any number of rows."""
+        stays bounded for any number of rows, up to a few values per row
+        and ball on the form path.
+
+        On the form path every row is first placed by the certificate (see
+        :func:`_decision_levels`).  A row inside some ball counts every
+        stored element, a row with no candidate ball counts none, and the
+        products run on the band rows, for their candidate balls only.  A
+        decided count equals the products' count bit for bit: each moved
+        point of a decided row clears its test by a margin far above the
+        products' roundoff (a zero centre's form is exactly zero or of the
+        sign of -l_b)."""
         Z = np.asarray(rows, dtype=np.complex128)
         if Z.ndim != 2 or Z.shape[1] != self.matrices.shape[1]:
             raise ValueError("expected stacked homogeneous rows of shape (m, k+1)")
@@ -168,12 +255,15 @@ class RegularizedFunction:
         if self.theta == 0.0:
             return np.asarray(self.source(Z), dtype=np.float64)
         if self.forms is None:
-            prepare, block_sum = np.asarray, self._source_sum
-        else:
-            prepare, block_sum = _features, self._form_hits
-        total = np.zeros(Z.shape[0])
-        for r in range(0, Z.shape[0], ROW_BLOCK):
-            total[r:r + ROW_BLOCK] = block_sum(prepare(Z[r:r + ROW_BLOCK]))
+            total = np.zeros(Z.shape[0])
+            for r in range(0, Z.shape[0], ROW_BLOCK):
+                total[r:r + ROW_BLOCK] = self._source_sum(Z[r:r + ROW_BLOCK])
+            return total / self.S
+        total, groups = self._decide(Z)
+        for balls, band in groups:
+            for r in range(0, band.size, ROW_BLOCK):
+                block = band[r:r + ROW_BLOCK]
+                total[block] = self._form_hits(_features(Z[block]), balls)
         return total / self.S
 
     def _source_sum(self, Z: np.ndarray) -> np.ndarray:
@@ -184,18 +274,31 @@ class RegularizedFunction:
             total += vals.reshape(images.shape[0], Z.shape[0]).sum(axis=0)
         return total
 
-    def _form_hits(self, features: np.ndarray) -> np.ndarray:
-        """Count of stored elements with some positive form, per column of
-        features, from GEMMs of about FORM_GEMM_OUTPUT values each."""
-        S, B, n = self.forms.shape
-        flat = self.forms.reshape(S * B, n)
-        step = max(1, FORM_GEMM_OUTPUT // (B * features.shape[1]))
+    def _decide(self, Z: np.ndarray):
+        """The counts of the decided rows, S inside a ball and 0 elsewhere,
+        and the band rows grouped by their candidate balls, as a list of
+        (balls, rows) index arrays."""
+        conj_centres, inner, outer = self._decisions
+        ratio = np.abs(Z @ conj_centres) ** 2 / (Z.real ** 2 + Z.imag ** 2).sum(axis=1)[:, None]
+        inside = np.any(ratio > inner, axis=1)
+        candidates = (ratio > outer) & ~inside[:, None]
+        band = np.flatnonzero(np.any(candidates, axis=1))
+        patterns, group = np.unique(candidates[band], axis=0, return_inverse=True)
+        group = group.reshape(-1)  # numpy 2.0.0 may return the inverse with an extra axis
+        return (np.where(inside, float(self.S), 0.0),
+                [(np.flatnonzero(p), band[group == i]) for i, p in enumerate(patterns)])
+
+    def _form_hits(self, features: np.ndarray, balls: np.ndarray) -> np.ndarray:
+        """Count of stored elements with a positive form among the given
+        balls, per column of features, from GEMMs of at most
+        FORM_GEMM_OUTPUT values each on the balls' contiguous slabs."""
+        step = max(1, FORM_GEMM_OUTPUT // features.shape[1])
         hits = np.zeros(features.shape[1], dtype=np.int64)
-        for lo in range(0, S, step):
-            q = flat[lo * B:(lo + step) * B] @ features
-            if B > 1:
-                q = q.reshape(-1, B, q.shape[1]).max(axis=1)
-            hits += np.count_nonzero(q > 0.0, axis=0)
+        for lo in range(0, self.S, step):
+            hit = self.forms[balls[0], lo:lo + step] @ features > 0.0
+            for b in balls[1:]:
+                hit |= self.forms[b, lo:lo + step] @ features > 0.0
+            hits += hit.sum(axis=0, dtype=np.uint16)  # step <= FORM_GEMM_OUTPUT < 2^16
         return hits
 
     def __call__(self, p: ProjectivePoint) -> float:

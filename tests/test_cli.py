@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from projcut.cli import CEILINGS, load_config, main
+from projcut.cutoff import MAX_S
 from projcut.errors import ConfigError
 from projcut.lie import SAMPLE_BLOCK
 
@@ -282,10 +283,11 @@ def test_config_numbers_are_not_coerced(field, value, tmp_path, capsys):
     assert f"config error: {field}:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field", sorted(CEILINGS))
+@pytest.mark.parametrize("field", sorted({**CEILINGS, "S": MAX_S}))
 def test_integer_fields_have_ceilings(field, tmp_path, capsys):
     # refused at parse time, before anything of that size is allocated
-    for value in (CEILINGS[field] + 1, 10 ** 30):
+    ceiling = {**CEILINGS, "S": MAX_S}[field]
+    for value in (ceiling + 1, 10 ** 30):
         cfg = write_config(tmp_path / "huge.json", **{field: value})
         with pytest.raises(ConfigError, match=f"^{field}: must be at most"):
             load_config(cfg)

@@ -1,14 +1,18 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import projcut as pc
-from projcut.cutoff import (annulus_grid, max_euclid_ratio, max_fs_displacement,
+from projcut.cutoff import (MAX_S, annulus_grid, max_euclid_ratio, max_fs_displacement,
                             rows_off_set, rows_on_set)
 from projcut.errors import ConfigError, DeltaOutOfRange
 from projcut.geometry import rows_dist_to_set, uniform_rows
+from projcut.cli import load_config
 from projcut.lie import _frob
+from projcut.regularize import RegularizedFunction, _features
 from projcut.rng import make_rng
 
 
@@ -28,6 +32,18 @@ def test_config_refuses_non_integer_counts(field, value):
     # regularize would otherwise truncate them silently
     with pytest.raises(ConfigError, match=f"^{field}: "):
         pc.CutoffConfig(1, **{field: value})
+
+
+@pytest.mark.parametrize("S", [MAX_S + 1, np.int64(MAX_S + 1), 10 ** 30])
+def test_config_refuses_S_above_the_ceiling(S, two_ball_set, monkeypatch):
+    # refused by the constructor, before any sample is drawn
+    def refuse(*args, **kwargs):
+        raise AssertionError("samples were drawn for a refused S")
+
+    monkeypatch.setattr(sys.modules["projcut.regularize"], "sample_matrices", refuse)
+    with pytest.raises(ConfigError, match=f"^S: must be at most {MAX_S}$"):
+        pc.build_cutoff(two_ball_set, 0.1, pc.CutoffConfig(1, S=S))
+    assert pc.CutoffConfig(1, S=MAX_S).S == MAX_S
 
 
 def test_config_accepts_numpy_integers():
@@ -192,6 +208,31 @@ def test_verify_cutoff_runs_no_sampled_audit(config_small, two_ball_set, monkeyp
     monkeypatch.setattr("projcut.cutoff.max_euclid_ratio", refuse)
     cf = pc.build_cutoff(two_ball_set, 0.1, config_small)
     assert pc.verify_cutoff(cf, 80, 80, seed=3).passed
+
+
+def test_verify_rows_skip_the_products(monkeypatch):
+    # verify's checks (a) and (b) are settled by the certificate: every
+    # inner and outer row of the bundled config is decided before the
+    # products.  The products themselves, which (a) and (b) used to
+    # exercise, are run here on the same rows over all balls.
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "verify_two_balls.json")
+    config = pc.CutoffConfig(cfg.k, cfg.sigma, cfg.delta0, cfg.S, cfg.seed)
+    balls = np.arange(len(cfg.set_spec.balls))
+    for delta in cfg.deltas:
+        cf = pc.build_cutoff(cfg.set_spec, delta, config)
+        rng = make_rng(cfg.seed, 41)  # the rows verify_cutoff draws
+        inner = rows_on_set(cfg.set_spec, cfg.n_inner, rng)
+        outer = rows_off_set(cfg.set_spec, delta, cfg.n_outer, rng)
+        assert np.all(cf.rf._form_hits(_features(inner), balls) == cf.rf.S)
+        assert np.all(cf.rf._form_hits(_features(outer), balls) == 0)
+        with monkeypatch.context() as patch:
+            def refuse(*args, **kwargs):
+                raise AssertionError("a verify row entered the products")
+
+            patch.setattr(RegularizedFunction, "_form_hits", refuse)
+            report = pc.verify_cutoff(cf, cfg.n_inner, cfg.n_outer, cfg.seed)
+        assert report.passed
+        assert report.max_dev_on_K == 0.0 and report.max_val_off_Kdelta == 0.0
 
 
 def test_monotone_support(config_small, two_ball_set):

@@ -7,9 +7,9 @@ import pytest
 import projcut as pc
 from projcut.errors import StepTooSmall
 from projcut.geometry import geodesic_row, tangent_row, uniform_rows
-from projcut.lie import SAMPLE_BLOCK, _expm, _normalize_stack
-from projcut.regularize import (EVAL_CHUNK, FORM_GEMM_OUTPUT, ROW_BLOCK, _features,
-                                _form_coefficients, _unit_draws)
+from projcut.lie import SAMPLE_BLOCK, _expm, _frob, _normalize_stack
+from projcut.regularize import (DECISION_ANGLE, EVAL_CHUNK, FORM_GEMM_OUTPUT, ROW_BLOCK,
+                                _features, _form_coefficients, _unit_draws)
 from projcut.rng import make_rng
 
 
@@ -248,7 +248,7 @@ def test_form_kernel_matches_generic_path(k):
     kwargs = dict(theta=0.3, S=EVAL_CHUNK + 301, seed=14, mollifier=pc.get_mollifier(k, 0.1))
     kernel = pc.regularize(f, **kwargs)
     generic = pc.regularize(lambda rows: f(rows), **kwargs)
-    assert kernel.forms.shape == (kwargs["S"], 3, (k + 1) ** 2)
+    assert kernel.forms.shape == (3, kwargs["S"], (k + 1) ** 2)
     assert generic.forms is None
 
     rows = np.concatenate([_band_heavy_rows(set_spec, rho, 260, rng),
@@ -274,9 +274,9 @@ def test_form_coefficients_are_the_ball_tests(k):
     images = np.einsum("sij,mj->smi", rf.matrices, Z)  # g z, shape (S, m, k+1)
     direct = (np.abs(images @ np.conj(centres).T) ** 2
               - levels * np.linalg.norm(images, axis=2, keepdims=True) ** 2)
-    values = rf.forms @ _features(Z)  # shape (S, B, m)
+    values = rf.forms @ _features(Z)  # shape (B, S, m)
     norms = np.linalg.norm(Z, axis=1) ** 2
-    assert np.all(np.abs(values - direct.transpose(0, 2, 1)) <= 1e-12 * norms)
+    assert np.all(np.abs(values - direct.transpose(2, 0, 1)) <= 1e-12 * norms)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -290,21 +290,22 @@ def test_form_coefficient_rows_do_not_depend_on_block(k):
     g = _normalize_stack(np.eye(d) + 0.05 * noise)
     centres = uniform_rows(k, 3, rng)
     levels = np.array([0.9, 0.5, -1.0])
-    forms = _form_coefficients(g, centres, levels)
-    assert forms.shape == (S, 3, d * d)
+    forms, eps = _form_coefficients(g, centres, levels)
+    assert forms.shape == (3, S, d * d)
+    assert eps == float(_frob(g - np.eye(d)).max())
     Z = uniform_rows(k, 20, rng)
     images = np.einsum("sij,mj->smi", g, Z)
     direct = (np.abs(images @ np.conj(centres).T) ** 2
               - levels * np.linalg.norm(images, axis=2, keepdims=True) ** 2)
-    assert np.all(np.abs(forms @ _features(Z) - direct.transpose(0, 2, 1)) <= 1e-12)
+    assert np.all(np.abs(forms @ _features(Z) - direct.transpose(2, 0, 1)) <= 1e-12)
     for j in range(S):
-        assert np.array_equal(forms[j], _form_coefficients(g[j:j + 1], centres, levels)[0])
+        assert np.array_equal(forms[:, j], _form_coefficients(g[j:j + 1], centres, levels)[0][:, 0])
 
 
 @pytest.fixture(scope="module")
 def three_ball_pair(mollifier_k1):
     """Form kernel and generic path over one frozen sample, three balls at
-    k = 1, S not a multiple of the samples per GEMM for any block below."""
+    k = 1, S not a multiple of the samples per GEMM for any block width."""
     rng = make_rng(32, 0)
     set_spec = pc.CompactSetSpec(tuple(pc.Ball(pc.ProjectivePoint(c), r)
                                        for c, r in zip(uniform_rows(1, 3, rng), (0.0, 0.05, 0.2))))
@@ -316,8 +317,7 @@ def three_ball_pair(mollifier_k1):
 @pytest.mark.parametrize("m", [1, 50, ROW_BLOCK + 1])
 def test_form_kernel_blocking_matches_generic_path(m, three_ball_pair):
     set_spec, kernel, generic = three_ball_pair
-    for rows_in_block in {min(m, ROW_BLOCK), m % ROW_BLOCK or ROW_BLOCK}:
-        assert kernel.S % (FORM_GEMM_OUTPUT // (3 * rows_in_block)) != 0
+    assert all(kernel.S % (FORM_GEMM_OUTPUT // width) for width in range(1, ROW_BLOCK + 1))
     rows = _band_heavy_rows(set_spec, 0.1, m, make_rng(32, m))
     assert np.array_equal(kernel.eval_homog(rows), generic.eval_homog(rows))
 
@@ -391,3 +391,86 @@ def test_stencil_layout_exact_on_chart_quadratics(k):
             assert pc.finite_diff(rf, c, 1, 1e-3) == pytest.approx(
                 np.linalg.norm(A @ x0 + b), abs=1e-6)
             assert pc.finite_diff(rf, c, 2, 3e-3) == pytest.approx(3.0, abs=1e-6)
+
+
+def _scaled(rows, rng):
+    """The same points under a random scale and phase per row."""
+    m = rows.shape[0]
+    return rows * (rng.uniform(1e-3, 1e3, (m, 1)) * np.exp(2j * math.pi * rng.random((m, 1))))
+
+
+def _boundary_rows(rf, set_spec, rho, rng, directions=3):
+    """Rows at R_b +- fs +- {0, mu, 10 mu} and at R_b + {-1/2, 0, 1/2} fs
+    from each ball's centre, R_b = radius + rho the reach, fs the certified
+    displacement, mu the decision angle; several random directions each."""
+    fs = math.asin(rf.eps / (1.0 - rf.eps))
+    offsets = [s * fs + u * DECISION_ANGLE for s in (-1.0, 1.0) for u in (-10.0, -1.0, 0.0, 1.0, 10.0)]
+    rows = []
+    for ball in set_spec.balls:
+        c = ball.center.homog
+        for t in offsets + [-0.5 * fs, 0.0, 0.5 * fs]:
+            rows += [geodesic_row(c, tangent_row(c, rng), ball.radius + rho + t)
+                     for _ in range(directions)]
+    return _scaled(np.stack(rows), rng)
+
+
+def _decided(rf, rows):
+    """The number of rows the certificate decides, and the candidate balls
+    of each group of band rows."""
+    _, groups = rf._decide(rows)
+    return rows.shape[0] - sum(band.size for _, band in groups), [list(b) for b, _ in groups]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_certificate_decisions_match_generic_path_at_the_boundary(k):
+    # rows placed at the decision levels: the pruned form path against the
+    # indicator called on every moved point, bit for bit
+    rng = make_rng(35, k)
+    kwargs = dict(theta=0.3, S=EVAL_CHUNK + 301, seed=18, mollifier=pc.get_mollifier(k, 0.1))
+    eps = pc.regularize(ones, **kwargs).eps  # the certificate does not depend on the source
+    fs = math.asin(eps / (1.0 - eps))
+    radius, rho = 0.05, 0.1
+
+    # two balls whose reaches overlap by fs / 2: the rows between them
+    # are candidates for both
+    c0 = uniform_rows(k, 1, rng)[0]
+    v = tangent_row(c0, rng)
+    gap = 2.0 * (radius + rho) - 0.5 * fs
+    pair = pc.CompactSetSpec((pc.Ball(pc.ProjectivePoint(c0), radius),
+                              pc.Ball(pc.ProjectivePoint(geodesic_row(c0, v, gap)), radius)))
+    f = pc.indicator_fattened(pair, rho)
+    kernel = pc.regularize(f, **kwargs)
+    generic = pc.regularize(lambda rows: f(rows), **kwargs)
+    assert kernel.eps == generic.eps == eps > 0.0
+    between = np.stack([geodesic_row(c0, v, 0.5 * gap + x * fs) for x in (-0.5, 0.0, 0.5)])
+    boundary = np.concatenate([_boundary_rows(kernel, pair, rho, rng), _scaled(between, rng),
+                               uniform_rows(k, 30, rng)])
+    decided, groups = _decided(kernel, boundary)
+    assert 0 < decided < boundary.shape[0] and [0, 1] in groups
+    chi = kernel.eval_homog(boundary)
+    assert np.array_equal(chi, generic.eval_homog(boundary))
+    assert np.any(chi == 1.0) and np.any(chi == 0.0) and np.any((chi > 0.0) & (chi < 1.0))
+
+    # a covering ball (level -1) decides every row 1, rho = 0 every row 0
+    cover = pc.CompactSetSpec((pc.Ball(pc.ProjectivePoint(c0), 1.5),) + pair.balls[1:])
+    for set_spec, r, value in ((cover, rho, 1.0), (pair, 0.0, 0.0)):
+        g = pc.indicator_fattened(set_spec, r)
+        kernel = pc.regularize(g, **kwargs)
+        rows = np.concatenate([_boundary_rows(kernel, set_spec, r, rng, 1), boundary])
+        assert _decided(kernel, rows) == (rows.shape[0], [])
+        chi = kernel.eval_homog(rows)
+        assert np.all(chi == value)
+        assert np.array_equal(chi, pc.regularize(lambda z: g(z), **kwargs).eval_homog(rows))
+
+    # theta = 0 passes the indicator through
+    kernel = pc.regularize(f, **dict(kwargs, theta=0.0))
+    assert kernel.eps == 0.0 and kernel.forms is None
+    assert np.array_equal(kernel.eval_homog(boundary), f(boundary))
+
+    # stored elements far from the identity (eps >= 1/2): nothing is decided
+    wide = dict(kwargs, theta=1.0, S=400, mollifier=pc.get_mollifier(k, 2.0))
+    kernel = pc.regularize(f, **wide)
+    assert kernel.eps >= 0.5
+    assert _decided(kernel, boundary) == (0, [[0, 1]])
+    assert np.array_equal(kernel.eval_homog(boundary),
+                          pc.regularize(lambda z: f(z), **wide).eval_homog(boundary))
