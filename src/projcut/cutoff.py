@@ -17,13 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DeltaOutOfRange
-from .geometry import (Ball, CompactSetSpec, ProjectivePoint, geodesic_row,
-                       rows_dist_to_set, tangent_row, to_chart, uniform_rows)
+from .geometry import (ChartCoordinates, CompactSetSpec, ProjectivePoint, geodesic_row,
+                       rows_dist_to_set, tangent_row, uniform_rows)
 # log_chart and check_distortion are unused here but kept: the benchmark tracer binds them by name
 from .lie import DEFAULT_SIGMA, check_distortion, estimate_distortion, log_chart
 from .measure import get_mollifier
-from .regularize import (RegularizedFunction, ScalingReport, _stored_images,
-                         c_alpha_estimate, regularize, scaling_slope)
+# MAX_S is unused here but kept: the ceiling on S is read from this module too
+from .regularize import (MAX_S, RegularizedFunction, ScalingReport, _stored_images,
+                         c_alpha_estimate, check_S, regularize, scaling_slope)
 from .rng import make_rng
 
 DELTA_FLOOR = 1e-4
@@ -31,18 +32,6 @@ DEFAULT_DELTA0 = 0.4
 DEFAULT_S = 20000
 DEFAULT_SEED = 42
 DEFAULT_STEP = {1: 1e-3, 2: 3e-3}
-MAX_S = 10 ** 6  # 50x the default: a larger S is refused before anything is allocated
-
-
-def check_S(S) -> int:
-    """Return S if it is an integer (not a boolean) in [1, MAX_S], else
-    raise :class:`ConfigError`; the one check of the sample count."""
-    # int or numpy integer, not bool: regularize would truncate anything else
-    if not (type(S) is int or isinstance(S, np.integer)) or S < 1:
-        raise ConfigError("S: must be an integer, at least 1")
-    if S > MAX_S:
-        raise ConfigError(f"S: must be at most {MAX_S}")
-    return S
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,11 +56,12 @@ class CutoffConfig:
     budget: float = field(init=False)
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 1:
+        if type(self.k) is not int or self.k < 1:  # a boolean is no dimension
             raise ConfigError("k: must be a positive integer")
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
+        sigma, delta0 = self.sigma, self.delta0  # not booleans, which would pass as 1.0
+        if isinstance(sigma, (bool, np.bool_)) or not (sigma > 0 and math.isfinite(sigma)):
             raise ConfigError("sigma: must be positive and finite")
-        if not (self.delta0 > 0 and math.isfinite(self.delta0)):
+        if isinstance(delta0, (bool, np.bool_)) or not (delta0 > 0 and math.isfinite(delta0)):
             raise ConfigError("delta0: must be positive and finite")
         check_S(self.S)
         if not (type(self.seed) is int or isinstance(self.seed, np.integer)) or self.seed < 0:
@@ -117,11 +107,10 @@ class FattenedIndicator:
         R >= pi/2 covers P^k (level -1: the test always holds); rho = 0
         leaves nothing strictly below it (centre 0, level 0: it never holds).
         """
-        balls = self.set_spec.balls
-        centres = np.stack([ball.center.homog for ball in balls])
+        centres, radii = self.set_spec.centres, self.set_spec.radii
         if self.rho == 0.0:
-            return np.zeros_like(centres), np.zeros(len(balls))
-        reach = [ball.radius + self.rho for ball in balls]
+            return np.zeros_like(centres), np.zeros(radii.size)
+        reach = (radii + self.rho).tolist()
         return centres, np.array([-1.0 if r >= 0.5 * math.pi else math.cos(r) ** 2 for r in reach])
 
 
@@ -208,34 +197,22 @@ class VerificationReport:
         }
 
 
-def _row_in_ball(ball: Ball, rng) -> np.ndarray:
-    t = ball.radius * math.sqrt(rng.random())
-    if t == 0.0:
-        return ball.center.homog.copy()
-    return geodesic_row(ball.center.homog, tangent_row(ball.center.homog, rng), t)
-
-
 def rows_on_set(set_spec: CompactSetSpec, count: int, rng) -> np.ndarray:
-    """Ball centers first, then random points of each ball, round robin."""
-    rows = [b.center.homog for b in set_spec.balls][:count]
-    while len(rows) < count:
-        for b in set_spec.balls:
-            if len(rows) == count:
-                break
-            rows.append(_row_in_ball(b, rng))
-    return np.stack(rows)
+    """The B ball centres first, then row B + i a random point of ball i mod B."""
+    centres, radii = set_spec.centres, set_spec.radii
+    ball = np.arange(max(count - radii.size, 0)) % radii.size
+    t = radii[ball] * np.sqrt(rng.random(ball.size))
+    inner = geodesic_row(centres[ball], tangent_row(centres[ball], rng), t)
+    return np.concatenate([centres[:count], inner])
 
 
 def rows_off_set(set_spec: CompactSetSpec, min_dist: float, count: int, rng) -> np.ndarray:
     """Uniform points at distance >= min_dist from the set, by rejection."""
-    out = []
-    have = 0
+    out, have = [], 0
     for _ in range(500):
         cand = uniform_rows(set_spec.k, max(4 * count, 256), rng)
-        keep = cand[rows_dist_to_set(cand, set_spec) >= min_dist]
-        if keep.size:
-            out.append(keep)
-            have += keep.shape[0]
+        out.append(cand[rows_dist_to_set(cand, set_spec) >= min_dist])
+        have += out[-1].shape[0]
         if have >= count:
             return np.concatenate(out)[:count]
     raise ConfigError(f"set: could not find {count} points at distance >= {min_dist:g} from it")
@@ -317,21 +294,30 @@ def verify_cutoff(cf: CutoffFunction, n_inner: int = 200, n_outer: int = 200,
 def annulus_grid(set_spec: CompactSetSpec, delta: float, count: int,
                  seed: int, tag: int = 0) -> list:
     """Chart points in the transition annulus delta/4 <= dist <= delta, where
-    the derivatives of the cut-off live.  Falls back to unconditioned nearby
-    points when the annulus is empty (set covering the whole space)."""
+    the derivatives of the cut-off live, each in its maximum-modulus chart.
+    Batches of points at random distances beyond random balls are kept where
+    they land in the annulus; after 200 * count draws the rest are kept
+    unconditioned, for an empty annulus (a set covering the whole space)."""
     rng = make_rng(seed, 51, tag)
-    balls = set_spec.balls
+    centres, radii = set_spec.centres, set_spec.radii
     lo, hi = 0.25 * delta, delta
-    rows = []
-    attempts = 0
-    while len(rows) < count:
-        b = balls[int(rng.integers(len(balls)))]
-        t = min(b.radius + lo + (hi - lo) * rng.random(), 0.5 * math.pi - 1e-9)
-        row = geodesic_row(b.center.homog, tangent_row(b.center.homog, rng), t)
-        attempts += 1
-        if attempts > 200 * count or lo <= float(rows_dist_to_set(row[None, :], set_spec)[0]) <= hi:
-            rows.append(row)
-    return [to_chart(ProjectivePoint(row)) for row in rows]
+    kept, have, drawn = [centres[:0]], 0, 0  # no rows yet: count = 0 gives an empty grid
+    while have < count:
+        n = 2 * (count - have)  # one batch is enough when half the draws land
+        ball = rng.integers(radii.size, size=n)
+        t = np.minimum(radii[ball] + lo + (hi - lo) * rng.random(n), 0.5 * math.pi - 1e-9)
+        rows = geodesic_row(centres[ball], tangent_row(centres[ball], rng), t)
+        if drawn < 200 * count:
+            dist = rows_dist_to_set(rows, set_spec)
+            rows = rows[(lo <= dist) & (dist <= hi)]
+        kept.append(rows)
+        have += rows.shape[0]
+        drawn += n
+    rows = np.concatenate(kept)[:count]
+    charts = np.argmax(np.abs(rows), axis=1)
+    coords = rows / rows[np.arange(count), charts][:, None]
+    coords[np.arange(count), charts] = 1.0
+    return [ChartCoordinates(c, z) for c, z in zip(charts.tolist(), coords)]
 
 
 def _scaling_row(task):

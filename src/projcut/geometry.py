@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -116,9 +116,12 @@ class Ball:
 
 @dataclass(frozen=True, eq=False)
 class CompactSetSpec:
-    """A compact set given as a finite union of closed Fubini-Study balls."""
+    """A compact set given as a finite union of closed Fubini-Study balls,
+    stated as read-only arrays too: unit ``centres`` (B, k+1), ``radii`` (B,)."""
 
     balls: tuple
+    centres: np.ndarray = field(init=False, repr=False)
+    radii: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         balls = tuple(self.balls)
@@ -128,29 +131,23 @@ class CompactSetSpec:
         if any(b.center.k != k for b in balls):
             raise ValueError("all balls must live in the same P^k")
         object.__setattr__(self, "balls", balls)
+        for name, value in (("centres", np.stack([b.center.homog for b in balls])),
+                            ("radii", np.array([b.radius for b in balls], dtype=np.float64))):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def k(self) -> int:
         return self.balls[0].center.k
 
     def to_dict(self) -> dict:
-        return {
-            "balls": [
-                {
-                    "center": [[z.real, z.imag] for z in b.center.homog],
-                    "radius": b.radius,
-                }
-                for b in self.balls
-            ]
-        }
+        return {"balls": [{"center": [[z.real, z.imag] for z in b.center.homog],
+                           "radius": b.radius} for b in self.balls]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "CompactSetSpec":
-        balls = []
-        for entry in data["balls"]:
-            center = np.array([complex(re, im) for re, im in entry["center"]])
-            balls.append(Ball(ProjectivePoint(center), float(entry["radius"])))
-        return cls(tuple(balls))
+        return cls(tuple(Ball(ProjectivePoint([complex(re, im) for re, im in entry["center"]]),
+                              float(entry["radius"])) for entry in data["balls"]))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -191,16 +188,22 @@ def full_norm(c: ChartCoordinates) -> float:
     return float(np.linalg.norm(c.coords))
 
 
+def scaled_rows(rows) -> np.ndarray:
+    """Each row divided by the power of two that brings its largest real or
+    imaginary part into [1/2, 1): exact, so every ratio of homogeneous
+    quantities keeps its bits, and no square overflows or underflows to 0."""
+    parts = np.ascontiguousarray(rows, dtype=np.complex128).view(np.float64)
+    _, exponent = np.frexp(np.abs(parts).max(axis=-1, keepdims=True))
+    return np.ldexp(parts, -exponent).view(np.complex128)
+
+
 def rows_dist_to_set(rows, sspec: CompactSetSpec) -> np.ndarray:
-    """Distance of each homogeneous row to the set, vectorised."""
-    Z = np.asarray(rows, dtype=np.complex128)
-    zn = np.linalg.norm(Z, axis=1)
-    best = np.full(Z.shape[0], np.inf)
-    for b in sspec.balls:
-        ip = np.abs(Z @ np.conj(b.center.homog))
-        d = np.arccos(np.clip(ip / zn, 0.0, 1.0))
-        np.minimum(best, np.maximum(d - b.radius, 0.0), out=best)
-    return best
+    """Distance of each homogeneous row to the set: the smallest over the
+    balls of max(fs_distance(row, centre) - radius, 0), in one product."""
+    Z = scaled_rows(rows)
+    ip = np.abs(Z @ np.conj(sspec.centres).T)
+    d = np.arccos(np.clip(ip / np.linalg.norm(Z, axis=1)[:, None], 0.0, 1.0))
+    return np.maximum(d - sspec.radii, 0.0).min(axis=1)
 
 
 def dist_to_set(p: ProjectivePoint, sspec: CompactSetSpec) -> float:
@@ -215,19 +218,18 @@ def uniform_rows(k: int, count: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def tangent_row(center: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Unit vector Hermitian-orthogonal to a unit homogeneous vector."""
-    for _ in range(32):
-        g = rng.standard_normal(center.size) + 1j * rng.standard_normal(center.size)
-        v = g - np.vdot(center, g) * center
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            return v / norm
-    raise RuntimeError("failed to draw a tangent direction")
+    """Random unit vectors Hermitian-orthogonal to unit homogeneous vectors,
+    one per row of ``center`` (..., k+1).  A Gaussian draw g is projected,
+    v = g - (c^H g) c; a draw in the line of c has probability zero."""
+    g = rng.standard_normal(center.shape) + 1j * rng.standard_normal(center.shape)
+    v = g - np.sum(np.conj(center) * g, axis=-1, keepdims=True) * center
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def geodesic_row(center: np.ndarray, direction: np.ndarray, t: float) -> np.ndarray:
-    """Point at Fubini-Study distance t from ``center`` along ``direction``."""
-    return math.cos(t) * center + math.sin(t) * direction
+def geodesic_row(center: np.ndarray, direction: np.ndarray, t) -> np.ndarray:
+    """Points at Fubini-Study distance t from ``center`` along ``direction``,
+    row by row for stacked rows and distances t (...)."""
+    return np.cos(t)[..., None] * center + np.sin(t)[..., None] * direction
 
 
 @dataclass(frozen=True)

@@ -44,15 +44,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import StepTooSmall
-from .geometry import ChartCoordinates, ProjectivePoint
+from .errors import ConfigError, StepTooSmall
+from .geometry import ChartCoordinates, ProjectivePoint, scaled_rows
 from .lie import SAMPLE_BLOCK, _expm, _frob, _normalize_stack, _sample_blocks
 from .measure import MollifierSpec, ScaledMeasure, sample_matrices
 
 FunctionOnP = Callable[[np.ndarray], np.ndarray]
 
-EVAL_CHUNK = 2048  # stored samples per evaluation block on the generic path
-ROW_BLOCK = 128    # rows per evaluation block; bounds the working set for large m
+MAX_S = 10 ** 6  # 50x the default: a larger S is refused before anything is allocated
+ROW_BLOCK = 128  # rows per evaluation block; bounds the working set for large m
 # Form values per GEMM on the form path: the samples per GEMM are this over
 # the rows in the block, one ball's forms at a time.  At k = 1 every product
 # then stays below the size at which OpenBLAS starts its threads, whose
@@ -68,6 +68,16 @@ DECISION_ANGLE = 1e-7
 DECISION_VALUE = 1e-9
 
 
+def check_S(S) -> int:
+    """Return S if it is an int or numpy integer (not a boolean, which the
+    draw would truncate) in [1, MAX_S], else raise :class:`ConfigError`."""
+    if not (type(S) is int or isinstance(S, np.integer)) or S < 1:
+        raise ConfigError("S: must be an integer, at least 1")
+    if S > MAX_S:
+        raise ConfigError(f"S: must be at most {MAX_S}")
+    return S
+
+
 def regularize(f: FunctionOnP, theta: float, S: int, seed, mollifier: MollifierSpec) -> "RegularizedFunction":
     """Freeze S group elements exp_chart(theta * x_j), x_j drawn once from the
     unit-scale mollifier, and return the averaging evaluator.
@@ -79,8 +89,7 @@ def regularize(f: FunctionOnP, theta: float, S: int, seed, mollifier: MollifierS
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
-    if S < 1:
-        raise ValueError("S must be at least 1")
+    check_S(S)
     d = mollifier.k + 1
     forms, eps = None, 0.0
     if theta == 0.0:
@@ -109,9 +118,9 @@ def _unit_draws(mollifier: MollifierSpec, S: int, seed: int) -> np.ndarray:
 
 def _stored_images(matrices: np.ndarray, Z: np.ndarray):
     """The rows Z (m, d) moved by the stored matrices (S, d, d), one block of
-    EVAL_CHUNK matrices at a time: yields arrays (block, m, d) of g z."""
-    for lo in range(0, matrices.shape[0], EVAL_CHUNK):
-        yield np.einsum("sij,mj->smi", matrices[lo:lo + EVAL_CHUNK], Z)
+    SAMPLE_BLOCK matrices at a time: yields arrays (block, m, d) of g z."""
+    for lo in range(0, matrices.shape[0], SAMPLE_BLOCK):
+        yield np.einsum("sij,mj->smi", matrices[lo:lo + SAMPLE_BLOCK], Z)
 
 
 def _deviation(matrices, rows) -> float:
@@ -232,7 +241,9 @@ class RegularizedFunction:
     def eval_homog(self, rows) -> np.ndarray:
         """Average of f over the moved points, for stacked homogeneous rows.
 
-        Rows must be finite and nonzero.  The work is done in blocks of
+        Rows must be finite and nonzero; each is first divided by a power
+        of two (:func:`scaled_rows`), so that rows of any scale give the
+        value of their ordinary multiples.  The work is done in blocks of
         ROW_BLOCK rows by a bounded number of stored elements, so memory
         stays bounded for any number of rows, up to a few values per row
         and ball on the form path.
@@ -252,6 +263,7 @@ class RegularizedFunction:
             raise ValueError("homogeneous rows must be finite")
         if np.any(np.all(Z == 0.0, axis=1)):
             raise ValueError("a zero row is not a point")
+        Z = scaled_rows(Z)
         if self.theta == 0.0:
             return np.asarray(self.source(Z), dtype=np.float64)
         if self.forms is None:
@@ -267,7 +279,7 @@ class RegularizedFunction:
         return total / self.S
 
     def _source_sum(self, Z: np.ndarray) -> np.ndarray:
-        """Sum of f over the stored elements, EVAL_CHUNK at a time, per row."""
+        """Sum of f over the stored elements, SAMPLE_BLOCK at a time, per row."""
         total = np.zeros(Z.shape[0])
         for images in _stored_images(self.matrices, Z):
             vals = np.asarray(self.source(images.reshape(-1, Z.shape[1])), dtype=np.float64)

@@ -159,6 +159,26 @@ def test_eval_center_and_far_point(verify_config, tmp_path):
     assert float(rows[1]["chi"]) == 0.0  # far away
 
 
+def test_eval_rows_of_extreme_scale(verify_config, tmp_path):
+    # (1e-170, 2e-171) is the point (1, 0.2): every scale of a row gets the
+    # row's value, bit for bit and with no numpy warning
+    base = [(1.0, 0.0, 0.2, 0.1), (1.0, 0.0, 0.2, 0.0), (0.0, 0.0, 1.0, 0.0),
+            (0.3, 0.02, 1.0, -0.1)]
+    lines = [",".join(repr(s * v) for v in row)
+             for s in (1.0, 1e-300, 1e-170, 1e170, 1e300) for row in base]
+    pts = tmp_path / "pts.csv"
+    pts.write_text("re0,im0,re1,im1\n" + "\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "projcut",
+                             "eval", "--config", str(verify_config), "--points", str(pts),
+                             "--out", str(out)], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    with open(out / "pts_chi.csv", newline="") as f:
+        chi = [r["chi"] for r in csv.DictReader(f)]
+    assert chi == chi[:4] * 5
+    assert float(chi[0]) == 1.0 and float(chi[2]) == 0.0 and 0.0 < float(chi[1]) < 1.0
+
+
 def test_eval_empty_input(verify_config, tmp_path):
     pts = tmp_path / "empty.csv"
     pts.write_text("")
@@ -334,3 +354,5 @@ def test_bundled_configs_are_valid():
         assert cfg.S == 20000 and cfg.seed == 42
     cfg = load_config(config_dir / "verify_k3.json")  # several sample blocks at k = 3
     assert cfg.k == 3 and cfg.S > 2 * SAMPLE_BLOCK
+    cfg = load_config(config_dir / "verify_rp1_net.json")  # a 128-ball cover of RP^1
+    assert cfg.k == 1 and len(cfg.set_spec.balls) == 128 and cfg.S == 2000

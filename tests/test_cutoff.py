@@ -34,6 +34,14 @@ def test_config_refuses_non_integer_counts(field, value):
         pc.CutoffConfig(1, **{field: value})
 
 
+@pytest.mark.parametrize("value", [True, np.True_])
+@pytest.mark.parametrize("field", ["k", "sigma", "delta0"])
+def test_config_refuses_booleans(field, value):
+    # True would pass as k = 1 or as 1.0
+    with pytest.raises(ConfigError, match=f"^{field}: "):
+        pc.CutoffConfig(**{"k": 1, field: value})
+
+
 @pytest.mark.parametrize("S", [MAX_S + 1, np.int64(MAX_S + 1), 10 ** 30])
 def test_config_refuses_S_above_the_ceiling(S, two_ball_set, monkeypatch):
     # refused by the constructor, before any sample is drawn
@@ -272,6 +280,63 @@ def test_annulus_grid_inside_annulus(two_ball_set):
     for c in grid:
         d = pc.dist_to_set(c.to_point(), two_ball_set)
         assert 0.25 * delta - 1e-12 <= d <= delta + 1e-12
+
+
+def _rp1_net():
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "verify_rp1_net.json")
+    return cfg, pc.CutoffConfig(cfg.k, cfg.sigma, cfg.delta0, cfg.S, cfg.seed)
+
+
+def test_annulus_grid_on_many_balls():
+    # 128 balls: every point lies in the annulus, in its maximum-modulus chart
+    net = _rp1_net()[0].set_spec
+    for delta in (0.2, 0.05):
+        grid = annulus_grid(net, delta, 300, seed=9)
+        assert len(grid) == 300
+        coords = np.stack([c.coords for c in grid])
+        d = rows_dist_to_set(coords, net)
+        assert np.all((0.25 * delta - 1e-12 <= d) & (d <= delta + 1e-12))
+        assert np.all(np.abs(coords) <= 1.0)
+        assert all(c.coords[c.chart_index] == 1.0 for c in grid)
+
+
+def test_rp1_net_covers_the_real_line_and_passes_verify():
+    # configs/verify_rp1_net.json: 128 balls of radius pi/256 whose centres
+    # are pi/128 apart on RP^1, so they cover it
+    cfg, config = _rp1_net()
+    net = cfg.set_spec
+    assert len(net.balls) == 128
+    a = np.linspace(0.0, math.pi, 4097)
+    assert rows_dist_to_set(np.stack([np.cos(a), np.sin(a)], axis=1), net).max() <= 1e-12
+    for delta in cfg.deltas:
+        cf = pc.build_cutoff(net, delta, config)
+        assert pc.verify_cutoff(cf, cfg.n_inner, cfg.n_outer, cfg.seed).passed
+    # the band rows go through the form kernel with up to 128 balls: the
+    # same counts as the indicator on every moved point
+    rows = np.stack([c.coords for c in annulus_grid(net, delta, 40, seed=3)])
+    generic = pc.regularize(lambda z: cf.rf.source(z), cf.theta, cfg.S, cfg.seed,
+                            pc.get_mollifier(cfg.k, cfg.sigma))
+    chi = cf.eval_homog(rows)
+    assert np.array_equal(chi, generic.eval_homog(rows))
+    assert np.any((chi > 0.0) & (chi < 1.0))
+
+
+def test_rows_on_set_centres_first_then_ball_i_mod_B():
+    rng = make_rng(40, 5)
+    B = 7
+    radii = np.concatenate([[0.0], 0.3 * rng.random(B - 1)])
+    sset = pc.CompactSetSpec(tuple(pc.Ball(pc.ProjectivePoint(c), r)
+                                   for c, r in zip(uniform_rows(2, B, rng), radii)))
+    assert np.array_equal(rows_on_set(sset, 4, rng), sset.centres[:4])
+    rows = rows_on_set(sset, 60, rng)
+    assert rows.shape == (60, 3) and np.array_equal(rows[:B], sset.centres)
+    ball = np.arange(60 - B) % B
+    cos2 = np.abs(np.sum(np.conj(sset.centres[ball]) * rows[B:], axis=1)) ** 2
+    assert np.allclose(np.linalg.norm(rows, axis=1), 1.0, rtol=0.0, atol=1e-15)
+    assert np.all(cos2 >= np.cos(radii[ball]) ** 2 - 1e-15)
+    point = ball == 0  # the radius-0 ball gives its centre, the others random points
+    assert np.array_equal(rows[B:][point], sset.centres[ball[point]])
+    assert not np.any(np.all(rows[B:][~point] == sset.centres[ball[~point]], axis=1))
 
 
 def test_annulus_grid_fallback_on_covering_ball():

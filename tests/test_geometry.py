@@ -5,7 +5,7 @@ import pytest
 
 import projcut as pc
 from projcut.errors import ChartUndefined
-from projcut.geometry import uniform_rows
+from projcut.geometry import geodesic_row, rows_dist_to_set, tangent_row, uniform_rows
 from projcut.rng import make_rng
 
 PI4 = math.pi / 4.0  # frozen from the phase-circle oracle below
@@ -251,3 +251,50 @@ def test_point_validation():
         pc.ProjectivePoint([np.nan, 1.0])
     with pytest.raises(ValueError):
         pc.ProjectivePoint([1.0])
+
+
+def _dist_per_ball(rows, sset):
+    """The per-ball loop that rows_dist_to_set replaced, kept as its reference."""
+    Z = np.asarray(rows, dtype=np.complex128)
+    zn = np.linalg.norm(Z, axis=1)
+    best = np.full(Z.shape[0], np.inf)
+    for b in sset.balls:
+        ip = np.abs(Z @ np.conj(b.center.homog))
+        d = np.arccos(np.clip(ip / zn, 0.0, 1.0))
+        np.minimum(best, np.maximum(d - b.radius, 0.0), out=best)
+    return best
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("B", [1, 2, 17, 200])
+def test_rows_dist_to_set_matches_per_ball_loop(k, B):
+    # one product for all balls against one per ball: the inner products
+    # agree to a unit of roundoff u, which arccos turns into u / sin(d),
+    # so the distances agree to 1e-15 / sin(d)
+    rng = make_rng(4, k, B)
+    centres = uniform_rows(k, B, rng)
+    radii = np.concatenate([[0.0], 0.2 * rng.random(B - 1)])
+    sset = pc.CompactSetSpec(tuple(pc.Ball(pc.ProjectivePoint(c), r)
+                                   for c, r in zip(centres, radii)))
+    assert sset.centres.shape == (B, k + 1) and np.array_equal(sset.radii, radii)
+    assert not sset.centres.flags.writeable and not sset.radii.flags.writeable
+    rows = np.concatenate([uniform_rows(k, 1000, rng) * rng.uniform(1e-3, 1e3, (1000, 1)),
+                           geodesic_row(centres, tangent_row(centres, rng), radii + 1e-3)])
+    ref = _dist_per_ball(rows, sset)
+    got = rows_dist_to_set(rows, sset)
+    assert np.all(np.abs(got - ref) <= 1e-15 / np.sin(np.maximum(ref, 1e-3)))
+
+
+def test_tangent_and_geodesic_rows_broadcast():
+    # stacked rows give the one-row results, row by row, to roundoff
+    rng = make_rng(5, 0)
+    centres = uniform_rows(2, 6, rng)
+    v = tangent_row(centres, rng)
+    assert np.allclose(np.sum(np.conj(centres) * v, axis=1), 0.0, atol=1e-15)
+    assert np.allclose(np.linalg.norm(v, axis=1), 1.0, rtol=0.0, atol=1e-15)
+    t = np.linspace(0.0, 1.5, 6)
+    rows = geodesic_row(centres, v, t)
+    for c, w, s, row in zip(centres, v, t, rows):
+        assert np.allclose(geodesic_row(c, w, s), row, rtol=0.0, atol=1e-15)
+        d = pc.fs_distance(pc.ProjectivePoint(c), pc.ProjectivePoint(row))
+        assert d == pytest.approx(s, abs=1e-7)

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import projcut as pc
-from projcut.errors import StepTooSmall
-from projcut.geometry import geodesic_row, tangent_row, uniform_rows
+from projcut.errors import ConfigError, StepTooSmall
+from projcut.geometry import geodesic_row, rows_dist_to_set, tangent_row, uniform_rows
 from projcut.lie import SAMPLE_BLOCK, _expm, _frob, _normalize_stack
-from projcut.regularize import (DECISION_ANGLE, EVAL_CHUNK, FORM_GEMM_OUTPUT, ROW_BLOCK,
+from projcut.regularize import (DECISION_ANGLE, FORM_GEMM_OUTPUT, MAX_S, ROW_BLOCK,
                                 _features, _form_coefficients, _unit_draws)
 from projcut.rng import make_rng
 
@@ -245,7 +245,7 @@ def test_form_kernel_matches_generic_path(k):
                                        for c, r in zip(centers, (0.0, 0.05, 0.2))))
     rho = 0.1
     f = pc.indicator_fattened(set_spec, rho)
-    kwargs = dict(theta=0.3, S=EVAL_CHUNK + 301, seed=14, mollifier=pc.get_mollifier(k, 0.1))
+    kwargs = dict(theta=0.3, S=SAMPLE_BLOCK + 301, seed=14, mollifier=pc.get_mollifier(k, 0.1))
     kernel = pc.regularize(f, **kwargs)
     generic = pc.regularize(lambda rows: f(rows), **kwargs)
     assert kernel.forms.shape == (3, kwargs["S"], (k + 1) ** 2)
@@ -426,7 +426,7 @@ def test_certificate_decisions_match_generic_path_at_the_boundary(k):
     # rows placed at the decision levels: the pruned form path against the
     # indicator called on every moved point, bit for bit
     rng = make_rng(35, k)
-    kwargs = dict(theta=0.3, S=EVAL_CHUNK + 301, seed=18, mollifier=pc.get_mollifier(k, 0.1))
+    kwargs = dict(theta=0.3, S=SAMPLE_BLOCK + 301, seed=18, mollifier=pc.get_mollifier(k, 0.1))
     eps = pc.regularize(ones, **kwargs).eps  # the certificate does not depend on the source
     fs = math.asin(eps / (1.0 - eps))
     radius, rho = 0.05, 0.1
@@ -474,3 +474,33 @@ def test_certificate_decisions_match_generic_path_at_the_boundary(k):
     assert _decided(kernel, boundary) == (0, [[0, 1]])
     assert np.array_equal(kernel.eval_homog(boundary),
                           pc.regularize(lambda z: f(z), **wide).eval_homog(boundary))
+
+
+@pytest.mark.parametrize("S", [2.5, True, np.True_, 0, MAX_S + 1])
+def test_regularize_refuses_bad_sample_counts(S, mollifier_k1):
+    # 2.5 would keep 2 samples and True 1
+    with pytest.raises(ConfigError, match="^S: "):
+        pc.regularize(ones, 0.2, S, 1, mollifier_k1)
+
+
+@pytest.mark.parametrize("s", [1e-300, 1e-170, 1e170, 1e300])
+def test_rows_of_extreme_scale_evaluate_like_ordinary_ones(s, two_ball_set):
+    # each row is divided by a power of two before any square, so the rows
+    # s z get the values of z bit for bit on both paths, with no numpy
+    # warning, and the same distances to the set
+    rho = 0.05
+    f = pc.indicator_fattened(two_ball_set, rho)
+    kwargs = dict(theta=0.3, S=700, seed=19, mollifier=pc.get_mollifier(1, 0.1))
+    kernel = pc.regularize(f, **kwargs)
+    generic = pc.regularize(lambda rows: f(rows), **kwargs)
+    rng = make_rng(37, 0)
+    rows = np.concatenate([two_ball_set.centres, _boundary_rows(kernel, two_ball_set, rho, rng, 1),
+                           uniform_rows(1, 30, rng), [[1.0, 0.2]]])
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    chi = kernel.eval_homog(rows)
+    assert np.any(chi == 1.0) and np.any(chi == 0.0) and np.any((chi > 0.0) & (chi < 1.0))
+    assert np.array_equal(kernel.eval_homog(s * rows), chi)
+    assert np.array_equal(generic.eval_homog(s * rows), chi)
+    assert np.array_equal(generic.eval_homog(rows), chi)
+    dist = rows_dist_to_set(rows, two_ball_set)
+    assert np.all(np.abs(rows_dist_to_set(s * rows, two_ball_set) - dist) <= 1e-13)
