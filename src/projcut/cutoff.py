@@ -105,11 +105,11 @@ class FattenedIndicator:
         For a ball of unit centre c and R = radius + rho < pi/2, z lies
         within R of c exactly when |c^H z|^2 > cos^2(R) |z|^2.  A ball with
         R >= pi/2 covers P^k (level -1: the test always holds); rho = 0
-        leaves nothing strictly below it (centre 0, level 0: it never holds).
+        leaves nothing strictly below it, so it states no ball at all.
         """
         centres, radii = self.set_spec.centres, self.set_spec.radii
         if self.rho == 0.0:
-            return np.zeros_like(centres), np.zeros(radii.size)
+            return centres[:0], radii[:0]
         reach = (radii + self.rho).tolist()
         return centres, np.array([-1.0 if r >= 0.5 * math.pi else math.cos(r) ** 2 for r in reach])
 
@@ -119,7 +119,7 @@ def indicator_fattened(set_spec: CompactSetSpec, rho: float) -> FattenedIndicato
     distance is strictly below rho), vectorised over homogeneous rows.  It
     also states its balls as quadratic tests, which let :func:`regularize`
     evaluate the smoothed indicator as a sign test."""
-    if rho < 0:
+    if not rho >= 0:  # NaN too, which would silently give 0 everywhere
         raise ValueError("rho must be nonnegative")
     return FattenedIndicator(set_spec, float(rho))
 
@@ -132,7 +132,12 @@ class CutoffFunction:
     set_spec: CompactSetSpec
     delta: float
     rf: RegularizedFunction
-    frob_dev: float  # max over stored g of ||g - Id||_F, proved <= budget * delta / 4
+
+    @property
+    def frob_dev(self) -> float:
+        """max over stored g of ||g - Id||_F, the evaluator's certificate
+        ``rf.eps``, checked <= budget * delta / 4 at the build."""
+        return self.rf.eps
 
     @property
     def theta(self) -> float:
@@ -148,11 +153,12 @@ class CutoffFunction:
 def build_cutoff(set_spec: CompactSetSpec, delta: float, config: CutoffConfig) -> CutoffFunction:
     """Smooth the indicator of the delta/2-neighbourhood at the matched scale.
 
-    Every stored group element is audited against the per-sample bound
-    distortion * theta * sigma on its Frobenius distance from the identity:
-    the largest such distance, the evaluator's certificate ``rf.eps``, is
-    kept as ``frob_dev`` and certifies the displacement bounds of
-    :func:`verify_cutoff`.
+    The build stores the sample and its certificate ``rf.eps``, the largest
+    Frobenius distance of a stored group element from the identity, and
+    checks it against the per-sample bound distortion * theta * sigma; read
+    as ``frob_dev``, it certifies the displacement bounds of
+    :func:`verify_cutoff`.  The ball tests' coefficients are not formed
+    here: the evaluator forms them at the first row that needs them.
     """
     if not DELTA_FLOOR < delta < config.delta0:
         raise DeltaOutOfRange(f"delta must lie in ({DELTA_FLOOR}, {config.delta0})")
@@ -162,12 +168,11 @@ def build_cutoff(set_spec: CompactSetSpec, delta: float, config: CutoffConfig) -
     rf = regularize(indicator_fattened(set_spec, 0.5 * delta), theta, config.S,
                     config.seed, get_mollifier(config.k, config.sigma))
     bound = config.distortion * theta * config.sigma
-    worst = rf.eps
-    if worst > bound:
+    if rf.eps > bound:
         raise ConfigError(
-            f"distortion: stored sample deviates by {worst:.3e}, above the bound {bound:.3e}"
+            f"distortion: stored sample deviates by {rf.eps:.3e}, above the bound {bound:.3e}"
         )
-    return CutoffFunction(config, set_spec, delta, rf, worst)
+    return CutoffFunction(config, set_spec, delta, rf)
 
 
 @dataclass(frozen=True)
@@ -259,9 +264,9 @@ def verify_cutoff(cf: CutoffFunction, n_inner: int = 200, n_outer: int = 200,
     points at distance >= delta, (c) chart-Euclidean displacement ratio of
     every stored element against budget * delta / 4, and (d) Fubini-Study
     displacement against delta / 2.  (c) and (d) are certified for every
-    point of P^k from the Frobenius audit of :func:`build_cutoff`, at no
-    cost per point.  They gate the exactness assertions: (a) and (b) are
-    forced to 0 at every point whenever (d) holds.  The evaluator decides
+    point of P^k by the displacement certificate that :func:`build_cutoff`
+    checks, at no cost per point.  They gate the exactness assertions: (a)
+    and (b) are forced to 0 at every point whenever (d) holds.  The evaluator decides
     rows by the same certificate: a point of the set lies delta / 2 inside
     its ball's reach, a point at distance >= delta lies delta / 2 beyond
     every reach, and fs < delta / 2.  So (a) and (b) are settled without

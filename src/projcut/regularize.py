@@ -15,17 +15,17 @@ homogeneous rows:
 Rows are arbitrary nonzero homogeneous representatives; evaluators normalise
 internally where needed.
 
-An evaluator may also offer ``ball_tests()``: centres c_b, shape (B, k+1),
-and levels l_b, shape (B,), with f(z) = 1 exactly when |c_b^H z|^2 >
+An evaluator may also offer ``ball_tests()``: unit centres c_b, shape
+(B, k+1), and levels l_b, shape (B,), with f(z) = 1 exactly when |c_b^H z|^2 >
 l_b |z|^2 for some b, and 0 otherwise.  The smoothed function is then
 evaluated as a sign test on real matrix products: the test on g_s z is
 |c_b^H g_s z|^2 - l_b |g_s z|^2 > 0, a quadratic form in z that is linear
 in the (k+1)^2 real features |z_i|^2, Re(conj(z_i) z_j) and
-Im(conj(z_i) z_j), i < j.  Its coefficients are built once per stored
-element from rank-one terms, so neither the moved points nor their
-distances are ever formed.
+Im(conj(z_i) z_j), i < j.  Its coefficients are built per stored element
+from rank-one terms, once, when the first row needs them, so neither the
+moved points nor their distances are ever formed.
 
-The build also certifies how far the stored elements move points:
+The build stores the sample and certifies how far it moves points:
 eps = max ||g - Id||_F, so that no g moves any point by more than
 fs = asin(eps / (1 - eps)) when eps < 1/2.  A test holds on all of a ball
 of reach R about c_b, so every moved point of a row within R - fs of c_b
@@ -38,8 +38,8 @@ go through the products, and only for their candidate balls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -80,7 +80,9 @@ def check_S(S) -> int:
 
 def regularize(f: FunctionOnP, theta: float, S: int, seed, mollifier: MollifierSpec) -> "RegularizedFunction":
     """Freeze S group elements exp_chart(theta * x_j), x_j drawn once from the
-    unit-scale mollifier, and return the averaging evaluator.
+    unit-scale mollifier, and return the averaging evaluator with their
+    certificate eps, the largest ||g - Id||_F, taken one sample block at a
+    time.
 
     theta = 0 returns the pass-through evaluator (the Dirac case).  The same
     seed yields the same x_j for every theta, so evaluators at different
@@ -91,20 +93,14 @@ def regularize(f: FunctionOnP, theta: float, S: int, seed, mollifier: MollifierS
         raise ValueError("theta must lie in [0, 1]")
     check_S(S)
     d = mollifier.k + 1
-    forms, eps = None, 0.0
     if theta == 0.0:
         mats = np.zeros((0, d, d), dtype=np.complex128)
     else:
         mats = _normalize_stack(_expm(theta * _unit_draws(mollifier, int(S), int(seed))))
-        if hasattr(f, "ball_tests"):
-            forms, eps = _form_coefficients(mats, *f.ball_tests())
-            forms.setflags(write=False)
-        else:
-            eps = max(_deviation(mats, slice(lo, lo + SAMPLE_BLOCK))
-                      for lo in range(0, mats.shape[0], SAMPLE_BLOCK))
     mats.setflags(write=False)
-    return RegularizedFunction(source=f, theta=float(theta), matrices=mats, S=int(S),
-                               forms=forms, eps=eps)
+    eps = max((float(_frob(mats[lo:lo + SAMPLE_BLOCK] - np.eye(d)).max())
+               for lo in range(0, mats.shape[0], SAMPLE_BLOCK)), default=0.0)
+    return RegularizedFunction(source=f, theta=float(theta), matrices=mats, S=int(S), eps=eps)
 
 
 @lru_cache(maxsize=1)
@@ -123,25 +119,18 @@ def _stored_images(matrices: np.ndarray, Z: np.ndarray):
         yield np.einsum("sij,mj->smi", matrices[lo:lo + SAMPLE_BLOCK], Z)
 
 
-def _deviation(matrices, rows) -> float:
-    """max of ||g - Id||_F over matrices[rows]."""
-    return float(_frob(matrices[rows] - np.eye(matrices.shape[1])).max())
-
-
 def _form_coefficients(matrices, centres, levels):
     """Coefficients (B, S, d*d) of |c_b^H g z|^2 - l_b |g z|^2 against
     :func:`_features` of z, for the stored g and the ball tests (c_b, l_b):
     P(c_b^H g) - l_b sum_r P(g_r), g_r the rows of g.  Each ball's forms
-    are one contiguous (S, d*d) slab.  Returned with eps, the largest
-    ||g - Id||_F.  The work runs over :func:`_sample_blocks`; the row sum
-    is kept once per stored element, not per ball."""
+    are one contiguous (S, d*d) slab.  The work runs over
+    :func:`_sample_blocks`; the row sum is kept once per stored element,
+    not per ball."""
     S, d = matrices.shape[:2]
     levels = np.asarray(levels, dtype=np.float64)
     forms = np.empty((levels.size, S, d * d))
     weights = np.conj(centres).T[:, :, None]  # (d, B, 1)
-    eps = 0.0
     for rows, g in _sample_blocks(matrices):
-        eps = max(eps, _deviation(matrices, rows))
         u = g[0][:, None] * weights[0]  # (d, B, n): entry j of c_b^H g
         for i in range(1, d):
             u += g[i][:, None] * weights[i]
@@ -150,42 +139,34 @@ def _form_coefficients(matrices, centres, levels):
             row_sum += _rank_one(g[r])
         block = _rank_one(u) - levels[:, None] * row_sum[:, None]  # (d*d, B, n)
         forms[:, rows] = block.transpose(1, 2, 0)
-    return forms, eps
+    return forms
 
 
-def _decision_levels(centres, levels, eps):
+def _decision_levels(levels, eps):
     """Levels (inner, outer), shape (B,), on the ratio |c_b^H z|^2 / |z|^2
-    of a row z: above inner_b every moved point g z passes test b, and at
-    or below outer_b none does.  Nothing is decided when eps >= 1/2.
+    of a row z, for unit centres c_b: above inner_b every moved point g z
+    passes test b, and at or below outer_b none does.  Nothing is decided
+    when eps >= 1/2.
 
-    With t = |c^H z|^2 / (|c|^2 |z|^2) = cos^2 dist(z, c) and the level
-    l = l_b / |c|^2, a moved point clears test b by the value margin when
-    t(g z) >= l + DECISION_VALUE, and fails it by that margin when
-    t(g z) <= l - DECISION_VALUE.  Those are the balls of reach
-    R = acos(sqrt(l +- DECISION_VALUE)) about c, and a level at or below 0
-    holds everywhere.  Since g moves z by less than fs, the row decides
-    the test when it lies within R - fs - DECISION_ANGLE, or at
-    R + fs + DECISION_ANGLE or beyond."""
-    B = len(levels)
-    inner, outer = np.full(B, np.inf), np.full(B, -1.0)
+    A moved point clears test b by the value margin when
+    cos^2 dist(g z, c_b) >= l_b + DECISION_VALUE, and fails it by that
+    margin when cos^2 dist(g z, c_b) <= l_b - DECISION_VALUE.  Those are
+    the balls of reach R = acos(sqrt(l_b +- DECISION_VALUE)) about c_b,
+    and a level at or below 0 holds everywhere.  Since g moves z by less
+    than fs, the row decides the test when it lies within
+    R - fs - DECISION_ANGLE, or at R + fs + DECISION_ANGLE or beyond."""
+    inner, outer = np.full(levels.size, np.inf), np.full(levels.size, -1.0)
     if eps >= 0.5:
         return inner, outer
     shift = math.asin(eps / (1.0 - eps)) + DECISION_ANGLE
-    for b, (c2, level) in enumerate(zip(np.sum(np.abs(centres) ** 2, axis=1), levels)):
-        if c2 == 0.0:  # the test is -l |g z|^2 > 0: decided by the sign of l alone
-            inner[b], outer[b] = (-1.0, -1.0) if level < 0.0 else (np.inf, np.inf)
-            continue
-        passes, fails = level / c2 + DECISION_VALUE, level / c2 - DECISION_VALUE
-        if passes <= 0.0:
-            inner[b] = -1.0
-        elif passes < 1.0:
-            reach = math.acos(math.sqrt(passes)) - shift
-            if reach > 0.0:
-                inner[b] = c2 * math.cos(reach) ** 2
-        if 0.0 < fails < 1.0:
-            reach = math.acos(math.sqrt(fails)) + shift
-            if reach < 0.5 * math.pi:
-                outer[b] = c2 * math.cos(reach) ** 2
+    passes, fails = levels + DECISION_VALUE, levels - DECISION_VALUE
+    reach = np.arccos(np.sqrt(np.clip(passes, 0.0, 1.0))) - shift
+    ok = (passes < 1.0) & (reach > 0.0)
+    inner[ok] = np.cos(reach[ok]) ** 2
+    inner[passes <= 0.0] = -1.0
+    reach = np.arccos(np.sqrt(np.clip(fails, 0.0, 1.0))) + shift
+    ok = (fails > 0.0) & (fails < 1.0) & (reach < 0.5 * math.pi)
+    outer[ok] = np.cos(reach[ok]) ** 2
     return inner, outer
 
 
@@ -212,31 +193,39 @@ class RegularizedFunction:
     """Frozen-sample smoothing of a bounded evaluator.
 
     ``matrices`` holds the S stored group elements, shape (S, k+1, k+1)
-    (empty for the pass-through case theta = 0).  ``forms`` holds, when the
-    source offers ball tests, the real coefficients of each test on the
-    moved point per ball and stored element, shape (B, S, (k+1)^2), one
-    contiguous slab per ball; otherwise it is None and the source is called
-    on the moved points.  ``eps`` is the displacement certificate, the
-    largest ||g - Id||_F over the stored g (0 when none is stored); on the
-    form path it decides the rows and balls that skip the products.
-    Evaluation is deterministic: the same (seed, S, theta, point) gives the
-    same value bit for bit.
+    (empty for the pass-through case theta = 0).  ``eps`` is the
+    displacement certificate, the largest ||g - Id||_F over the stored g
+    (0 when none is stored).  When the source offers ball tests, the
+    certificate decides the rows and balls that skip the products, and
+    ``forms`` holds the real coefficients of each test on the moved point
+    per ball and stored element, shape (B, S, (k+1)^2), one contiguous slab
+    per ball, formed when first read and kept; otherwise it is None and the
+    source is called on the moved points.  Evaluation is deterministic: the
+    same (seed, S, theta, point) gives the same value bit for bit.
     """
 
     source: FunctionOnP
     theta: float
     matrices: np.ndarray
     S: int
-    forms: Optional[np.ndarray] = None
     eps: float = 0.0
-    # (conj(centres).T, inner, outer) of the ball tests, see _decision_levels
-    _decisions: Optional[tuple] = field(init=False, repr=False, default=None)
 
-    def __post_init__(self):
-        if self.forms is not None:
-            centres, levels = self.source.ball_tests()
-            object.__setattr__(self, "_decisions", (np.conj(centres).T,
-                                                    *_decision_levels(centres, levels, self.eps)))
+    @cached_property
+    def _decisions(self) -> Optional[tuple]:
+        """(conj(centres).T, inner, outer) of the source's ball tests, see
+        :func:`_decision_levels`; None without ball tests or stored elements."""
+        if self.theta == 0.0 or not hasattr(self.source, "ball_tests"):
+            return None
+        centres, levels = self.source.ball_tests()
+        return (np.conj(centres).T, *_decision_levels(levels, self.eps))
+
+    @cached_property
+    def forms(self) -> Optional[np.ndarray]:
+        if self._decisions is None:
+            return None
+        forms = _form_coefficients(self.matrices, *self.source.ball_tests())
+        forms.setflags(write=False)
+        return forms
 
     def eval_homog(self, rows) -> np.ndarray:
         """Average of f over the moved points, for stacked homogeneous rows.
@@ -251,11 +240,10 @@ class RegularizedFunction:
         On the form path every row is first placed by the certificate (see
         :func:`_decision_levels`).  A row inside some ball counts every
         stored element, a row with no candidate ball counts none, and the
-        products run on the band rows, for their candidate balls only.  A
-        decided count equals the products' count bit for bit: each moved
-        point of a decided row clears its test by a margin far above the
-        products' roundoff (a zero centre's form is exactly zero or of the
-        sign of -l_b)."""
+        products run on the band rows, for their candidate balls only; the
+        first band row forms :attr:`forms`.  A decided count equals the
+        products' count bit for bit: each moved point of a decided row
+        clears its test by a margin far above the products' roundoff."""
         Z = np.asarray(rows, dtype=np.complex128)
         if Z.ndim != 2 or Z.shape[1] != self.matrices.shape[1]:
             raise ValueError("expected stacked homogeneous rows of shape (m, k+1)")
@@ -266,7 +254,7 @@ class RegularizedFunction:
         Z = scaled_rows(Z)
         if self.theta == 0.0:
             return np.asarray(self.source(Z), dtype=np.float64)
-        if self.forms is None:
+        if self._decisions is None:
             total = np.zeros(Z.shape[0])
             for r in range(0, Z.shape[0], ROW_BLOCK):
                 total[r:r + ROW_BLOCK] = self._source_sum(Z[r:r + ROW_BLOCK])
@@ -409,13 +397,15 @@ def c_alpha_estimate(rf: RegularizedFunction, grid, alpha: int, step: float) -> 
 
 def scaling_slope(rows):
     """Least-squares slope of log(seminorm) against log(delta), with its
-    standard error.  Needs at least 3 strictly positive rows, not all at
-    one delta."""
+    standard error.  Needs at least 3 finite, strictly positive rows, not
+    all at one delta."""
     rows = list(rows)
     if len(rows) < 3:
         raise ValueError("need at least 3 rows")
     deltas = np.array([r[0] for r in rows], dtype=np.float64)
     semis = np.array([r[1] for r in rows], dtype=np.float64)
+    if not (np.all(np.isfinite(deltas)) and np.all(np.isfinite(semis))):
+        raise ValueError("rows must be finite")
     if np.any(deltas <= 0.0) or np.any(semis <= 0.0):
         raise ValueError("rows must be strictly positive")
     if np.all(deltas == deltas[0]):

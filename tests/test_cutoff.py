@@ -1,3 +1,4 @@
+import importlib
 import math
 import sys
 from pathlib import Path
@@ -136,8 +137,9 @@ def test_indicator_fattened(two_ball_set):
 
     h = pc.indicator_fattened(single, 0.0)
     assert h(pc.ProjectivePoint([1.0, 0.5]).homog[None, :])[0] == 0.0
-    with pytest.raises(ValueError):
-        pc.indicator_fattened(single, -0.1)
+    for rho in (-0.1, math.nan):  # a NaN rho would give a silent 0 everywhere
+        with pytest.raises(ValueError, match="rho"):
+            pc.indicator_fattened(single, rho)
 
 
 def test_build_cutoff_claims(config_small, two_ball_set):
@@ -231,8 +233,6 @@ def test_verify_rows_skip_the_products(monkeypatch):
         rng = make_rng(cfg.seed, 41)  # the rows verify_cutoff draws
         inner = rows_on_set(cfg.set_spec, cfg.n_inner, rng)
         outer = rows_off_set(cfg.set_spec, delta, cfg.n_outer, rng)
-        assert np.all(cf.rf._form_hits(_features(inner), balls) == cf.rf.S)
-        assert np.all(cf.rf._form_hits(_features(outer), balls) == 0)
         with monkeypatch.context() as patch:
             def refuse(*args, **kwargs):
                 raise AssertionError("a verify row entered the products")
@@ -241,6 +241,25 @@ def test_verify_rows_skip_the_products(monkeypatch):
             report = pc.verify_cutoff(cf, cfg.n_inner, cfg.n_outer, cfg.seed)
         assert report.passed
         assert report.max_dev_on_K == 0.0 and report.max_val_off_Kdelta == 0.0
+        assert np.all(cf.rf._form_hits(_features(inner), balls) == cf.rf.S)
+        assert np.all(cf.rf._form_hits(_features(outer), balls) == 0)
+
+
+@pytest.mark.parametrize("name", ["verify_two_balls.json", "verify_rp1_net.json"])
+def test_build_and_verify_form_no_coefficients(name, monkeypatch):
+    # the build stores the sample and its certificate, and verify's rows are
+    # all decided by it: neither forms the ball tests' coefficients
+    def refuse(*args, **kwargs):
+        raise AssertionError("the ball tests' coefficients were formed")
+
+    # the package re-exports the function regularize over its module name
+    monkeypatch.setattr(importlib.import_module("projcut.regularize"), "_form_coefficients",
+                        refuse)
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / name)
+    config = pc.CutoffConfig(cfg.k, cfg.sigma, cfg.delta0, cfg.S, cfg.seed)
+    for delta in cfg.deltas:
+        cf = pc.build_cutoff(cfg.set_spec, delta, config)
+        assert pc.verify_cutoff(cf, cfg.n_inner, cfg.n_outer, cfg.seed).passed
 
 
 def test_monotone_support(config_small, two_ball_set):

@@ -1,3 +1,4 @@
+import importlib
 import math
 import statistics
 
@@ -8,8 +9,9 @@ import projcut as pc
 from projcut.errors import ConfigError, StepTooSmall
 from projcut.geometry import geodesic_row, rows_dist_to_set, tangent_row, uniform_rows
 from projcut.lie import SAMPLE_BLOCK, _expm, _frob, _normalize_stack
-from projcut.regularize import (DECISION_ANGLE, FORM_GEMM_OUTPUT, MAX_S, ROW_BLOCK,
-                                _features, _form_coefficients, _unit_draws)
+from projcut.regularize import (DECISION_ANGLE, DECISION_VALUE, FORM_GEMM_OUTPUT, MAX_S,
+                                ROW_BLOCK, _decision_levels, _features, _form_coefficients,
+                                _unit_draws)
 from projcut.rng import make_rng
 
 
@@ -210,6 +212,10 @@ def test_scaling_slope_validation():
         pc.scaling_slope([(0.1, 1.0), (0.2, 2.0)])
     with pytest.raises(ValueError):
         pc.scaling_slope([(0.1, 1.0), (0.2, 2.0), (0.3, -1.0)])
+    # a NaN delta would give (nan, nan), an infinite seminorm a numpy warning
+    for bad in ((math.nan, 3.0), (0.3, math.inf), (math.inf, 3.0), (0.3, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            pc.scaling_slope([(0.1, 1.0), (0.2, 2.0), bad])
 
 
 def test_scaling_slope_needs_varying_deltas():
@@ -290,16 +296,96 @@ def test_form_coefficient_rows_do_not_depend_on_block(k):
     g = _normalize_stack(np.eye(d) + 0.05 * noise)
     centres = uniform_rows(k, 3, rng)
     levels = np.array([0.9, 0.5, -1.0])
-    forms, eps = _form_coefficients(g, centres, levels)
+    forms = _form_coefficients(g, centres, levels)
     assert forms.shape == (3, S, d * d)
-    assert eps == float(_frob(g - np.eye(d)).max())
     Z = uniform_rows(k, 20, rng)
     images = np.einsum("sij,mj->smi", g, Z)
     direct = (np.abs(images @ np.conj(centres).T) ** 2
               - levels * np.linalg.norm(images, axis=2, keepdims=True) ** 2)
     assert np.all(np.abs(forms @ _features(Z) - direct.transpose(2, 0, 1)) <= 1e-12)
     for j in range(S):
-        assert np.array_equal(forms[:, j], _form_coefficients(g[j:j + 1], centres, levels)[0][:, 0])
+        assert np.array_equal(forms[:, j], _form_coefficients(g[j:j + 1], centres, levels)[:, 0])
+
+
+def test_forms_are_formed_once_at_the_first_band_row(two_ball_set, monkeypatch):
+    # decided rows form nothing; the first band row forms the coefficients,
+    # which later band rows reuse, bit for bit those of the direct call
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _form_coefficients(*args)
+
+    # the package re-exports the function regularize over its module name
+    monkeypatch.setattr(importlib.import_module("projcut.regularize"), "_form_coefficients",
+                        counted)
+    rho = 0.1
+    f = pc.indicator_fattened(two_ball_set, rho)
+    rf = pc.regularize(f, theta=0.3, S=SAMPLE_BLOCK + 301, seed=19,
+                       mollifier=pc.get_mollifier(1, 0.1))
+    # the certificate, taken one sample block at a time, has the bits of
+    # the unblocked maximum
+    assert rf.eps == float(_frob(rf.matrices - np.eye(2)).max())
+    assert np.all(rf.eval_homog(two_ball_set.centres) == 1.0)
+    assert calls == []
+    rng = make_rng(38, 0)
+    band = _band_heavy_rows(two_ball_set, rho, 60, rng)
+    chi = rf.eval_homog(band)
+    assert np.any((chi > 0.0) & (chi < 1.0))
+    assert np.array_equal(rf.eval_homog(band[::-1]), chi[::-1])
+    assert len(calls) == 1
+    assert np.array_equal(rf.forms, _form_coefficients(rf.matrices, *f.ball_tests()))
+    assert not rf.forms.flags.writeable
+    assert len(calls) == 1
+
+
+def _decision_levels_per_ball(centres, levels, eps):
+    """The per-ball loop that :func:`_decision_levels` replaced, on centres
+    of any norm."""
+    B = len(levels)
+    inner, outer = np.full(B, np.inf), np.full(B, -1.0)
+    if eps >= 0.5:
+        return inner, outer
+    shift = math.asin(eps / (1.0 - eps)) + DECISION_ANGLE
+    for b, (c2, level) in enumerate(zip(np.sum(np.abs(centres) ** 2, axis=1), levels)):
+        if c2 == 0.0:
+            inner[b], outer[b] = (-1.0, -1.0) if level < 0.0 else (np.inf, np.inf)
+            continue
+        passes, fails = level / c2 + DECISION_VALUE, level / c2 - DECISION_VALUE
+        if passes <= 0.0:
+            inner[b] = -1.0
+        elif passes < 1.0:
+            reach = math.acos(math.sqrt(passes)) - shift
+            if reach > 0.0:
+                inner[b] = c2 * math.cos(reach) ** 2
+        if 0.0 < fails < 1.0:
+            reach = math.acos(math.sqrt(fails)) + shift
+            if reach < 0.5 * math.pi:
+                outer[b] = c2 * math.cos(reach) ** 2
+    return inner, outer
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-9, 1e-3, 0.1, 0.5, 0.9])
+def test_decision_levels_match_per_ball_loop(eps):
+    # unit centres (|c|^2 = 1 exactly); the covering level -1, levels
+    # within the value margin of 0 and of 1, and cos^2 of random reaches
+    near = [0.0, 0.5 * DECISION_VALUE, DECISION_VALUE, 2.0 * DECISION_VALUE, 1e-6]
+    levels = np.array([-1.0] + near + [-x for x in near[1:]] + [1.0 - x for x in near]
+                      + [1.0 + x for x in near[1:]] + [0.5, 2.0]
+                      + list(np.cos(make_rng(39, 0).uniform(0.0, 0.5 * math.pi, 40)) ** 2))
+    centres = np.eye(2)[np.arange(levels.size) % 2]
+    inner, outer = _decision_levels(levels, eps)
+    ref_inner, ref_outer = _decision_levels_per_ball(centres, levels, eps)
+    # the sentinels -1 and inf exactly, the levels to roundoff
+    assert np.allclose(inner, ref_inner, rtol=0.0, atol=1e-15)
+    assert np.allclose(outer, ref_outer, rtol=0.0, atol=1e-15)
+    assert np.array_equal(inner == -1.0, ref_inner == -1.0)
+    assert np.array_equal(outer == -1.0, ref_outer == -1.0)
+    if eps >= 0.5:
+        assert np.all(inner == np.inf) and np.all(outer == -1.0)
+    else:
+        assert inner[0] == -1.0 and np.any(np.isfinite(inner) & (inner > 0.0))
+        assert np.any(outer > 0.0)
 
 
 @pytest.fixture(scope="module")
