@@ -24,9 +24,9 @@ from .cutoff import (CutoffConfig, DEFAULT_DELTA0, DEFAULT_S, DEFAULT_SEED,
                      DELTA_FLOOR, build_cutoff, check_S, scaling_experiment, verify_cutoff)
 from .errors import ConfigError
 from .geometry import CompactSetSpec
-from .lie import (DEFAULT_SIGMA, AlgebraElement, ShearParams,
-                  _uniform_coord_rows, chart_translate, chart_translate_jacobian,
-                  exp_chart, exp_sl, from_coords, log_chart, phi_normalize, shear)
+from .lie import (DEFAULT_SIGMA, AlgebraElement, ShearParams, _frob, _log_chart_stack,
+                  _normalize_stack, _translate_stack, _uniform_coord_rows,
+                  chart_translate_jacobian, exp_sl, from_coords)
 from .measure import bump_profile, get_mollifier
 from .rng import make_rng
 
@@ -254,22 +254,20 @@ def cmd_diagnostics(cfg: RunConfig, out: Path) -> int:
     # chart round trips on the 0.2-ball
     coords = _uniform_coord_rows(0.2, k, 1000, make_rng(seed, 61))
     mats = from_coords(coords, k)
-    roundtrip = 0.0
-    for m in mats:
-        x = AlgebraElement(m)
-        roundtrip = max(roundtrip, float(np.linalg.norm(log_chart(exp_chart(x)).mat - m)))
-    det_dev = float(np.max(np.abs(np.linalg.det(exp_sl(mats)) - 1.0)))
+    exps = exp_sl(mats)
+    roundtrip = float(_frob(_log_chart_stack(_normalize_stack(exps)) - mats).max())
+    det_dev = float(np.max(np.abs(np.linalg.det(exps) - 1.0)))
 
     # consistency of the chart translation with the matrix product
     rng = make_rng(seed, 62)
     xs = from_coords(_uniform_coord_rows(0.1, k, 200, rng), k)
-    consistency = 0.0
-    for m in xs:
-        x = AlgebraElement(m)
-        h = ShearParams(0.05 * (rng.random(k) * 2 - 1 + 1j * (rng.random(k) * 2 - 1)) / math.sqrt(2))
-        lhs = exp_chart(chart_translate(x, h)).mat
-        rhs = phi_normalize(exp_chart(x).mat @ shear(h).mat).mat
-        consistency = max(consistency, float(np.linalg.norm(lhs - rhs)))
+    u = rng.random((200, 2, k)) * 2 - 1  # real and imaginary parts of each offset
+    h = 0.05 * (u[:, 0] + 1j * u[:, 1]) / math.sqrt(2)
+    shears = np.zeros((200, k + 1, k + 1), dtype=np.complex128) + np.eye(k + 1)
+    shears[:, 1:, 0] = h
+    lhs = _normalize_stack(exp_sl(_translate_stack(xs, h)))
+    rhs = _normalize_stack(_normalize_stack(exp_sl(xs)) @ shears)
+    consistency = float(_frob(lhs - rhs).max())
 
     # volume distortion of the chart translation near the identity
     zero = AlgebraElement(np.zeros((k + 1, k + 1)))
@@ -337,12 +335,14 @@ def main(argv=None) -> int:
             if args.seed < 0:
                 raise ConfigError("seed: must be nonnegative")
             cfg.seed = args.seed
+        if args.threads < 0:
+            raise ConfigError("threads: must be nonnegative")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         if args.command == "verify":
             return cmd_verify(cfg, out)
         if args.command == "scaling":
-            threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
+            threads = args.threads or os.cpu_count() or 1
             return cmd_scaling(cfg, out, threads)
         if args.command == "eval":
             return cmd_eval(cfg, args.points, out)

@@ -338,7 +338,8 @@ def scaling_experiment(set_spec: CompactSetSpec, deltas, alpha: int,
                        workers: int = 1) -> ScalingReport:
     """Build the cut-off for each of at least 3 distinct deltas with the
     shared seed, estimate the C^alpha seminorm proxy on an annulus grid with
-    the step DEFAULT_STEP[alpha], and regress log-log.
+    the step DEFAULT_STEP[alpha], and regress log-log.  With workers > 1
+    the deltas run in a pool of min(workers, number of deltas) processes.
 
     Rows with vanishing seminorm mark the experiment degenerate (constant
     function); the slope is then reported as NaN.
@@ -352,7 +353,8 @@ def scaling_experiment(set_spec: CompactSetSpec, deltas, alpha: int,
         raise ValueError("alpha must be 1 or 2")
     tasks = [(set_spec, d, alpha, config, grid_points, i)
              for i, d in enumerate(reversed(deltas))]
-    if workers and workers > 1:
+    workers = min(workers or 1, len(tasks))  # the pool starts all its workers at once
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_scaling_row, tasks))
     else:

@@ -25,7 +25,6 @@ DEFAULT_EPSILON = 0.3  # validity radius for shear offsets
 DEFAULT_SIGMA = 0.1    # working radius on the traceless matrices
 TRACE_TOL = 1e-12
 
-_LOG_TERMS = 40
 _UNIT_ROUNDOFF = 2.0 ** -53
 # Samples per block of the structure-of-arrays kernels (:func:`_sample_blocks`):
 # large enough that each entry vector amortises numpy's per-call cost, small
@@ -105,9 +104,9 @@ class ShearParams:
         h = np.array(self.h, dtype=np.complex128).reshape(-1)
         if h.size < 1:
             raise ValueError("need at least one offset")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if np.any(np.abs(h) >= self.epsilon):
+        if not np.all(np.abs(h) < self.epsilon):
             raise ValueError("every |h_i| must stay below epsilon")
         h.setflags(write=False)
         object.__setattr__(self, "h", h)
@@ -266,36 +265,27 @@ def exp_sl(x) -> np.ndarray:
     return _expm(m)
 
 
-def _sqrtm_db(stack) -> np.ndarray:
-    # Denman-Beavers iteration; quadratically convergent near the identity.
-    y = np.asarray(stack, dtype=np.complex128).copy()
-    z = np.broadcast_to(np.eye(y.shape[-1], dtype=np.complex128), y.shape).copy()
-    for _ in range(25):
-        yn = 0.5 * (y + np.linalg.inv(z))
-        zn = 0.5 * (z + np.linalg.inv(y))
-        delta = float(_frob(yn - y).max())
-        y, z = yn, zn
-        if delta <= 1e-15 * max(1.0, float(_frob(y).max())):
-            break
-    return y
-
-
 def _logm(stack) -> np.ndarray:
-    """Principal logarithm by inverse scaling-and-squaring with a truncated
-    series; callers keep the argument within Frobenius distance 1 of Id."""
-    x = np.asarray(stack, dtype=np.complex128)
-    d = x.shape[-1]
-    eye = np.eye(d, dtype=np.complex128)
-    sqrts = 0
-    while float(_frob(x - eye).max()) > 0.25 and sqrts < 20:
-        x = _sqrtm_db(x)
-        sqrts += 1
-    e = x - eye
-    out = np.broadcast_to(eye, x.shape) * ((-1.0) ** (_LOG_TERMS + 1) / _LOG_TERMS)
-    for j in range(_LOG_TERMS - 1, 0, -1):
-        out = e @ out + eye * ((-1.0) ** (j + 1) / j)
-    out = e @ out
-    return out * (2.0 ** sqrts)
+    """Principal logarithm of a stack by the Gregory series log M =
+    2 sum_j X^(2j+1)/(2j+1), X = (M + Id)^-1 (M - Id), by Horner's rule in X^2
+    to the smallest J whose remainder bound 2 t^(2J+3)/((2J+3)(1 - t^2)) at
+    t = max ||X||_F is below 2^-53.  A stack with t >= 1/2 (or NaN) raises
+    OutOfChart, so J <= 23; on the log chart's ball t stays near 0.3."""
+    m = np.asarray(stack, dtype=np.complex128)
+    eye = np.eye(m.shape[-1])
+    x = np.linalg.solve(m + eye, m - eye)
+    t = float(_frob(x).max()) if x.size else 0.0
+    if not t < 0.5:
+        raise OutOfChart("matrix is too far from the identity for the log series")
+    top, tail = 0, t ** 3 / (3.0 * (1.0 - t * t))
+    while tail > 0.5 * _UNIT_ROUNDOFF:
+        top += 1
+        tail *= t * t * (2 * top + 1) / (2 * top + 3)
+    y = x @ x
+    out = eye / (2 * top + 1)
+    for j in range(top - 1, -1, -1):
+        out = y @ out + eye / (2 * j + 1)
+    return 2.0 * (x @ out)
 
 
 def _normalize_stack(stack) -> np.ndarray:
@@ -321,6 +311,17 @@ def exp_chart(x: AlgebraElement) -> NormalizedMatrix:
     return phi_normalize(_expm(x.mat))
 
 
+def _log_chart_stack(m) -> np.ndarray:
+    """:func:`log_chart` of a stack (..., d, d) of normalised matrices."""
+    d = m.shape[-1]
+    eye = np.eye(d)
+    if not np.all(_frob(m - eye) < 0.5):
+        raise OutOfChart("matrix is too far from the identity for the log chart")
+    root = np.exp(-np.log(np.linalg.det(m)) / d)  # principal branch, near 1
+    logm = _logm(root[..., None, None] * m)
+    return logm - (np.trace(logm, axis1=-2, axis2=-1) / d)[..., None, None] * eye
+
+
 def log_chart(A: NormalizedMatrix) -> AlgebraElement:
     """Inverse of :func:`exp_chart` on the ball ||A - Id|| < 0.5.
 
@@ -328,15 +329,7 @@ def log_chart(A: NormalizedMatrix) -> AlgebraElement:
     1/det(A) to determinant 1, the principal logarithm is taken, and the
     trace residue is projected out.
     """
-    m = A.mat
-    d = m.shape[0]
-    if float(np.linalg.norm(m - np.eye(d))) >= 0.5:
-        raise OutOfChart("matrix is too far from the identity for the log chart")
-    det = np.linalg.det(m)
-    root = np.exp(-np.log(det) / d)  # principal branch, near 1
-    logm = _logm(root * m)
-    logm = logm - (np.trace(logm) / d) * np.eye(d)
-    return AlgebraElement(logm)
+    return AlgebraElement(_log_chart_stack(A.mat))
 
 
 def shear_translate(A: NormalizedMatrix, params: ShearParams) -> NormalizedMatrix:
@@ -348,9 +341,18 @@ def shear_translate(A: NormalizedMatrix, params: ShearParams) -> NormalizedMatri
     return phi_normalize(A.mat @ shear(params).mat)
 
 
+def _translate_stack(x, shears) -> np.ndarray:
+    """:func:`chart_translate` of a stack (..., d, d) of traceless matrices
+    by offsets (..., d - 1), which broadcast against it: the product with
+    G_h adds A[:, 1:] @ h to the first column of A (:func:`shear_translate`)."""
+    a = _normalize_stack(_expm(x))
+    a[..., :, 0] += (a[..., :, 1:] @ shears[..., None])[..., 0]
+    return _log_chart_stack(_normalize_stack(a))
+
+
 def chart_translate(x: AlgebraElement, params: ShearParams) -> AlgebraElement:
     """The shear translation read through the exponential chart."""
-    return log_chart(shear_translate(exp_chart(x), params))
+    return AlgebraElement(_translate_stack(x.mat, params.h))
 
 
 @lru_cache(maxsize=None)
@@ -431,6 +433,8 @@ def estimate_distortion(radius: float, k: int = 1) -> float:
     series remainder r = e^s - 1 - s give, increasing in s,
     (sqrt(k+1) + (1 + sqrt(k+1)) r/s) / (1 - sqrt(k/(k+1)) s - r)."""
     s = float(radius)
+    if not 0.0 < s < math.inf:
+        raise ValueError("radius must be finite and positive")
     r = math.expm1(s) - s
     denom = 1.0 - math.sqrt(k / (k + 1.0)) * s - r
     root = math.sqrt(k + 1.0)
@@ -447,16 +451,10 @@ def chart_translate_jacobian(x: AlgebraElement, params: ShearParams, step: float
     taken in the real coordinates of :func:`sl_basis`."""
     if not 1e-5 <= step <= 1e-3:
         raise ValueError("step must lie in [1e-5, 1e-3]")
-    k = x.k
     v0 = to_coords(x.mat)
     n = v0.size
-    jac = np.empty((n, n))
-    for j in range(n):
-        vp = v0.copy()
-        vp[j] += step
-        vm = v0.copy()
-        vm[j] -= step
-        fp = to_coords(chart_translate(AlgebraElement(from_coords(vp, k)), params).mat)
-        fm = to_coords(chart_translate(AlgebraElement(from_coords(vm, k)), params).mat)
-        jac[:, j] = (fp - fm) / (2.0 * step)
+    moves = step * np.eye(n)
+    f = to_coords(_translate_stack(from_coords(np.concatenate([v0 + moves, v0 - moves]), x.k),
+                                   params.h))
+    jac = (f[:n] - f[n:]).T / (2.0 * step)
     return float(abs(np.linalg.det(jac)))

@@ -57,8 +57,8 @@ def normalization(k: int, sigma: float) -> float:
     The radial integral is the trapezoid total of the sampler's table.  The
     Euler-Maclaurin error terms of that rule vanish to all orders at t = 1
     and below order n-1 at t = 0, so it is exact to roundoff."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError("sigma must be finite and positive")
     n = real_dimension(k)
     return 1.0 / (sphere_area(n) * sigma ** n * _radius_table(n)[2])
 
@@ -76,8 +76,6 @@ class MollifierSpec:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be a positive integer")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
         object.__setattr__(self, "norm_const", normalization(self.k, self.sigma))
         mass = self._trapezoid_mass()
         if abs(mass - 1.0) > 1e-3:

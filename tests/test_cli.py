@@ -137,6 +137,14 @@ def test_scaling_rejects_repeated_deltas(deltas, tmp_path):
     assert "config error: deltas:" in result.stderr
 
 
+def test_negative_threads_is_a_usage_error(scaling_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["scaling", "--config", str(scaling_config), "--out", str(out),
+                 "--threads", "-1"]) == 2
+    assert "config error: threads:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_scaling_threads_agree(scaling_config, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run_cli("scaling", "--config", str(scaling_config), "--out", str(out1),

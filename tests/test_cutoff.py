@@ -389,6 +389,39 @@ def test_scaling_experiment_workers_agree(config_small, two_ball_set):
     assert r1.slope == r2.slope
 
 
+@pytest.mark.parametrize("workers, deltas, pools", [
+    (64, [0.2, 0.1, 0.05, 0.025], [4]),
+    (2, [0.2, 0.1, 0.05, 0.025], [2]),
+    (64, [0.2, 0.1, 0.05], [3]),
+    (1, [0.2, 0.1, 0.05], []),
+    (0, [0.2, 0.1, 0.05], []),
+])
+def test_scaling_pool_starts_at_most_one_worker_per_delta(monkeypatch, config_small,
+                                                          two_ball_set, workers, deltas, pools):
+    # ProcessPoolExecutor forks all max_workers processes at its first submit;
+    # the stand-in records the size it was asked for and starts no process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr("projcut.cutoff.ProcessPoolExecutor", RecordingPool)
+    report = pc.scaling_experiment(two_ball_set, deltas, 1, config_small,
+                                   grid_points=5, workers=workers)
+    assert sizes == pools
+    assert [r[0] for r in report.rows] == sorted(deltas, reverse=True)
+
+
 def test_scaling_experiment_degenerate_cover(config_small):
     # a ball of radius beyond the diameter covers the whole space
     cover = pc.CompactSetSpec((pc.Ball(pc.ProjectivePoint([1.0, 0.0]), 1.6),))

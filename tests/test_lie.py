@@ -127,10 +127,58 @@ def test_exp_examples():
 
 def test_log_matches_scipy():
     rng = make_rng(10, 3)
-    for d in (2, 3):
+    for d in (2, 3, 4):
         for _ in range(30):
             a = scipy.linalg.expm(random_traceless(rng, d, norm=0.3))
             assert np.max(np.abs(_logm(a) - scipy.linalg.logm(a))) <= 1e-11
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_log_chart_on_the_ball_boundary(d):
+    # normalised matrices at ||A - Id||_F = 0.5 (1 - 1e-12), the edge of the
+    # log chart: the series variable X of the rescaled argument keeps
+    # ||X||_F < 1/2, and the chart agrees with scipy's projected logarithm
+    rng = make_rng(10, 20 + d)
+    eye = np.eye(d)
+    for _ in range(300):
+        e = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        e[0, 0] = 0.0
+        a = eye + e * (0.5 * (1.0 - 1e-12) / np.linalg.norm(e))
+        m = np.exp(-np.log(np.linalg.det(a)) / d) * a
+        assert np.linalg.norm(np.linalg.solve(m + eye, m - eye)) < 0.5
+        ref = scipy.linalg.logm(a)
+        ref -= np.trace(ref) / d * eye
+        assert np.max(np.abs(pc.log_chart(pc.NormalizedMatrix(a)).mat - ref)) <= 1e-13
+
+
+def test_log_series_refuses_its_divergence_radius():
+    # X = (M + Id)^-1 (M - Id) = diag(1/2, 0) for M = diag(3, 1)
+    with pytest.raises(OutOfChart):
+        _logm(np.diag([3.0, 1.0]))
+    with pytest.raises(OutOfChart):
+        _logm(np.stack([np.eye(2), np.diag([3.0, 1.0])]))
+    with pytest.raises(OutOfChart):
+        _logm(np.full((2, 2), np.nan))
+    assert np.array_equal(_logm(np.eye(3)), np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_stacked_chart_maps_match_single_calls(k):
+    rng = make_rng(10, 30 + k)
+    d = k + 1
+    xs = np.stack([random_traceless(rng, d, norm=0.2 * rng.random()) for _ in range(50)])
+    hs = 0.05 * (rng.random((50, k)) - 0.5 + 1j * (rng.random((50, k)) - 0.5))
+    a = lie._normalize_stack(_expm(xs))
+    logs = lie._log_chart_stack(a)
+    moved = lie._translate_stack(xs, hs)
+    moved_by_one = lie._translate_stack(xs, hs[0])  # one shear for the whole stack
+    for j in range(50):
+        x = pc.AlgebraElement(xs[j])
+        assert np.max(np.abs(logs[j] - pc.log_chart(pc.NormalizedMatrix(a[j])).mat)) <= 1e-15
+        single = pc.chart_translate(x, pc.ShearParams(hs[j])).mat
+        assert np.max(np.abs(moved[j] - single)) <= 1e-15
+        single = pc.chart_translate(x, pc.ShearParams(hs[0])).mat
+        assert np.max(np.abs(moved_by_one[j] - single)) <= 1e-15
 
 
 def test_shear_examples():
@@ -153,6 +201,9 @@ def test_shear_validation():
         pc.ShearParams(np.array([0.4]))  # above the default validity radius
     with pytest.raises(ValueError):
         pc.ShearParams(np.array([]), 0.3)
+    for h, epsilon in (([math.nan], 0.3), ([0.01, math.nan], 0.3), ([0.01], math.nan)):
+        with pytest.raises(ValueError):
+            pc.ShearParams(np.array(h), epsilon)
 
 
 def test_shears_compose_additively():
@@ -383,6 +434,37 @@ def test_jacobian_first_order_in_offset():
         dev[mag] = abs(det - 1.0)
     assert dev[0.01] < dev[0.02]
     assert 1.5 <= dev[0.02] / dev[0.01] <= 3.0
+
+
+def jacobian_by_columns(x, params, step):
+    """Reference: the central-difference Jacobian one column at a time, two
+    chart translations per column."""
+    k = x.k
+    v0 = pc.to_coords(x.mat)
+    n = v0.size
+    jac = np.empty((n, n))
+    for j in range(n):
+        vp = v0.copy()
+        vp[j] += step
+        vm = v0.copy()
+        vm[j] -= step
+        fp = pc.to_coords(pc.chart_translate(pc.AlgebraElement(pc.from_coords(vp, k)), params).mat)
+        fm = pc.to_coords(pc.chart_translate(pc.AlgebraElement(pc.from_coords(vm, k)), params).mat)
+        jac[:, j] = (fp - fm) / (2.0 * step)
+    return float(abs(np.linalg.det(jac)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_jacobian_matches_per_column_loop(k):
+    # the stack takes one exponential degree and one series length for all
+    # 2n points; the roundoff that changes, divided by the 2e-4 of the
+    # central difference, stays far below 1e-12
+    rng = make_rng(14, 10 + k)
+    for norm, mag in ((0.0, 0.0), (0.05, 0.01), (0.1, 0.02), (0.2, 0.05)):
+        x = pc.AlgebraElement(random_traceless(rng, k + 1, norm=norm))
+        h = pc.ShearParams(mag * (rng.random(k) + 1j * rng.random(k)))
+        assert abs(pc.chart_translate_jacobian(x, h, 1e-4)
+                   - jacobian_by_columns(x, h, 1e-4)) <= 1e-12
 
 
 def test_jacobian_step_validation():

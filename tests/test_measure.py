@@ -66,6 +66,18 @@ def test_normalization_mass_against_monte_carlo():
     assert abs(mass - 1.0) <= 3.0 * stderr
 
 
+@pytest.mark.parametrize("bad", [0.0, -0.1, math.inf, math.nan])
+@pytest.mark.parametrize("entry", [lambda s: pc.MollifierSpec(1, s),
+                                   lambda s: pc.normalization(1, s),
+                                   lambda s: pc.estimate_distortion(s)],
+                         ids=["MollifierSpec", "normalization", "estimate_distortion"])
+def test_radius_entry_points_refuse_bad_values(entry, bad):
+    # unchecked, inf would give a zero density, NaN a NaN one, 0 a division
+    # by zero and a negative radius a distortion constant
+    with pytest.raises(ValueError, match="finite and positive"):
+        entry(bad)
+
+
 def test_mollifier_rejects_wrong_constant(monkeypatch):
     monkeypatch.setattr(measure, "normalization", lambda k, sigma: 123.0)
     with pytest.raises(ValueError):
