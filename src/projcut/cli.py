@@ -16,7 +16,6 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -39,7 +38,7 @@ CEILINGS = {"grid": 10 ** 5, "n_inner": 10 ** 5, "n_outer": 10 ** 5}
 
 _KNOWN_KEYS = {
     "k", "sigma", "delta0", "S", "seed", "alpha", "deltas", "set", "grid",
-    "n_inner", "n_outer", "slope_band",
+    "n_inner", "n_outer",
 }
 
 
@@ -56,7 +55,6 @@ class RunConfig:
     grid: int
     n_inner: int
     n_outer: int
-    slope_band: Optional[tuple]
 
 
 def _finite_number(value) -> bool:
@@ -133,16 +131,8 @@ def load_config(path) -> RunConfig:
     if set_spec.k != k:
         raise ConfigError(f"set: centers have {set_spec.k + 1} components, expected k+1={k + 1}")
 
-    slope_band = data.get("slope_band")
-    if slope_band is not None:
-        if (not isinstance(slope_band, list) or len(slope_band) != 2
-                or not all(_finite_number(v) for v in slope_band)
-                or not slope_band[0] < slope_band[1]):
-            raise ConfigError("slope_band: expected [lo, hi] with lo < hi")
-        slope_band = (float(slope_band[0]), float(slope_band[1]))
-
     return RunConfig(k, sigma, delta0, S, seed, alpha, deltas, set_spec, grid,
-                     n_inner, n_outer, slope_band)
+                     n_inner, n_outer)
 
 
 def _cutoff_config(cfg: RunConfig) -> CutoffConfig:
@@ -171,8 +161,6 @@ def cmd_verify(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_scaling(cfg: RunConfig, out: Path, threads: int) -> int:
-    if len(cfg.deltas) < 3:
-        raise ConfigError("deltas: scaling needs at least 3 values")
     config = _cutoff_config(cfg)
     report = scaling_experiment(cfg.set_spec, cfg.deltas, cfg.alpha, config,
                                 cfg.grid, workers=threads)
@@ -191,7 +179,7 @@ def cmd_scaling(cfg: RunConfig, out: Path, threads: int) -> int:
         print("scaling: degenerate experiment (vanishing seminorms), no slope",
               file=sys.stderr)
         return 1
-    lo, hi = cfg.slope_band if cfg.slope_band else DEFAULT_BANDS[cfg.alpha]
+    lo, hi = DEFAULT_BANDS[cfg.alpha]
     if not lo <= report.slope <= hi:
         print(f"scaling: slope {report.slope:.4f} outside the band [{lo}, {hi}]",
               file=sys.stderr)

@@ -22,8 +22,7 @@ from .geometry import (ChartCoordinates, CompactSetSpec, ProjectivePoint, geodes
 # log_chart and check_distortion are unused here but kept: the benchmark tracer binds them by name
 from .lie import DEFAULT_SIGMA, check_distortion, estimate_distortion, log_chart
 from .measure import get_mollifier
-# MAX_S is unused here but kept: the ceiling on S is read from this module too
-from .regularize import (MAX_S, RegularizedFunction, ScalingReport, _stored_images,
+from .regularize import (RegularizedFunction, ScalingReport, _check_stencil, _stored_images,
                          c_alpha_estimate, check_S, regularize, scaling_slope)
 from .rng import make_rng
 
@@ -31,7 +30,10 @@ DELTA_FLOOR = 1e-4
 DEFAULT_DELTA0 = 0.4
 DEFAULT_S = 20000
 DEFAULT_SEED = 42
-DEFAULT_STEP = {1: 1e-3, 2: 3e-3}
+# The scaling stencils step by delta / STEPS_PER_DELTA: the same fraction of
+# the transition width at every delta, so the step's bias does not tilt the
+# log-log slope; inside the stencil window [1e-5, 1e-2] for delta in [4e-4, 0.4].
+STEPS_PER_DELTA = 40
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,7 +331,7 @@ def _scaling_row(task):
     set_spec, delta, alpha, config, grid_points, tag = task
     cf = build_cutoff(set_spec, delta, config)
     grid = annulus_grid(set_spec, delta, grid_points, config.seed, tag)
-    semi = c_alpha_estimate(cf.rf, grid, alpha, DEFAULT_STEP[alpha])
+    semi = c_alpha_estimate(cf.rf, grid, alpha, delta / STEPS_PER_DELTA)
     return (delta, cf.theta, semi)
 
 
@@ -338,19 +340,25 @@ def scaling_experiment(set_spec: CompactSetSpec, deltas, alpha: int,
                        workers: int = 1) -> ScalingReport:
     """Build the cut-off for each of at least 3 distinct deltas with the
     shared seed, estimate the C^alpha seminorm proxy on an annulus grid with
-    the step DEFAULT_STEP[alpha], and regress log-log.  With workers > 1
+    the step delta / STEPS_PER_DELTA, and regress log-log.  Every step must
+    lie in the stencil window of :func:`c_alpha_estimate`, so the deltas lie
+    in [4e-4, 0.4]; they are checked before any build.  With workers > 1
     the deltas run in a pool of min(workers, number of deltas) processes.
 
     Rows with vanishing seminorm mark the experiment degenerate (constant
     function); the slope is then reported as NaN.
     """
-    deltas = sorted(float(d) for d in deltas)
-    if len(set(deltas)) < len(deltas):
-        raise ValueError("deltas must be distinct")
-    if len(deltas) < 3:
-        raise ValueError("need at least 3 deltas")
     if alpha not in (1, 2):
         raise ValueError("alpha must be 1 or 2")
+    deltas = sorted(float(d) for d in deltas)
+    if len(deltas) < 3 or len(set(deltas)) < len(deltas):
+        raise ConfigError("deltas: scaling needs at least 3 distinct values")
+    for d in deltas:
+        try:
+            _check_stencil(alpha, d / STEPS_PER_DELTA)
+        except ValueError as e:
+            raise ConfigError(f"deltas: {d:g} gives the step delta / {STEPS_PER_DELTA} = "
+                              f"{d / STEPS_PER_DELTA:g}; {e}") from None
     tasks = [(set_spec, d, alpha, config, grid_points, i)
              for i, d in enumerate(reversed(deltas))]
     workers = min(workers or 1, len(tasks))  # the pool starts all its workers at once

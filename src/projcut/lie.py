@@ -442,7 +442,10 @@ def estimate_distortion(radius: float, k: int = 1) -> float:
 
 
 def check_distortion(sigma: float, c: float, samples: int, seed: int = 0, k: int = 1) -> bool:
-    """Validate a distortion constant on a fresh sample set."""
+    """Validate a distortion constant on a fresh sample set from the ball of
+    radius sigma, which must be finite and positive."""
+    if not 0.0 < sigma < math.inf:
+        raise ValueError("sigma must be finite and positive")
     return _distortion_ratio(sigma, k, samples, make_rng(seed, 22)) < c
 
 

@@ -397,7 +397,7 @@ def c_alpha_estimate(rf: RegularizedFunction, grid, alpha: int, step: float) -> 
 
 def scaling_slope(rows):
     """Least-squares slope of log(seminorm) against log(delta), with its
-    standard error.  Needs at least 3 finite, strictly positive rows, not
+    standard error, by np.polyfit.  Needs at least 3 finite, strictly positive rows, not
     all at one delta."""
     rows = list(rows)
     if len(rows) < 3:
@@ -410,15 +410,8 @@ def scaling_slope(rows):
         raise ValueError("rows must be strictly positive")
     if np.all(deltas == deltas[0]):
         raise ValueError("deltas must vary")
-    x = np.log(deltas)
-    y = np.log(semis)
-    xc = x - x.mean()
-    sxx = float((xc ** 2).sum())
-    slope = float((xc * y).sum() / sxx)
-    resid = y - (y.mean() + slope * xc)
-    dof = len(rows) - 2
-    stderr = math.sqrt(float((resid ** 2).sum()) / dof / sxx)
-    return slope, stderr
+    (slope, _), cov = np.polyfit(np.log(deltas), np.log(semis), 1, cov=True)
+    return float(slope), math.sqrt(cov[0, 0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,10 +6,10 @@ import sys
 
 import pytest
 
-from projcut.cli import CEILINGS, load_config, main
-from projcut.cutoff import MAX_S
+from projcut.cli import CEILINGS, DEFAULT_BANDS, load_config, main
 from projcut.errors import ConfigError
 from projcut.lie import SAMPLE_BLOCK
+from projcut.regularize import MAX_S
 
 BASE_SET = {
     "balls": [
@@ -43,7 +43,7 @@ def verify_config(tmp_path_factory):
 @pytest.fixture(scope="module")
 def scaling_config(tmp_path_factory):
     return write_config(tmp_path_factory.mktemp("cfg") / "scaling.json",
-                        deltas=[0.2, 0.1, 0.05], slope_band=[-2.5, -0.3])
+                        deltas=[0.2, 0.1, 0.05])
 
 
 def test_verify_passes_and_writes_schema(verify_config, tmp_path):
@@ -109,16 +109,34 @@ def test_scaling_writes_csv_and_summary(scaling_config, tmp_path):
     summary = json.loads((out / "scaling_alpha1_summary.json").read_text())
     assert set(summary) == {"slope", "stderr", "alpha"}
     assert summary["alpha"] == 1
-    assert -2.5 <= summary["slope"] <= -0.3
+    lo, hi = DEFAULT_BANDS[1]
+    assert lo <= summary["slope"] <= hi
 
 
-def test_scaling_band_violation_exits_1(tmp_path):
-    cfg = write_config(tmp_path / "band.json", deltas=[0.2, 0.1, 0.05],
-                       slope_band=[-0.05, -0.01])
-    result = run_cli("scaling", "--config", str(cfg), "--out", str(tmp_path / "out"),
-                     "--threads", "1")
-    assert result.returncode == 1
-    assert "slope" in result.stderr
+def test_scaling_band_violation_exits_1(scaling_config, tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(DEFAULT_BANDS, 1, (-0.05, -0.01))
+    assert main(["scaling", "--config", str(scaling_config), "--out", str(tmp_path / "out"),
+                 "--threads", "1"]) == 1
+    assert "slope" in capsys.readouterr().err
+
+
+def test_slope_band_is_not_a_config_field(tmp_path, capsys):
+    # the band belongs to the program: a config cannot loosen the claim
+    cfg = write_config(tmp_path / "band.json", deltas=[0.2, 0.1, 0.05], slope_band=[-2.5, -0.3])
+    assert main(["scaling", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--threads", "1"]) == 2
+    assert "config error: slope_band: unknown config field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("deltas, delta0", [([0.2, 0.1, 2e-4], 0.4), ([0.5, 0.1, 0.05], 0.8)])
+def test_scaling_refuses_deltas_outside_the_stencil_window(deltas, delta0, tmp_path, capsys):
+    # the step delta / 40 must lie in [1e-5, 1e-2], so delta in [4e-4, 0.4];
+    # both configs pass load_config, and the refusal comes before any build
+    cfg = write_config(tmp_path / "window.json", deltas=deltas, delta0=delta0)
+    out = tmp_path / "out"
+    assert main(["scaling", "--config", str(cfg), "--out", str(out), "--threads", "1"]) == 2
+    assert "config error: deltas:" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_scaling_needs_three_deltas(tmp_path):
@@ -355,8 +373,9 @@ def test_bundled_configs_are_valid():
     from projcut.cli import load_config
 
     config_dir = Path(__file__).resolve().parent.parent / "configs"
-    names = ["verify_two_balls.json", "scaling_alpha1.json",
-             "scaling_alpha2.json", "diagnostics.json"]
+    names = ["verify_two_balls.json", "scaling_alpha1.json", "scaling_alpha2.json",
+             "scaling_k2_alpha1.json", "scaling_k2_alpha2.json", "scaling_k3_alpha1.json",
+             "scaling_k3_alpha2.json", "diagnostics.json"]
     for name in names:
         cfg = load_config(config_dir / name)
         assert cfg.S == 20000 and cfg.seed == 42

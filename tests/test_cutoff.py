@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 import projcut as pc
-from projcut.cutoff import (MAX_S, annulus_grid, max_euclid_ratio, max_fs_displacement,
-                            rows_off_set, rows_on_set)
+from projcut.cutoff import (annulus_grid, max_euclid_ratio, max_fs_displacement, rows_off_set,
+                            rows_on_set)
 from projcut.errors import ConfigError, DeltaOutOfRange
 from projcut.geometry import rows_dist_to_set, uniform_rows
-from projcut.cli import load_config
+from projcut.cli import DEFAULT_BANDS, load_config
 from projcut.lie import _frob
-from projcut.regularize import RegularizedFunction, _features
+from projcut.regularize import MAX_S, RegularizedFunction, _features
 from projcut.rng import make_rng
 
 
@@ -437,8 +437,14 @@ def test_scaling_experiment_validation(config_small, two_ball_set):
         pc.scaling_experiment(two_ball_set, [0.2, 0.1], 1, config_small)
     with pytest.raises(ValueError):
         pc.scaling_experiment(two_ball_set, [0.2, 0.1, 0.05], 3, config_small)
-    with pytest.raises(DeltaOutOfRange):
+    # 0.5 / 40 is above the stencil window: refused before any build
+    with pytest.raises(ConfigError, match="^deltas: 0.5 gives the step .*; step must lie in"):
         pc.scaling_experiment(two_ball_set, [0.5, 0.1, 0.05], 1, config_small,
+                              grid_points=5, workers=1)
+    # a step inside the window, but delta at or beyond delta0: the build refuses it
+    with pytest.raises(DeltaOutOfRange):
+        pc.scaling_experiment(two_ball_set, [0.35, 0.1, 0.05], 1,
+                              pc.CutoffConfig(1, delta0=0.3, S=1500, seed=7),
                               grid_points=5, workers=1)
 
 
@@ -446,6 +452,18 @@ def test_scaling_experiment_validation(config_small, two_ball_set):
 def test_scaling_experiment_rejects_repeated_deltas(deltas, config_small, two_ball_set):
     with pytest.raises(ValueError, match="distinct"):
         pc.scaling_experiment(two_ball_set, deltas, 1, config_small, grid_points=5, workers=1)
+
+
+@pytest.mark.parametrize("name", ["scaling_k2_alpha2.json", "scaling_k3_alpha2.json"])
+def test_bundled_alpha2_scaling_slope_in_band_at_higher_k(name):
+    # the step's bias grows with k; it must be the same fraction of the
+    # seminorm at every delta, or it tilts the slope out of the band
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / name)
+    assert cfg.alpha == 2 and cfg.k > 1
+    config = pc.CutoffConfig(cfg.k, cfg.sigma, cfg.delta0, cfg.S, cfg.seed)
+    report = pc.scaling_experiment(cfg.set_spec, cfg.deltas, cfg.alpha, config, cfg.grid)
+    lo, hi = DEFAULT_BANDS[2]
+    assert lo <= report.slope <= hi
 
 
 def test_rows_off_set_unreachable_distance(two_ball_set):

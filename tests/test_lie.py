@@ -387,6 +387,13 @@ def test_estimate_distortion_basics():
     assert pc.check_distortion(0.1, c, 20000, seed=5, k=1)
 
 
+@pytest.mark.parametrize("sigma", [-0.1, 0.0, math.nan, math.inf])
+def test_check_distortion_refuses_bad_radius(sigma):
+    # no sample ball to check: refused, not a sampled pass or a numpy error
+    with pytest.raises(ValueError, match="sigma"):
+        pc.check_distortion(sigma, 2.0, 100)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_closed_form_distortion_holds_on_fresh_samples(k):
     # the sampled two-sided ratio on the ball of CutoffConfig's radius is the oracle

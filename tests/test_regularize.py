@@ -207,6 +207,30 @@ def test_scaling_slope_perturbed_rows_match_reference_regression():
     assert stderr > 0.0
 
 
+def _closed_form_regression(rows):
+    # centred least squares of log(seminorm) on log(delta) with its standard error
+    x = np.log([d for d, _ in rows])
+    y = np.log([s for _, s in rows])
+    xc = x - x.mean()
+    sxx = float((xc ** 2).sum())
+    slope = float((xc * y).sum() / sxx)
+    resid = y - (y.mean() + slope * xc)
+    return slope, math.sqrt(float((resid ** 2).sum()) / (len(rows) - 2) / sxx)
+
+
+@pytest.mark.parametrize("n", [3, 4, 7])
+def test_scaling_slope_matches_closed_form_regression(n):
+    rng = make_rng(9, n)
+    for _ in range(5):
+        deltas = np.sort(rng.uniform(0.01, 0.3, n))[::-1]
+        rows = [(float(d), float(3.0 * d ** -1.7 * np.exp(0.1 * rng.standard_normal())))
+                for d in deltas]
+        slope, stderr = pc.scaling_slope(rows)
+        ref_slope, ref_stderr = _closed_form_regression(rows)
+        assert slope == pytest.approx(ref_slope, rel=0.0, abs=1e-12)
+        assert stderr == pytest.approx(ref_stderr, rel=1e-12, abs=0.0)
+
+
 def test_scaling_slope_validation():
     with pytest.raises(ValueError):
         pc.scaling_slope([(0.1, 1.0), (0.2, 2.0)])
