@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -139,52 +140,55 @@ def _cutoff_config(cfg: RunConfig) -> CutoffConfig:
     return CutoffConfig(cfg.k, cfg.sigma, cfg.delta0, cfg.S, cfg.seed)
 
 
-def _write_json(path: Path, payload: dict):
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _csv_text(header: list, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def cmd_verify(cfg: RunConfig, out: Path) -> int:
+def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
     config = _cutoff_config(cfg)
-    all_pass = True
+    files, all_pass = {}, True
     for delta in cfg.deltas:
         cf = build_cutoff(cfg.set_spec, delta, config)
         report = verify_cutoff(cf, cfg.n_inner, cfg.n_outer, cfg.seed)
-        _write_json(out / f"verify_{delta:g}.json", report.to_dict())
+        files[f"verify_{delta:g}.json"] = _json_text(report.to_dict())
         all_pass = all_pass and report.passed
-    return 0 if all_pass else 1
+    return (0 if all_pass else 1), files
 
 
-def cmd_scaling(cfg: RunConfig, out: Path, threads: int) -> int:
+def cmd_scaling(cfg: RunConfig, threads: int) -> tuple[int, dict]:
     config = _cutoff_config(cfg)
     report = scaling_experiment(cfg.set_spec, cfg.deltas, cfg.alpha, config,
                                 cfg.grid, workers=threads)
-    with open(out / f"scaling_alpha{cfg.alpha}.csv", "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["delta", "theta", "seminorm"])
-        for delta, theta, semi in report.rows:
-            writer.writerow([_fmt(delta), _fmt(theta), _fmt(semi)])
     summary = {
         "slope": None if math.isnan(report.slope) else report.slope,
         "stderr": None if math.isnan(report.slope_stderr) else report.slope_stderr,
         "alpha": cfg.alpha,
     }
-    _write_json(out / f"scaling_alpha{cfg.alpha}_summary.json", summary)
-    if report.degenerate:
-        print("scaling: degenerate experiment (vanishing seminorms), no slope",
-              file=sys.stderr)
-        return 1
+    stem = f"scaling_alpha{cfg.alpha}"
+    files = {
+        f"{stem}.csv": _csv_text(["delta", "theta", "seminorm"],
+                                 ([_fmt(x) for x in row] for row in report.rows)),
+        f"{stem}_summary.json": _json_text(summary),
+    }
     lo, hi = DEFAULT_BANDS[cfg.alpha]
-    if not lo <= report.slope <= hi:
-        print(f"scaling: slope {report.slope:.4f} outside the band [{lo}, {hi}]",
-              file=sys.stderr)
-        return 1
-    return 0
+    failure = ("degenerate experiment (vanishing seminorms), no slope" if report.degenerate
+               else None if lo <= report.slope <= hi
+               else f"slope {report.slope:.4f} outside the band [{lo}, {hi}]")
+    if failure:
+        print(f"scaling: {failure}", file=sys.stderr)
+    return (1 if failure else 0), files
 
 
 def _expected_header(k: int) -> list:
@@ -194,7 +198,7 @@ def _expected_header(k: int) -> list:
     return cols
 
 
-def cmd_eval(cfg: RunConfig, points_path: str, out: Path) -> int:
+def cmd_eval(cfg: RunConfig, points_path: str) -> tuple[int, dict]:
     expected = _expected_header(cfg.k)
     try:
         with open(points_path, encoding="utf-8", newline="") as f:
@@ -218,25 +222,17 @@ def cmd_eval(cfg: RunConfig, points_path: str, out: Path) -> int:
                 raise ConfigError(f"points: row {lineno}: zero vector is not a point")
             rows.append([complex(values[2 * i], values[2 * i + 1])
                          for i in range(cfg.k + 1)])
-    # build before writing: a config error leaves no output behind
     config = _cutoff_config(cfg)
     chi = []
     if rows:
         cf = build_cutoff(cfg.set_spec, cfg.deltas[0], config)
         chi = cf.eval_homog(np.asarray(rows, dtype=np.complex128))
-    out_path = out / (Path(points_path).stem + "_chi.csv")
-    with open(out_path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(expected + ["chi"])
-        for record, value in zip(rows, chi):
-            flat = []
-            for z in record:
-                flat += [_fmt(z.real), _fmt(z.imag)]
-            writer.writerow(flat + [_fmt(float(value))])
-    return 0
+    table = ([_fmt(x) for z in record for x in (z.real, z.imag)] + [_fmt(float(value))]
+             for record, value in zip(rows, chi))
+    return 0, {Path(points_path).stem + "_chi.csv": _csv_text(expected + ["chi"], table)}
 
 
-def cmd_diagnostics(cfg: RunConfig, out: Path) -> int:
+def cmd_diagnostics(cfg: RunConfig) -> tuple[int, dict]:
     k, sigma, seed = cfg.k, cfg.sigma, cfg.seed
 
     # chart round trips on the 0.2-ball
@@ -287,10 +283,9 @@ def cmd_diagnostics(cfg: RunConfig, out: Path) -> int:
         "measure_mass_mc": mass_mc,
         "measure_mass_mc_stderr": mass_mc_stderr,
     }
-    _write_json(out / "diagnostics.json", payload)
     ok = (roundtrip <= 1e-10 and abs(jac["0"] - 1.0) <= 1e-6
           and abs(mass_quad - 1.0) <= 1e-3)
-    return 0 if ok else 1
+    return (0 if ok else 1), {"diagnostics.json": _json_text(payload)}
 
 
 def main(argv=None) -> int:
@@ -325,19 +320,23 @@ def main(argv=None) -> int:
             cfg.seed = args.seed
         if args.threads < 0:
             raise ConfigError("threads: must be nonnegative")
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         if args.command == "verify":
-            return cmd_verify(cfg, out)
-        if args.command == "scaling":
-            threads = args.threads or os.cpu_count() or 1
-            return cmd_scaling(cfg, out, threads)
-        if args.command == "eval":
-            return cmd_eval(cfg, args.points, out)
-        return cmd_diagnostics(cfg, out)
+            code, files = cmd_verify(cfg)
+        elif args.command == "scaling":
+            code, files = cmd_scaling(cfg, args.threads or os.cpu_count() or 1)
+        elif args.command == "eval":
+            code, files = cmd_eval(cfg, args.points)
+        else:
+            code, files = cmd_diagnostics(cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
+    # the only writer: a command that raised has created and written nothing
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text, encoding="utf-8", newline="")
+    return code
 
 
 def console_main():

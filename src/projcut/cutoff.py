@@ -213,8 +213,18 @@ def rows_on_set(set_spec: CompactSetSpec, count: int, rng) -> np.ndarray:
     return np.concatenate([centres[:count], inner])
 
 
+def _check_draw(dist: float, count: int):
+    """Refuse a sampler's distance that is not finite and positive, and a
+    negative count, before any draw."""
+    if not 0.0 < dist < math.inf:  # NaN too
+        raise ValueError("distance must be finite and positive")
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+
+
 def rows_off_set(set_spec: CompactSetSpec, min_dist: float, count: int, rng) -> np.ndarray:
     """Uniform points at distance >= min_dist from the set, by rejection."""
+    _check_draw(min_dist, count)
     out, have = [], 0
     for _ in range(500):
         cand = uniform_rows(set_spec.k, max(4 * count, 256), rng)
@@ -305,6 +315,7 @@ def annulus_grid(set_spec: CompactSetSpec, delta: float, count: int,
     Batches of points at random distances beyond random balls are kept where
     they land in the annulus; after 200 * count draws the rest are kept
     unconditioned, for an empty annulus (a set covering the whole space)."""
+    _check_draw(delta, count)
     rng = make_rng(seed, 51, tag)
     centres, radii = set_spec.centres, set_spec.radii
     lo, hi = 0.25 * delta, delta

@@ -191,15 +191,22 @@ def full_norm(c: ChartCoordinates) -> float:
 def scaled_rows(rows) -> np.ndarray:
     """Each row divided by the power of two that brings its largest real or
     imaginary part into [1/2, 1): exact, so every ratio of homogeneous
-    quantities keeps its bits, and no square overflows or underflows to 0."""
-    parts = np.ascontiguousarray(rows, dtype=np.complex128).view(np.float64)
+    quantities keeps its bits, and no square overflows or underflows to 0.
+    A row that is not finite, or is zero, is no point and is refused."""
+    Z = np.ascontiguousarray(rows, dtype=np.complex128)
+    if not np.all(np.isfinite(Z)):
+        raise ValueError("homogeneous rows must be finite")
+    if np.any(np.all(Z == 0.0, axis=-1)):
+        raise ValueError("a zero row is not a point")
+    parts = Z.view(np.float64)
     _, exponent = np.frexp(np.abs(parts).max(axis=-1, keepdims=True))
     return np.ldexp(parts, -exponent).view(np.complex128)
 
 
 def rows_dist_to_set(rows, sspec: CompactSetSpec) -> np.ndarray:
     """Distance of each homogeneous row to the set: the smallest over the
-    balls of max(fs_distance(row, centre) - radius, 0), in one product."""
+    balls of max(fs_distance(row, centre) - radius, 0), in one product.
+    Rows must be finite and nonzero (:func:`scaled_rows`)."""
     Z = scaled_rows(rows)
     ip = np.abs(Z @ np.conj(sspec.centres).T)
     d = np.arccos(np.clip(ip / np.linalg.norm(Z, axis=1)[:, None], 0.0, 1.0))

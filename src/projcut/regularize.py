@@ -247,10 +247,6 @@ class RegularizedFunction:
         Z = np.asarray(rows, dtype=np.complex128)
         if Z.ndim != 2 or Z.shape[1] != self.matrices.shape[1]:
             raise ValueError("expected stacked homogeneous rows of shape (m, k+1)")
-        if not np.all(np.isfinite(Z)):
-            raise ValueError("homogeneous rows must be finite")
-        if np.any(np.all(Z == 0.0, axis=1)):
-            raise ValueError("a zero row is not a point")
         Z = scaled_rows(Z)
         if self.theta == 0.0:
             return np.asarray(self.source(Z), dtype=np.float64)

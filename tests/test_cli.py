@@ -114,10 +114,14 @@ def test_scaling_writes_csv_and_summary(scaling_config, tmp_path):
 
 
 def test_scaling_band_violation_exits_1(scaling_config, tmp_path, monkeypatch, capsys):
+    # a claim failure is a result: both files are still written
     monkeypatch.setitem(DEFAULT_BANDS, 1, (-0.05, -0.01))
-    assert main(["scaling", "--config", str(scaling_config), "--out", str(tmp_path / "out"),
+    out = tmp_path / "out"
+    assert main(["scaling", "--config", str(scaling_config), "--out", str(out),
                  "--threads", "1"]) == 1
     assert "slope" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["scaling_alpha1.csv",
+                                                     "scaling_alpha1_summary.json"]
 
 
 def test_slope_band_is_not_a_config_field(tmp_path, capsys):
@@ -136,14 +140,16 @@ def test_scaling_refuses_deltas_outside_the_stencil_window(deltas, delta0, tmp_p
     out = tmp_path / "out"
     assert main(["scaling", "--config", str(cfg), "--out", str(out), "--threads", "1"]) == 2
     assert "config error: deltas:" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_scaling_needs_three_deltas(tmp_path):
     cfg = write_config(tmp_path / "two.json", deltas=[0.2, 0.1])
-    result = run_cli("scaling", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    out = tmp_path / "out"
+    result = run_cli("scaling", "--config", str(cfg), "--out", str(out))
     assert result.returncode == 2
     assert "deltas" in result.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("deltas", [[0.1, 0.1, 0.1], [0.2, 0.1, 0.1]])
@@ -218,7 +224,7 @@ def test_eval_empty_input(verify_config, tmp_path):
 @pytest.mark.parametrize("points", ["", "re0,im0,re1,im1\n", "re0,im0,re1,im1\n1,0,0,0\n"])
 def test_eval_config_error_writes_nothing(points, tmp_path):
     # verify refuses this config; eval must too, whatever the points, and
-    # before it opens the output
+    # leave no output directory
     cfg = write_config(tmp_path / "wide.json", sigma=1.0, delta0=6.0)
     pts = tmp_path / "pts.csv"
     pts.write_text(points)
@@ -226,16 +232,18 @@ def test_eval_config_error_writes_nothing(points, tmp_path):
     result = run_cli("eval", "--config", str(cfg), "--points", str(pts), "--out", str(out))
     assert result.returncode == 2
     assert "delta0" in result.stderr
-    assert not (out / "pts_chi.csv").exists()
+    assert not out.exists()
 
 
 def test_eval_malformed_row_reports_line(verify_config, tmp_path):
     pts = tmp_path / "bad.csv"
     pts.write_text("re0,im0,re1,im1\n1,0,0.2,0.1\n1,0,oops,0\n")
+    out = tmp_path / "out"
     result = run_cli("eval", "--config", str(verify_config), "--points", str(pts),
-                     "--out", str(tmp_path / "out"))
+                     "--out", str(out))
     assert result.returncode == 2
     assert "row 3" in result.stderr
+    assert not out.exists()
 
 
 def test_eval_rejects_zero_vector_row(verify_config, tmp_path):
@@ -355,6 +363,18 @@ def test_verify_unreachable_distance_is_a_config_error(tmp_path):
     result = run_cli("verify", "--config", str(cfg), "--out", str(tmp_path / "out"))
     assert result.returncode == 2
     assert "set" in result.stderr
+
+
+def test_verify_config_error_at_a_later_delta_writes_nothing(tmp_path, capsys):
+    # delta 0.1 leaves room beyond a ball of radius 1.4 and passes; 0.2 leaves
+    # none (1.4 + 0.2 > pi/2), so the run exits 2 and no report is written
+    big = {"balls": [{"center": [[1, 0], [0, 0]], "radius": 1.4}]}
+    cfg = write_config(tmp_path / "big.json", set=big, S=300, deltas=[0.1, 0.2],
+                       n_inner=10, n_outer=10)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error: set:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_k3_passes_on_seed_zero(tmp_path):

@@ -479,3 +479,29 @@ def test_eval_homog_rejects_non_points(bad, config_small, two_ball_set):
     rows[2] = [bad, 0.0] if bad == 0.0 else [1.0, bad]
     with pytest.raises(ValueError):
         cf.eval_homog(rows)
+
+
+@pytest.mark.parametrize("row, message", [([math.nan, 1.0], "finite"), ([math.inf, 1.0], "finite"),
+                                          ([0.0, 0.0], "zero row")])
+def test_set_distance_rejects_non_points(row, message, two_ball_set):
+    # a NaN distance compares false against rho, which would read as 0 silently
+    rows = np.array([[1.0, 0.2], row])
+    with pytest.raises(ValueError, match=message):
+        rows_dist_to_set(rows, two_ball_set)
+    with pytest.raises(ValueError, match=message):
+        pc.indicator_fattened(two_ball_set, 0.1)(rows)
+
+
+@pytest.mark.parametrize("dist, count", [(math.nan, 5), (math.inf, 5), (0.0, 5), (-0.1, 5),
+                                         (0.1, -3)])
+def test_samplers_refuse_bad_distance_or_count(dist, count, two_ball_set):
+    message = "count must be nonnegative" if count < 0 else "distance must be finite and positive"
+    with pytest.raises(ValueError, match=message):
+        annulus_grid(two_ball_set, dist, count, seed=9)
+    with pytest.raises(ValueError, match=message):
+        rows_off_set(two_ball_set, dist, count, make_rng(40, 3))
+
+
+def test_samplers_take_count_zero(two_ball_set):
+    assert annulus_grid(two_ball_set, 0.1, 0, seed=9) == []
+    assert rows_off_set(two_ball_set, 0.1, 0, make_rng(40, 3)).shape == (0, 2)
