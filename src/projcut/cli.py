@@ -68,6 +68,18 @@ def _finite_number(value) -> bool:
         return False
 
 
+def _is_set(data) -> bool:
+    """A set as {"balls": [{"center": [[re, im], ...], "radius": r}, ...]}: a
+    nonempty list of finite JSON numbers with no other field."""
+    balls = data["balls"] if isinstance(data, dict) and set(data) == {"balls"} else None
+    return isinstance(balls, list) and len(balls) > 0 and all(
+        isinstance(b, dict) and set(b) == {"center", "radius"} and _finite_number(b["radius"])
+        and isinstance(b["center"], list)
+        and all(isinstance(z, list) and len(z) == 2 and all(map(_finite_number, z))
+                for z in b["center"])
+        for b in balls)
+
+
 def load_config(path) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as f:
@@ -101,9 +113,7 @@ def load_config(path) -> RunConfig:
     sigma = _num("sigma", DEFAULT_SIGMA, float)
     delta0 = _num("delta0", DEFAULT_DELTA0, float)
     S = check_S(_num("S", DEFAULT_S, int))
-    seed = _num("seed", DEFAULT_SEED, int, positive=False)
-    if seed < 0:
-        raise ConfigError("seed: must be nonnegative")
+    seed = _num("seed", DEFAULT_SEED, int, positive=False)  # CutoffConfig refuses a negative seed
     alpha = _num("alpha", 1, int)
     if alpha not in (1, 2):
         raise ConfigError("alpha: must be 1 or 2")
@@ -123,8 +133,9 @@ def load_config(path) -> RunConfig:
         if not DELTA_FLOOR < d < delta0:
             raise ConfigError(f"deltas: {d} outside ({DELTA_FLOOR}, delta0={delta0})")
 
-    if "set" not in data:
-        raise ConfigError("set: required")
+    if not _is_set(data.get("set")):
+        raise ConfigError('set: required, as {"balls": [{"center": [[re, im], ...], "radius": r}, '
+                          "...]} of finite numbers with no other field")
     try:
         set_spec = CompactSetSpec.from_dict(data["set"])
     except (KeyError, TypeError, ValueError) as e:
@@ -156,8 +167,7 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
-    config = _cutoff_config(cfg)
+def cmd_verify(cfg: RunConfig, config: CutoffConfig) -> tuple[int, dict]:
     files, all_pass = {}, True
     for delta in cfg.deltas:
         cf = build_cutoff(cfg.set_spec, delta, config)
@@ -167,8 +177,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
     return (0 if all_pass else 1), files
 
 
-def cmd_scaling(cfg: RunConfig, threads: int) -> tuple[int, dict]:
-    config = _cutoff_config(cfg)
+def cmd_scaling(cfg: RunConfig, config: CutoffConfig, threads: int) -> tuple[int, dict]:
     report = scaling_experiment(cfg.set_spec, cfg.deltas, cfg.alpha, config,
                                 cfg.grid, workers=threads)
     summary = {
@@ -198,7 +207,7 @@ def _expected_header(k: int) -> list:
     return cols
 
 
-def cmd_eval(cfg: RunConfig, points_path: str) -> tuple[int, dict]:
+def cmd_eval(cfg: RunConfig, config: CutoffConfig, points_path: str) -> tuple[int, dict]:
     expected = _expected_header(cfg.k)
     try:
         with open(points_path, encoding="utf-8", newline="") as f:
@@ -222,7 +231,6 @@ def cmd_eval(cfg: RunConfig, points_path: str) -> tuple[int, dict]:
                 raise ConfigError(f"points: row {lineno}: zero vector is not a point")
             rows.append([complex(values[2 * i], values[2 * i + 1])
                          for i in range(cfg.k + 1)])
-    config = _cutoff_config(cfg)
     chi = []
     if rows:
         cf = build_cutoff(cfg.set_spec, cfg.deltas[0], config)
@@ -232,8 +240,8 @@ def cmd_eval(cfg: RunConfig, points_path: str) -> tuple[int, dict]:
     return 0, {Path(points_path).stem + "_chi.csv": _csv_text(expected + ["chi"], table)}
 
 
-def cmd_diagnostics(cfg: RunConfig) -> tuple[int, dict]:
-    k, sigma, seed = cfg.k, cfg.sigma, cfg.seed
+def cmd_diagnostics(config: CutoffConfig) -> tuple[int, dict]:
+    k, sigma, seed = config.k, config.sigma, config.seed
 
     # chart round trips on the 0.2-ball
     coords = _uniform_coord_rows(0.2, k, 1000, make_rng(seed, 61))
@@ -312,30 +320,34 @@ def main(argv=None) -> int:
             p.add_argument("--points", required=True, help="CSV of homogeneous points")
     args = parser.parse_args(argv)
 
+    out = Path(args.out)
     try:
+        if out.exists() and not out.is_dir():
+            raise ConfigError(f"--out: {out} exists and is not a directory")
         cfg = load_config(args.config)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("seed: must be nonnegative")
             cfg.seed = args.seed
         if args.threads < 0:
             raise ConfigError("threads: must be nonnegative")
+        config = _cutoff_config(cfg)  # the one seed check, before any work
         if args.command == "verify":
-            code, files = cmd_verify(cfg)
+            code, files = cmd_verify(cfg, config)
         elif args.command == "scaling":
-            code, files = cmd_scaling(cfg, args.threads or os.cpu_count() or 1)
+            code, files = cmd_scaling(cfg, config, args.threads or os.cpu_count() or 1)
         elif args.command == "eval":
-            code, files = cmd_eval(cfg, args.points)
+            code, files = cmd_eval(cfg, config, args.points)
         else:
-            code, files = cmd_diagnostics(cfg)
+            code, files = cmd_diagnostics(config)
+        # the only writer: a command that raised has created and written nothing
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            for name, text in files.items():
+                (out / name).write_text(text, encoding="utf-8", newline="")
+        except OSError as e:
+            raise ConfigError(f"--out: cannot write {out}: {e}") from e
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    # the only writer: a command that raised has created and written nothing
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        (out / name).write_text(text, encoding="utf-8", newline="")
     return code
 
 

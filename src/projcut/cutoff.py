@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .geometry import (ChartCoordinates, CompactSetSpec, ProjectivePoint, geodes
 from .lie import DEFAULT_SIGMA, check_distortion, estimate_distortion, log_chart
 from .measure import get_mollifier
 from .regularize import (RegularizedFunction, ScalingReport, _check_stencil, _stored_images,
-                         c_alpha_estimate, check_S, regularize, scaling_slope)
+                         c_alpha_estimate, check_S, displacement_bound, regularize, scaling_slope)
 from .rng import make_rng
 
 DELTA_FLOOR = 1e-4
@@ -43,10 +43,10 @@ class CutoffConfig:
     ``distortion`` is the closed-form C with ||exp_chart(x) - Id|| <= C ||x||
     for ||x|| <= min(sigma, delta0 / (4 sqrt(k+1))).  That ball holds every
     stored sample: samples theta * y have theta ||y|| < min(sigma,
-    delta0 / (4 C)), and C >= sqrt(k+1).  ``budget`` in (0, 1] is the
-    fraction of the delta/4 displacement budget spent at delta0, so the
-    smoothing scale for a given delta is budget * delta / (4 * distortion *
-    sigma).  Both are computed from (k, sigma, delta0) at construction.
+    delta0 / (4 C)), and C >= sqrt(k+1).  ``budget`` = min(1, 4 C sigma /
+    delta0) is the fraction of the delta/4 displacement budget spent at
+    delta0, so the smoothing scale for a given delta is budget * delta /
+    (4 C sigma), at most 1.  Both are computed at construction.
     """
 
     k: int
@@ -60,11 +60,10 @@ class CutoffConfig:
     def __post_init__(self):
         if type(self.k) is not int or self.k < 1:  # a boolean is no dimension
             raise ConfigError("k: must be a positive integer")
-        sigma, delta0 = self.sigma, self.delta0  # not booleans, which would pass as 1.0
-        if isinstance(sigma, (bool, np.bool_)) or not (sigma > 0 and math.isfinite(sigma)):
-            raise ConfigError("sigma: must be positive and finite")
-        if isinstance(delta0, (bool, np.bool_)) or not (delta0 > 0 and math.isfinite(delta0)):
-            raise ConfigError("delta0: must be positive and finite")
+        for name, value in (("sigma", self.sigma), ("delta0", self.delta0)):
+            # not booleans, which would pass as 1.0
+            if isinstance(value, (bool, np.bool_)) or not (value > 0 and math.isfinite(value)):
+                raise ConfigError(f"{name}: must be positive and finite")
         check_S(self.S)
         if not (type(self.seed) is int or isinstance(self.seed, np.integer)) or self.seed < 0:
             raise ConfigError("seed: must be a nonnegative integer")
@@ -72,9 +71,8 @@ class CutoffConfig:
                                 self.k)
         if math.isinf(c):
             raise ConfigError(f"delta0: {self.delta0:g} is too large for the distortion bound")
-        theta_max = min(1.0, self.delta0 / (4.0 * c * self.sigma))
         object.__setattr__(self, "distortion", c)
-        object.__setattr__(self, "budget", min(1.0, 4.0 * c * theta_max * self.sigma / self.delta0))
+        object.__setattr__(self, "budget", min(1.0, 4.0 * c * self.sigma / self.delta0))
 
     @property
     def theta_max(self) -> float:
@@ -136,10 +134,10 @@ class CutoffFunction:
     rf: RegularizedFunction
 
     @property
-    def frob_dev(self) -> float:
-        """max over stored g of ||g - Id||_F, the evaluator's certificate
-        ``rf.eps``, checked <= budget * delta / 4 at the build."""
-        return self.rf.eps
+    def frob_bound(self) -> float:
+        """The per-sample Frobenius bound distortion * theta * sigma (budget * delta / 4
+        up to roundoff) that the build checks ``rf.eps`` against and verify reports."""
+        return self.config.distortion * self.theta * self.config.sigma
 
     @property
     def theta(self) -> float:
@@ -157,24 +155,22 @@ def build_cutoff(set_spec: CompactSetSpec, delta: float, config: CutoffConfig) -
 
     The build stores the sample and its certificate ``rf.eps``, the largest
     Frobenius distance of a stored group element from the identity, and
-    checks it against the per-sample bound distortion * theta * sigma; read
-    as ``frob_dev``, it certifies the displacement bounds of
-    :func:`verify_cutoff`.  The ball tests' coefficients are not formed
-    here: the evaluator forms them at the first row that needs them.
+    refuses it above :attr:`CutoffFunction.frob_bound`; it certifies the
+    displacement bounds of :func:`verify_cutoff`.  The ball tests'
+    coefficients are not formed here: the evaluator forms them at the first
+    row that needs them.
     """
     if not DELTA_FLOOR < delta < config.delta0:
         raise DeltaOutOfRange(f"delta must lie in ({DELTA_FLOOR}, {config.delta0})")
     if set_spec.k != config.k:
         raise ConfigError("set: dimension does not match the configuration")
-    theta = choose_theta(config, delta)
-    rf = regularize(indicator_fattened(set_spec, 0.5 * delta), theta, config.S,
-                    config.seed, get_mollifier(config.k, config.sigma))
-    bound = config.distortion * theta * config.sigma
-    if rf.eps > bound:
-        raise ConfigError(
-            f"distortion: stored sample deviates by {rf.eps:.3e}, above the bound {bound:.3e}"
-        )
-    return CutoffFunction(config, set_spec, delta, rf)
+    rf = regularize(indicator_fattened(set_spec, 0.5 * delta), choose_theta(config, delta),
+                    config.S, config.seed, get_mollifier(config.k, config.sigma))
+    cf = CutoffFunction(config, set_spec, delta, rf)
+    if rf.eps > cf.frob_bound:
+        raise ConfigError(f"distortion: stored sample deviates by {rf.eps:.3e}, "
+                          f"above the bound {cf.frob_bound:.3e}")
+    return cf
 
 
 @dataclass(frozen=True)
@@ -193,15 +189,10 @@ class VerificationReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "max_dev_on_K": self.max_dev_on_K,
-            "max_val_off_Kdelta": self.max_val_off_Kdelta,
-            "euclid_audit_max": self.euclid_audit_max,
-            "euclid_audit_bound": self.euclid_audit_bound,
-            "fs_audit_max": self.fs_audit_max,
-            "fs_audit_bound": self.fs_audit_bound,
-            "pass": self.passed,
-        }
+        """The fields by name, ``passed`` as "pass"."""
+        payload = asdict(self)
+        payload["pass"] = payload.pop("passed")
+        return payload
 
 
 def rows_on_set(set_spec: CompactSetSpec, count: int, rng) -> np.ndarray:
@@ -270,27 +261,18 @@ def max_euclid_ratio(matrices: np.ndarray, rows) -> float:
 
 def verify_cutoff(cf: CutoffFunction, n_inner: int = 200, n_outer: int = 200,
                   seed: int = 0) -> VerificationReport:
-    """Check the defining claims of the cut-off.
+    """Check the defining claims of the cut-off: (a) deviation from 1 on
+    sampled points of the set, (b) value at sampled points at distance >=
+    delta, and, for every point of P^k at no cost per point, (c) the
+    chart-Euclidean and (d) the Fubini-Study displacement by every stored g.
 
-    (a) deviation from 1 on sampled points of the set, (b) value at sampled
-    points at distance >= delta, (c) chart-Euclidean displacement ratio of
-    every stored element against budget * delta / 4, and (d) Fubini-Study
-    displacement against delta / 2.  (c) and (d) are certified for every
-    point of P^k by the displacement certificate that :func:`build_cutoff`
-    checks, at no cost per point.  They gate the exactness assertions: (a)
-    and (b) are forced to 0 at every point whenever (d) holds.  The evaluator decides
-    rows by the same certificate: a point of the set lies delta / 2 inside
-    its ball's reach, a point at distance >= delta lies delta / 2 beyond
-    every reach, and fs < delta / 2.  So (a) and (b) are settled without
-    any matrix product whenever fs clears delta / 2 by more than the
-    decision margins, as in every bundled config; the products are checked
-    against the indicator on moved points in the test suite instead.
-
-    With eps = cf.frob_dev >= ||g - Id||_F >= ||g - Id||_2 for every stored
-    g, the report gives eps for (c), a bound on ||(g - Id) zeta|| / ||zeta||
-    for every chart vector zeta, and asin(min(1, eps / (1 - eps))) for (d):
-    for unit z, sin fs_distance(z, g z) is the distance from g z / ||g z||
-    to the line of z, at most ||(g - Id) z|| / ||g z|| <= eps / (1 - eps).
+    With eps = cf.rf.eps >= ||g - Id||_F >= ||g - Id||_2, (c) is eps, which
+    bounds ||(g - Id) zeta|| / ||zeta|| for every chart vector zeta, against
+    :attr:`CutoffFunction.frob_bound`, the bound the build checked, and (d)
+    is :func:`displacement_bound` (eps) against delta / 2.  Whenever (d)
+    holds, (a) and (b) are 0 at every point; the evaluator decides the
+    sampled points by the same certificate, with no matrix product once fs
+    clears delta / 2 by the decision margins, as in every bundled config.
     """
     if n_inner < 1 or n_outer < 1:
         raise ValueError("counts must be at least 1")
@@ -299,13 +281,9 @@ def verify_cutoff(cf: CutoffFunction, n_inner: int = 200, n_outer: int = 200,
     outer = rows_off_set(cf.set_spec, cf.delta, n_outer, rng)
     a = float(np.max(np.abs(cf.eval_homog(inner) - 1.0)))
     b = float(np.max(np.abs(cf.eval_homog(outer))))
-    euclid_max = eps = cf.frob_dev
-    fs_max = math.asin(eps / (1.0 - eps)) if eps < 0.5 else 0.5 * math.pi
-    fs_bound = 0.5 * cf.delta
-    euclid_bound = 0.25 * cf.config.budget * cf.delta
-    passed = (a == 0.0 and b == 0.0 and fs_max < fs_bound
-              and euclid_max <= euclid_bound * (1.0 + 1e-9))
-    return VerificationReport(a, b, euclid_max, euclid_bound, fs_max, fs_bound, passed)
+    eps, fs_max, fs_bound = cf.rf.eps, displacement_bound(cf.rf.eps), 0.5 * cf.delta
+    passed = a == 0.0 and b == 0.0 and fs_max < fs_bound and eps <= cf.frob_bound
+    return VerificationReport(a, b, eps, cf.frob_bound, fs_max, fs_bound, passed)
 
 
 def annulus_grid(set_spec: CompactSetSpec, delta: float, count: int,

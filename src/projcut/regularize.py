@@ -27,7 +27,7 @@ moved points nor their distances are ever formed.
 
 The build stores the sample and certifies how far it moves points:
 eps = max ||g - Id||_F, so that no g moves any point by more than
-fs = asin(eps / (1 - eps)) when eps < 1/2.  A test holds on all of a ball
+fs = :func:`displacement_bound` (eps).  A test holds on all of a ball
 of reach R about c_b, so every moved point of a row within R - fs of c_b
 passes it, and none of a row at R + fs or beyond does.  Each row is first
 placed against these levels: a row inside some ball is decided 1, a row
@@ -142,6 +142,13 @@ def _form_coefficients(matrices, centres, levels):
     return forms
 
 
+def displacement_bound(eps: float) -> float:
+    """The Fubini-Study distance by which no g with ||g - Id||_F <= eps moves any
+    point, as sin fs_distance(z, g z) <= ||(g - Id) z|| / ||g z|| <= eps / (1 - eps)
+    for unit z; from eps = 1/2 on that bounds nothing, and it is pi/2, the diameter."""
+    return math.asin(eps / (1.0 - eps)) if eps < 0.5 else 0.5 * math.pi
+
+
 def _decision_levels(levels, eps):
     """Levels (inner, outer), shape (B,), on the ratio |c_b^H z|^2 / |z|^2
     of a row z, for unit centres c_b: above inner_b every moved point g z
@@ -152,13 +159,15 @@ def _decision_levels(levels, eps):
     cos^2 dist(g z, c_b) >= l_b + DECISION_VALUE, and fails it by that
     margin when cos^2 dist(g z, c_b) <= l_b - DECISION_VALUE.  Those are
     the balls of reach R = acos(sqrt(l_b +- DECISION_VALUE)) about c_b,
-    and a level at or below 0 holds everywhere.  Since g moves z by less
-    than fs, the row decides the test when it lies within
-    R - fs - DECISION_ANGLE, or at R + fs + DECISION_ANGLE or beyond."""
+    and a level at or below 0 holds everywhere.  Since g moves z by at most
+    fs = :func:`displacement_bound` (eps), the row decides the test when it
+    lies within R - fs - DECISION_ANGLE, or at R + fs + DECISION_ANGLE or
+    beyond."""
     inner, outer = np.full(levels.size, np.inf), np.full(levels.size, -1.0)
-    if eps >= 0.5:
+    fs = displacement_bound(eps)
+    if fs >= 0.5 * math.pi:  # eps >= 1/2 bounds no displacement
         return inner, outer
-    shift = math.asin(eps / (1.0 - eps)) + DECISION_ANGLE
+    shift = fs + DECISION_ANGLE
     passes, fails = levels + DECISION_VALUE, levels - DECISION_VALUE
     reach = np.arccos(np.sqrt(np.clip(passes, 0.0, 1.0))) - shift
     ok = (passes < 1.0) & (reach > 0.0)

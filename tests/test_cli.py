@@ -403,3 +403,85 @@ def test_bundled_configs_are_valid():
     assert cfg.k == 3 and cfg.S > 2 * SAMPLE_BLOCK
     cfg = load_config(config_dir / "verify_rp1_net.json")  # a 128-ball cover of RP^1
     assert cfg.k == 1 and len(cfg.set_spec.balls) == 128 and cfg.S == 2000
+
+
+COMMANDS = ["verify", "scaling", "eval", "diagnostics"]
+
+
+def _argv(command, cfg, out, tmp_path):
+    """The argv of one command on cfg into out; eval reads one point."""
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    if command == "eval":
+        pts = tmp_path / "pts.csv"
+        pts.write_text("re0,im0,re1,im1\n1,0,0.2,0.1\n")
+        argv += ["--points", str(pts)]
+    return argv
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_out_that_is_a_file_exits_2_before_the_command(command, verify_config, tmp_path,
+                                                         monkeypatch, capsys):
+    from projcut import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, f"cmd_{command}", refuse)
+    out = tmp_path / "out"
+    out.write_text("keep")
+    assert main(_argv(command, verify_config, out, tmp_path)) == 2
+    assert "config error: --out:" in capsys.readouterr().err
+    assert out.read_text() == "keep"
+
+
+def test_out_that_cannot_be_created_exits_2(verify_config, tmp_path):
+    # the parent of --out is a file: mkdir fails after the work, with exit 2
+    # and a message naming --out, not a traceback
+    (tmp_path / "file").write_text("keep")
+    result = run_cli("diagnostics", "--config", str(verify_config),
+                     "--out", str(tmp_path / "file" / "out"))
+    assert result.returncode == 2
+    assert "config error: --out:" in result.stderr and "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("bad_set", [
+    {"balls": [{"center": [[1, 0], [0.2, 0.1]], "radius": "0.05"}]},
+    {"balls": [{"center": [[1, 0], [0.2, True]], "radius": 0.05}]},
+    {"balls": [{"center": [[1, 0], [0.2, "0.1"]], "radius": 0.05}]},
+    {"balls": [{"center": [[1, 0], [0.2, 0.1]], "radius": 0.05, "weight": 2}]},
+    {"balls": [{"center": [[1, 0], [0.2, 0.1]], "radius": 0.05}], "extra": 1},
+    {"balls": [{"center": [[1, 0], [0.2, 0.1, 0.0]], "radius": 0.05}]},
+    {"balls": [{"center": [[1, 0], [0.2, 0.1]]}]},
+    {"balls": []},
+    [{"center": [[1, 0], [0.2, 0.1]], "radius": 0.05}],
+], ids=["radius-string", "center-true", "center-string", "ball-unknown-key",
+        "set-unknown-key", "center-triple", "no-radius", "no-balls", "set-a-list"])
+def test_set_takes_json_numbers_and_known_fields_only(bad_set, tmp_path, capsys):
+    cfg = write_config(tmp_path / "bad_set.json", set=bad_set)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error: set:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["config", "flag"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_negative_seed_exits_2_for_every_command(command, source, tmp_path, capsys):
+    # one rule, CutoffConfig's, before any work and before --out is created
+    seeds = {"seed": -1} if source == "config" else {}
+    cfg = write_config(tmp_path / "seed.json", deltas=[0.2, 0.1, 0.05], **seeds)
+    out = tmp_path / "out"
+    argv = _argv(command, cfg, out, tmp_path) + (["--seed", "-3"] if source == "flag" else [])
+    assert main(argv) == 2
+    assert "config error: seed:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_diagnostics_refuses_what_the_other_commands_refuse(tmp_path, capsys):
+    # sigma 2 and delta0 8 leave no distortion bound: every command exits 2
+    cfg = write_config(tmp_path / "wide.json", sigma=2.0, delta0=8.0)
+    for command in COMMANDS:
+        out = tmp_path / command
+        assert main(_argv(command, cfg, out, tmp_path)) == 2
+        assert "config error: delta0:" in capsys.readouterr().err
+        assert not out.exists()

@@ -13,7 +13,7 @@ from projcut.errors import ConfigError, DeltaOutOfRange
 from projcut.geometry import rows_dist_to_set, uniform_rows
 from projcut.cli import DEFAULT_BANDS, load_config
 from projcut.lie import _frob
-from projcut.regularize import MAX_S, RegularizedFunction, _features
+from projcut.regularize import MAX_S, RegularizedFunction, _features, displacement_bound
 from projcut.rng import make_rng
 
 
@@ -58,6 +58,15 @@ def test_config_refuses_S_above_the_ceiling(S, two_ball_set, monkeypatch):
 def test_config_accepts_numpy_integers():
     cfg = pc.CutoffConfig(1, S=np.int64(10), seed=np.uint32(3))
     assert cfg.S == 10 and cfg.seed == 3
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_config_budget_is_exactly_one_below_the_cap(k):
+    # theta_max < 1 here, so the whole delta/4 budget is spent: budget is 1,
+    # not the 0.9999999999999999 of a round trip through theta_max (k = 2)
+    cfg = pc.CutoffConfig(k, sigma=0.1, delta0=0.4, S=10, seed=3)
+    assert cfg.theta_max < 1.0
+    assert cfg.budget == 1.0
 
 
 def test_config_create_caps_theta_at_one():
@@ -158,7 +167,7 @@ def test_build_cutoff_per_sample_bound(config_small, two_ball_set):
     cf = pc.build_cutoff(two_ball_set, 0.2, config_small)
     bound = config_small.distortion * cf.theta * config_small.sigma
     devs = _frob(cf.rf.matrices - np.eye(2))
-    assert float(devs.max()) <= bound
+    assert float(devs.max()) == cf.rf.eps <= bound == cf.frob_bound
     assert bound == pytest.approx(config_small.budget * 0.2 / 4.0, rel=1e-14)
 
 
@@ -184,10 +193,26 @@ def test_verify_cutoff_report(config_small, two_ball_set):
     assert report.fs_audit_max < report.fs_audit_bound == 0.05
     assert report.euclid_audit_max <= report.euclid_audit_bound
     assert report.euclid_audit_bound == pytest.approx(config_small.budget * 0.1 / 4.0)
+    assert report.euclid_audit_bound == cf.frob_bound
     payload = report.to_dict()
     assert set(payload) == {"max_dev_on_K", "max_val_off_Kdelta", "euclid_audit_max",
                             "euclid_audit_bound", "fs_audit_max", "fs_audit_bound", "pass"}
     assert payload["pass"] is True
+
+
+@pytest.mark.parametrize("k, delta", [(1, 0.17), (2, 0.2), (3, 0.07)])
+def test_verify_reports_the_bound_the_build_checked(k, delta):
+    # deltas where budget * delta / 4 and distortion * theta * sigma differ
+    # in the last bits: the report carries the build's bound, bit for bit
+    config = pc.CutoffConfig(k, S=300, seed=5)
+    sset = pc.CompactSetSpec((pc.Ball(pc.ProjectivePoint(np.eye(k + 1)[0]), 0.05),))
+    cf = pc.build_cutoff(sset, delta, config)
+    report = pc.verify_cutoff(cf, 5, 5, seed=1)
+    assert 0.25 * config.budget * delta != config.distortion * cf.theta * config.sigma
+    assert report.euclid_audit_bound == config.distortion * cf.theta * config.sigma
+    assert report.euclid_audit_max == cf.rf.eps <= report.euclid_audit_bound
+    assert report.fs_audit_max == displacement_bound(cf.rf.eps)
+    assert report.passed
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -202,7 +227,7 @@ def test_certified_displacement_bounds_sampled_audits(k):
         cf = pc.build_cutoff(sset, delta, config)
         report = pc.verify_cutoff(cf, 20, 20, seed=k)
         assert report.passed
-        assert report.euclid_audit_max == cf.frob_dev
+        assert report.euclid_audit_max == cf.rf.eps
         assert report.fs_audit_max < report.fs_audit_bound
         for rows in (uniform_rows(k, 100, rng), rows_on_set(sset, 50, rng),
                      rows_off_set(sset, delta, 50, rng)):
@@ -287,7 +312,7 @@ def test_displacement_audits_scale_free(config_small, two_ball_set):
     fs = max_fs_displacement(cf.rf.matrices, rows)
     assert 0.0 < fs < 0.05
     ratio = max_euclid_ratio(cf.rf.matrices, rows)
-    assert 0.0 < ratio <= config_small.budget * 0.1 / 4.0 * (1 + 1e-9)
+    assert 0.0 < ratio <= cf.rf.eps <= cf.frob_bound
     # scaling the rows leaves both audits unchanged (projective data)
     assert max_fs_displacement(cf.rf.matrices, 3.0 * rows) == pytest.approx(fs, rel=1e-12)
 

@@ -11,7 +11,7 @@ from projcut.geometry import geodesic_row, rows_dist_to_set, tangent_row, unifor
 from projcut.lie import SAMPLE_BLOCK, _expm, _frob, _normalize_stack
 from projcut.regularize import (DECISION_ANGLE, DECISION_VALUE, FORM_GEMM_OUTPUT, MAX_S,
                                 ROW_BLOCK, _decision_levels, _features, _form_coefficients,
-                                _unit_draws)
+                                _unit_draws, displacement_bound)
 from projcut.rng import make_rng
 
 
@@ -410,6 +410,26 @@ def test_decision_levels_match_per_ball_loop(eps):
     else:
         assert inner[0] == -1.0 and np.any(np.isfinite(inner) & (inner > 0.0))
         assert np.any(outer > 0.0)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1, 0.49, 0.5, 0.7])
+def test_displacement_bound_matches_the_formulas_it_replaced(eps):
+    # the decision levels' shift (nothing decided from eps = 1/2 on) and
+    # verify's fs_audit_max, each written out as they were
+    fs = displacement_bound(eps)
+    assert fs == (math.asin(eps / (1.0 - eps)) if eps < 0.5 else 0.5 * math.pi)
+    levels = np.array([-1.0, 0.5, 0.9])
+    inner, outer = _decision_levels(levels, eps)
+    if eps >= 0.5:
+        assert fs == 0.5 * math.pi
+        assert np.all(inner == np.inf) and np.all(outer == -1.0)
+    else:
+        assert fs == math.asin(eps / (1.0 - eps)) < 0.5 * math.pi
+        shift = math.asin(eps / (1.0 - eps)) + DECISION_ANGLE
+        reach = math.acos(math.sqrt(0.9 + DECISION_VALUE)) - shift
+        assert inner[0] == -1.0
+        assert inner[2] == pytest.approx(math.cos(reach) ** 2 if reach > 0.0 else np.inf,
+                                         rel=0.0, abs=1e-15)
 
 
 @pytest.fixture(scope="module")
