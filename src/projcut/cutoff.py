@@ -22,8 +22,9 @@ from .geometry import (ChartCoordinates, CompactSetSpec, ProjectivePoint, geodes
 # log_chart and check_distortion are unused here but kept: the benchmark tracer binds them by name
 from .lie import DEFAULT_SIGMA, check_distortion, estimate_distortion, log_chart
 from .measure import get_mollifier
-from .regularize import (RegularizedFunction, ScalingReport, _check_stencil, _stored_images,
-                         c_alpha_estimate, check_S, displacement_bound, regularize, scaling_slope)
+from .regularize import (RegularizedFunction, ScalingReport, _check_stencil, _is_integer,
+                         _stored_images, c_alpha_estimate, check_S, check_seed,
+                         displacement_bound, regularize, scaling_slope)
 from .rng import make_rng
 
 DELTA_FLOOR = 1e-4
@@ -65,8 +66,7 @@ class CutoffConfig:
             if isinstance(value, (bool, np.bool_)) or not (value > 0 and math.isfinite(value)):
                 raise ConfigError(f"{name}: must be positive and finite")
         check_S(self.S)
-        if not (type(self.seed) is int or isinstance(self.seed, np.integer)) or self.seed < 0:
-            raise ConfigError("seed: must be a nonnegative integer")
+        check_seed(self.seed)
         c = estimate_distortion(min(self.sigma, self.delta0 / (4.0 * math.sqrt(self.k + 1))),
                                 self.k)
         if math.isinf(c):
@@ -156,9 +156,9 @@ def build_cutoff(set_spec: CompactSetSpec, delta: float, config: CutoffConfig) -
     The build stores the sample and its certificate ``rf.eps``, the largest
     Frobenius distance of a stored group element from the identity, and
     refuses it above :attr:`CutoffFunction.frob_bound`; it certifies the
-    displacement bounds of :func:`verify_cutoff`.  The ball tests'
-    coefficients are not formed here: the evaluator forms them at the first
-    row that needs them.
+    displacement bounds of :func:`verify_cutoff`.  Neither the group
+    elements nor the ball tests' coefficients are formed here: the
+    evaluator forms them at the first row that needs them.
     """
     if not DELTA_FLOOR < delta < config.delta0:
         raise DeltaOutOfRange(f"delta must lie in ({DELTA_FLOOR}, {config.delta0})")
@@ -274,8 +274,9 @@ def verify_cutoff(cf: CutoffFunction, n_inner: int = 200, n_outer: int = 200,
     sampled points by the same certificate, with no matrix product once fs
     clears delta / 2 by the decision margins, as in every bundled config.
     """
-    if n_inner < 1 or n_outer < 1:
-        raise ValueError("counts must be at least 1")
+    for name, count in (("n_inner", n_inner), ("n_outer", n_outer)):
+        if not _is_integer(count) or count < 1:
+            raise ValueError(f"{name}: must be an integer, at least 1")
     rng = make_rng(seed, 41)
     inner = rows_on_set(cf.set_spec, n_inner, rng)
     outer = rows_off_set(cf.set_spec, cf.delta, n_outer, rng)

@@ -156,7 +156,8 @@ def sample_rows(m: ScaledMeasure, count: int, seed) -> np.ndarray:
     radii = np.interp(rng.random(count), cdf, t) * (m.theta * m.base.sigma)
     dirs = rng.standard_normal((count, n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    return dirs * radii[:, None]
+    dirs *= radii[:, None]  # in place: a second (count, n) array would set the peak memory
+    return dirs
 
 
 def sample_matrices(m: ScaledMeasure, count: int, seed) -> np.ndarray:

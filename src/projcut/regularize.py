@@ -25,14 +25,18 @@ Im(conj(z_i) z_j), i < j.  Its coefficients are built per stored element
 from rank-one terms, once, when the first row needs them, so neither the
 moved points nor their distances are ever formed.
 
-The build stores the sample and certifies how far it moves points:
-eps = max ||g - Id||_F, so that no g moves any point by more than
-fs = :func:`displacement_bound` (eps).  A test holds on all of a ball
-of reach R about c_b, so every moved point of a row within R - fs of c_b
+The build stores the draws and certifies how far their group elements move
+points: eps = max ||g - Id||_F, so that no g moves any point by more than
+fs = :func:`displacement_bound` (eps).  A bound on ||g - Id||_F per draw
+rules out all but a few draws as the maximiser, and only those are
+exponentiated (:func:`_certificate`).  A test holds on all of a ball of
+reach R about c_b, so every moved point of a row within R - fs of c_b
 passes it, and none of a row at R + fs or beyond does.  Each row is first
 placed against these levels: a row inside some ball is decided 1, a row
 outside every ball is decided 0, and only the rows left, the band rows,
-go through the products, and only for their candidate balls.
+go through the products, and only for their candidate balls.  The group
+elements are formed from the draws when the products or the source first
+need them, so an evaluation whose rows are all decided forms none.
 """
 
 from __future__ import annotations
@@ -68,21 +72,36 @@ DECISION_ANGLE = 1e-7
 DECISION_VALUE = 1e-9
 
 
+def _is_integer(value) -> bool:
+    """An int or numpy integer, not a boolean: the draw would read True as 1
+    and truncate 2.5 to 2."""
+    return type(value) is int or isinstance(value, np.integer)
+
+
 def check_S(S) -> int:
-    """Return S if it is an int or numpy integer (not a boolean, which the
-    draw would truncate) in [1, MAX_S], else raise :class:`ConfigError`."""
-    if not (type(S) is int or isinstance(S, np.integer)) or S < 1:
+    """Return S if it is an integer (:func:`_is_integer`) in [1, MAX_S],
+    else raise :class:`ConfigError`."""
+    if not _is_integer(S) or S < 1:
         raise ConfigError("S: must be an integer, at least 1")
     if S > MAX_S:
         raise ConfigError(f"S: must be at most {MAX_S}")
     return S
 
 
+def check_seed(seed) -> int:
+    """Return seed if it is a nonnegative integer (:func:`_is_integer`),
+    else raise :class:`ConfigError`."""
+    if not _is_integer(seed) or seed < 0:
+        raise ConfigError("seed: must be a nonnegative integer")
+    return seed
+
+
 def regularize(f: FunctionOnP, theta: float, S: int, seed, mollifier: MollifierSpec) -> "RegularizedFunction":
-    """Freeze S group elements exp_chart(theta * x_j), x_j drawn once from the
-    unit-scale mollifier, and return the averaging evaluator with their
-    certificate eps, the largest ||g - Id||_F, taken one sample block at a
-    time.
+    """Draw S traceless matrices x_j once from the unit-scale mollifier and
+    return the averaging evaluator over the group elements
+    exp_chart(theta * x_j), with their certificate eps, the largest
+    ||g - Id||_F (:func:`_certificate`).  The elements are formed from the
+    stored draws when first needed (:attr:`RegularizedFunction.matrices`).
 
     theta = 0 returns the pass-through evaluator (the Dirac case).  The same
     seed yields the same x_j for every theta, so evaluators at different
@@ -92,15 +111,15 @@ def regularize(f: FunctionOnP, theta: float, S: int, seed, mollifier: MollifierS
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
     check_S(S)
-    d = mollifier.k + 1
+    check_seed(seed)
     if theta == 0.0:
-        mats = np.zeros((0, d, d), dtype=np.complex128)
+        d = mollifier.k + 1
+        draws, eps = np.zeros((0, d, d), dtype=np.complex128), 0.0
+        draws.setflags(write=False)
     else:
-        mats = _normalize_stack(_expm(theta * _unit_draws(mollifier, int(S), int(seed))))
-    mats.setflags(write=False)
-    eps = max((float(_frob(mats[lo:lo + SAMPLE_BLOCK] - np.eye(d)).max())
-               for lo in range(0, mats.shape[0], SAMPLE_BLOCK)), default=0.0)
-    return RegularizedFunction(source=f, theta=float(theta), matrices=mats, S=int(S), eps=eps)
+        draws = _unit_draws(mollifier, int(S), int(seed))
+        eps = _certificate(draws, float(theta))
+    return RegularizedFunction(source=f, theta=float(theta), draws=draws, S=int(S), eps=eps)
 
 
 @lru_cache(maxsize=1)
@@ -110,6 +129,72 @@ def _unit_draws(mollifier: MollifierSpec, S: int, seed: int) -> np.ndarray:
     x = sample_matrices(ScaledMeasure(mollifier, 1.0), S, seed)
     x.setflags(write=False)
     return x
+
+
+def _certificate(draws: np.ndarray, theta: float) -> float:
+    """eps = max ||exp_chart(theta x) - Id||_F over the draws x, from the
+    few draws that can attain it.
+
+    With y = theta x, s = ||y||_F, a = ||y - y_00 Id||_F and the series
+    remainder R = e^y - Id - y, ||R||_F <= rho = e^s - 1 - s.  Then
+    e^y - (e^y)_00 Id = (y - y_00 Id) + (R - R_00 Id) lies within
+    e = (1 + sqrt(d)) rho of y - y_00 Id, and |(e^y)_00 - 1| <= q =
+    |y_00| + rho, so (a - e) / (1 + q) <= ||exp_chart(y) - Id||_F <=
+    (a + e) / (1 - q): the algebra of :func:`estimate_distortion`, per
+    draw.  The norms are vectors over the draws, with no stack-sized
+    temporary: ||x - x_00 Id||^2 = ||x||^2 + d |x_00|^2 -
+    2 Re(conj(x_00) tr x).
+
+    A draw whose upper bound stays below the largest lower bound, by more
+    than a slack (1e-9 relative, 1e-12 absolute) far above the roundoff of
+    the bounds and of the computed ||g - Id||_F, is not the maximiser and
+    is not exponentiated.  e grows with ||x||, and q with ||x|| and |x_00|,
+    so with e_max and q_max their largest values over the draws, no upper
+    bound exceeds (a + e_max) / (1 - q_max): only the draws with
+    a >= (f - slack) (1 - q_max) - e_max, f the lower bound of the draw of
+    largest a, can reach the largest lower bound, and the bounds are taken
+    on those alone.  When q_max reaches 1/2 every draw is exponentiated.
+    The draws of largest norm (within 1e-12, far above roundoff) are
+    always kept, so :func:`_expm` picks the squarings and degree of the
+    whole stack, and each kept element has the bits of its row of
+    :attr:`RegularizedFunction.matrices`."""
+    S, d = draws.shape[:2]
+    real = draws.reshape(S, d * d).view(np.float64)
+    square = np.einsum("ij,ij->i", real, real)
+    x00 = draws[:, 0, 0]
+    abs00 = np.abs(x00)
+    trace = np.einsum("sii->s", draws)
+    cross = x00.real * trace.real
+    cross += x00.imag * trace.imag
+    cross *= 2.0
+    a = abs00 * abs00  # a = theta ||x - x_00 Id||_F, formed in place
+    a *= d
+    a += square
+    a -= cross
+    np.sqrt(np.maximum(a, 0.0, out=a), out=a)
+    a *= theta
+
+    def bounds(i):
+        """(a, e, q) of the draws i."""
+        s = theta * np.sqrt(square[i])
+        rho = np.expm1(s) - s
+        return a[i], (1.0 + math.sqrt(d)) * rho, theta * abs00[i] + rho
+
+    def slack(floor):
+        return 1e-9 * floor + 1e-12
+
+    _, e_max, _ = bounds(np.argmax(square))
+    q_max = theta * abs00.max() + e_max / (1.0 + math.sqrt(d))
+    if q_max < 0.5:
+        a0, e0, q0 = bounds(np.argmax(a))
+        floor = (a0 - e0) / (1.0 + q0)
+        largest = square >= (1.0 - 1e-12) * square.max()
+        idx = np.flatnonzero((a >= (floor - slack(floor)) * (1.0 - q_max) - e_max) | largest)
+        ai, e, q = bounds(idx)
+        floor = ((ai - e) / (1.0 + q)).max()
+        draws = draws[idx[((ai + e) / (1.0 - q) >= floor - slack(floor)) | largest[idx]]]
+    g = _normalize_stack(_expm(theta * draws))
+    return float(_frob(g - np.eye(d)).max())
 
 
 def _stored_images(matrices: np.ndarray, Z: np.ndarray):
@@ -201,10 +286,14 @@ def _features(Z: np.ndarray) -> np.ndarray:
 class RegularizedFunction:
     """Frozen-sample smoothing of a bounded evaluator.
 
-    ``matrices`` holds the S stored group elements, shape (S, k+1, k+1)
-    (empty for the pass-through case theta = 0).  ``eps`` is the
-    displacement certificate, the largest ||g - Id||_F over the stored g
-    (0 when none is stored).  When the source offers ball tests, the
+    ``draws`` holds the S stored unit-scale draws x_j, shape (S, k+1, k+1),
+    read-only (empty for the pass-through case theta = 0).  ``matrices``
+    holds the group elements g_j = exp_chart(theta * x_j), formed from the
+    draws at the first band row or source call and kept; an evaluation
+    whose rows are all decided forms none.  ``eps`` is the displacement
+    certificate, the largest ||g - Id||_F over the g (0 when none is
+    stored), taken at the build from the few draws that can attain it
+    (:func:`_certificate`).  When the source offers ball tests, the
     certificate decides the rows and balls that skip the products, and
     ``forms`` holds the real coefficients of each test on the moved point
     per ball and stored element, shape (B, S, (k+1)^2), one contiguous slab
@@ -215,9 +304,15 @@ class RegularizedFunction:
 
     source: FunctionOnP
     theta: float
-    matrices: np.ndarray
+    draws: np.ndarray
     S: int
     eps: float = 0.0
+
+    @cached_property
+    def matrices(self) -> np.ndarray:
+        mats = _normalize_stack(_expm(self.theta * self.draws))
+        mats.setflags(write=False)
+        return mats
 
     @cached_property
     def _decisions(self) -> Optional[tuple]:
@@ -250,11 +345,12 @@ class RegularizedFunction:
         :func:`_decision_levels`).  A row inside some ball counts every
         stored element, a row with no candidate ball counts none, and the
         products run on the band rows, for their candidate balls only; the
-        first band row forms :attr:`forms`.  A decided count equals the
-        products' count bit for bit: each moved point of a decided row
-        clears its test by a margin far above the products' roundoff."""
+        first band row forms :attr:`matrices` and :attr:`forms`.  A decided
+        count equals the products' count bit for bit: each moved point of a
+        decided row clears its test by a margin far above the products'
+        roundoff."""
         Z = np.asarray(rows, dtype=np.complex128)
-        if Z.ndim != 2 or Z.shape[1] != self.matrices.shape[1]:
+        if Z.ndim != 2 or Z.shape[1] != self.draws.shape[1]:
             raise ValueError("expected stacked homogeneous rows of shape (m, k+1)")
         Z = scaled_rows(Z)
         if self.theta == 0.0:

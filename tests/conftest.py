@@ -1,7 +1,10 @@
+import importlib
+
 import numpy as np
 import pytest
 
 import projcut as pc
+from projcut.lie import _expm
 
 
 @pytest.fixture(scope="session")
@@ -14,6 +17,20 @@ def config_small():
 def two_ball_set():
     centers = [pc.ProjectivePoint([1.0, 0.2 + 0.1j]), pc.ProjectivePoint([0.3, 1.0])]
     return pc.CompactSetSpec(tuple(pc.Ball(c, 0.05) for c in centers))
+
+
+@pytest.fixture
+def expm_sizes(monkeypatch):
+    """The stack size of every exponential that regularize takes, in order."""
+    sizes = []
+
+    def spy(stack):
+        sizes.append(stack.shape[0])
+        return _expm(stack)
+
+    # the package re-exports the function regularize over its module name
+    monkeypatch.setattr(importlib.import_module("projcut.regularize"), "_expm", spy)
+    return sizes
 
 
 @pytest.fixture(scope="session")

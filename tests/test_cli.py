@@ -3,13 +3,15 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from projcut.cli import CEILINGS, DEFAULT_BANDS, load_config, main
+from projcut.cutoff import DEFAULT_S, CutoffConfig, build_cutoff
 from projcut.errors import ConfigError
 from projcut.lie import SAMPLE_BLOCK
-from projcut.regularize import MAX_S
+from projcut.regularize import MAX_S, RegularizedFunction
 
 BASE_SET = {
     "balls": [
@@ -485,3 +487,44 @@ def test_diagnostics_refuses_what_the_other_commands_refuse(tmp_path, capsys):
         assert main(_argv(command, cfg, out, tmp_path)) == 2
         assert "config error: delta0:" in capsys.readouterr().err
         assert not out.exists()
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+def test_bundled_builds_exponentiate_under_one_percent(name, expm_sizes):
+    # at each bundled theta, with the default S, the certificate
+    # exponentiates fewer than 1% of the draws
+    cfg = load_config(CONFIG_DIR / name)
+    config = CutoffConfig(cfg.k, cfg.sigma, cfg.delta0, DEFAULT_S, cfg.seed)
+    for delta in cfg.deltas:
+        expm_sizes.clear()
+        build_cutoff(cfg.set_spec, delta, config)
+        assert len(expm_sizes) == 1 and expm_sizes[0] < 0.01 * DEFAULT_S
+
+
+@pytest.mark.parametrize("name", ["verify_two_balls.json", "verify_k3.json"])
+def test_bundled_verify_never_forms_the_stack(name, tmp_path, monkeypatch, expm_sizes):
+    # every row verify evaluates is decided by the certificate, which
+    # exponentiates a few draws only
+    def refuse(self):
+        raise AssertionError("verify formed the group elements")
+
+    monkeypatch.setattr(RegularizedFunction, "matrices", property(refuse))
+    cfg = load_config(CONFIG_DIR / name)
+    assert main(["verify", "--config", str(CONFIG_DIR / name), "--out", str(tmp_path)]) == 0
+    assert len(expm_sizes) == len(cfg.deltas) and max(expm_sizes) < 0.01 * cfg.S
+
+
+@pytest.mark.parametrize("command", ["eval", "scaling"])
+def test_commands_with_band_rows_form_the_stack_once_per_build(command, tmp_path, expm_sizes):
+    cfg = write_config(tmp_path / "cfg.json", deltas=[0.2, 0.1, 0.05])
+    argv = _argv(command, cfg, tmp_path / "out", tmp_path)
+    if command == "eval":  # one row on K, one in the band
+        (tmp_path / "pts.csv").write_text("re0,im0,re1,im1\n1,0,0.2,0.1\n1,0,0.36,0.1\n")
+    assert main(argv + ["--threads", "1"]) == 0
+    builds = 1 if command == "eval" else 3
+    certificates, stacks = expm_sizes[0::2], expm_sizes[1::2]
+    assert len(expm_sizes) == 2 * builds
+    assert stacks == [600] * builds and max(certificates) < 600

@@ -235,6 +235,24 @@ def test_certified_displacement_bounds_sampled_audits(k):
             assert max_euclid_ratio(cf.rf.matrices, rows) <= report.euclid_audit_max
 
 
+@pytest.mark.parametrize("n_inner, n_outer", [(2.5, 5), (5, math.nan), (True, 5), (5, np.True_),
+                                              (0, 5), (5, -1), (5.0, 5), ("5", 5)])
+def test_verify_cutoff_refuses_counts_that_are_not_positive_integers(n_inner, n_outer,
+                                                                     config_small, two_ball_set):
+    # 2.5 ended in an IndexError inside rows_on_set, nan in a TypeError, and
+    # True ran as 1
+    cf = pc.build_cutoff(two_ball_set, 0.1, config_small)
+    name = "n_inner" if n_outer == 5 else "n_outer"
+    with pytest.raises(ValueError, match=f"^{name}: must be an integer, at least 1$"):
+        pc.verify_cutoff(cf, n_inner, n_outer, seed=3)
+
+
+def test_verify_cutoff_takes_numpy_integer_counts(config_small, two_ball_set):
+    cf = pc.build_cutoff(two_ball_set, 0.1, config_small)
+    assert (pc.verify_cutoff(cf, np.int64(5), np.uint16(5), seed=3)
+            == pc.verify_cutoff(cf, 5, 5, seed=3))
+
+
 def test_verify_cutoff_runs_no_sampled_audit(config_small, two_ball_set, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("verify_cutoff ran a sampled audit")

@@ -331,36 +331,103 @@ def test_form_coefficient_rows_do_not_depend_on_block(k):
         assert np.array_equal(forms[:, j], _form_coefficients(g[j:j + 1], centres, levels)[:, 0])
 
 
-def test_forms_are_formed_once_at_the_first_band_row(two_ball_set, monkeypatch):
-    # decided rows form nothing; the first band row forms the coefficients,
-    # which later band rows reuse, bit for bit those of the direct call
+def test_forms_are_formed_once_at_the_first_band_row(two_ball_set, monkeypatch, expm_sizes):
+    # decided rows form nothing, not even the group elements; the first band
+    # row forms the elements and the coefficients, which later band rows
+    # reuse, bit for bit those of the direct call
     calls = []
 
     def counted(*args):
         calls.append(args)
         return _form_coefficients(*args)
 
-    # the package re-exports the function regularize over its module name
     monkeypatch.setattr(importlib.import_module("projcut.regularize"), "_form_coefficients",
                         counted)
-    rho = 0.1
+    rho, S = 0.1, SAMPLE_BLOCK + 301
     f = pc.indicator_fattened(two_ball_set, rho)
-    rf = pc.regularize(f, theta=0.3, S=SAMPLE_BLOCK + 301, seed=19,
-                       mollifier=pc.get_mollifier(1, 0.1))
-    # the certificate, taken one sample block at a time, has the bits of
-    # the unblocked maximum
-    assert rf.eps == float(_frob(rf.matrices - np.eye(2)).max())
+    rf = pc.regularize(f, theta=0.3, S=S, seed=19, mollifier=pc.get_mollifier(1, 0.1))
+    assert len(expm_sizes) == 1 and expm_sizes[0] < 0.01 * S  # the certificate's few draws
     assert np.all(rf.eval_homog(two_ball_set.centres) == 1.0)
-    assert calls == []
+    assert calls == [] and len(expm_sizes) == 1
     rng = make_rng(38, 0)
     band = _band_heavy_rows(two_ball_set, rho, 60, rng)
     chi = rf.eval_homog(band)
     assert np.any((chi > 0.0) & (chi < 1.0))
+    assert expm_sizes[1:] == [S]
+    mats, forms = rf.matrices, rf.forms
     assert np.array_equal(rf.eval_homog(band[::-1]), chi[::-1])
+    assert rf.matrices is mats and rf.forms is forms
+    assert len(calls) == 1 and expm_sizes[1:] == [S]
+    draws = _unit_draws(pc.get_mollifier(1, 0.1), S, 19)
+    assert rf.draws is draws
+    assert np.array_equal(mats, _normalize_stack(_expm(0.3 * draws)))
+    assert np.array_equal(forms, _form_coefficients(mats, *f.ball_tests()))
+    assert not mats.flags.writeable and not forms.flags.writeable
     assert len(calls) == 1
-    assert np.array_equal(rf.forms, _form_coefficients(rf.matrices, *f.ball_tests()))
-    assert not rf.forms.flags.writeable
-    assert len(calls) == 1
+    # the certificate, from the few draws that can attain it, has the bits
+    # of the maximum over the whole stack
+    assert rf.eps == float(_frob(mats - np.eye(2)).max())
+
+
+def test_generic_path_forms_the_elements_at_its_first_call(mollifier_k1, expm_sizes):
+    rf = pc.regularize(re_zeta1, 0.2, 500, seed=6, mollifier=mollifier_k1)
+    assert len(expm_sizes) == 1 and expm_sizes[0] < 500
+    rows = np.array([[1.0, 0.3 + 0.1j], [1.0, 0.2]])
+    vals = rf.eval_homog(rows)
+    mats = rf.matrices
+    assert expm_sizes[1:] == [500]
+    assert np.array_equal(rf.eval_homog(rows), vals)
+    assert rf.matrices is mats and expm_sizes[1:] == [500]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("S", [1, SAMPLE_BLOCK + 301, 20000])
+def test_certificate_has_the_bits_of_the_whole_stack(k, S, monkeypatch):
+    # eps is the largest ||g - Id||_F over the whole stack bit for bit, and
+    # each exponentiated draw has the bits of its row of the stack: the
+    # same squarings and degree
+    stacks = []
+
+    def spy(stack):
+        out = _expm(stack)
+        stacks.append((stack, out))
+        return out
+
+    monkeypatch.setattr(importlib.import_module("projcut.regularize"), "_expm", spy)
+    mollifier = pc.get_mollifier(k, 0.1)
+    for seed in ((0, 1, 2) if S < 20000 else (3,)):
+        draws = _unit_draws(mollifier, S, seed)
+        for theta in (1.0, 0.5, 0.1, 0.01, 0.001):
+            stacks.clear()
+            rf = pc.regularize(ones, theta, S, seed, mollifier)
+            (scaled, g), = stacks
+            mats = rf.matrices
+            assert rf.eps == float(_frob(mats - np.eye(k + 1)).max())
+            index = {x.tobytes(): i for i, x in enumerate(theta * draws)}
+            rows = [index[x.tobytes()] for x in scaled]
+            assert np.array_equal(_normalize_stack(g), mats[rows])
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_certificate_takes_every_draw_far_from_the_identity(k, expm_sizes):
+    # a wide mollifier: some draw has |y_00| + e^s - 1 - s >= 1/2, where the
+    # bounds prune nothing, so every draw is exponentiated
+    rf = pc.regularize(ones, 1.0, 400, 3, pc.get_mollifier(k, 2.0))
+    assert expm_sizes == [400]
+    assert rf.eps == float(_frob(rf.matrices - np.eye(k + 1)).max()) >= 0.5
+
+
+@pytest.mark.parametrize("seed", [1.5, True, np.True_, -1, math.nan, "3", None])
+def test_regularize_refuses_bad_seeds(seed, mollifier_k1):
+    # 1.5 would run seed 1, and True seed 1
+    with pytest.raises(ConfigError, match="^seed: must be a nonnegative integer$"):
+        pc.regularize(ones, 0.2, 10, seed, mollifier_k1)
+
+
+def test_regularize_takes_numpy_integer_seeds(mollifier_k1):
+    eps = pc.regularize(ones, 0.2, 300, 3, mollifier_k1).eps
+    assert pc.regularize(ones, 0.2, 300, np.int64(3), mollifier_k1).eps == eps
+    assert pc.regularize(ones, 0.2, 300, np.uint32(3), mollifier_k1).eps == eps
 
 
 def _decision_levels_per_ball(centres, levels, eps):
