@@ -229,14 +229,12 @@ def cmd_eval(cfg: RunConfig, config: CutoffConfig, points_path: str) -> tuple[in
                 raise ConfigError(f"points: row {lineno}: non-finite value")
             if all(v == 0.0 for v in values):
                 raise ConfigError(f"points: row {lineno}: zero vector is not a point")
-            rows.append([complex(values[2 * i], values[2 * i + 1])
-                         for i in range(cfg.k + 1)])
-    chi = []
+            rows.append(values)
     if rows:
+        parts = np.array(rows)  # re0, im0, re1, im1, ...
         cf = build_cutoff(cfg.set_spec, cfg.deltas[0], config)
-        chi = cf.eval_homog(np.asarray(rows, dtype=np.complex128))
-    table = ([_fmt(x) for z in record for x in (z.real, z.imag)] + [_fmt(float(value))]
-             for record, value in zip(rows, chi))
+        rows = np.column_stack([parts, cf.eval_homog(parts.view(np.complex128))]).tolist()
+    table = ([_fmt(x) for x in row] for row in rows)
     return 0, {Path(points_path).stem + "_chi.csv": _csv_text(expected + ["chi"], table)}
 
 

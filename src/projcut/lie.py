@@ -156,35 +156,52 @@ def _block_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _expm(stack) -> np.ndarray:
-    """Matrix exponential of a stack of square matrices.
-
-    The stack is scaled by 2^-q until t = max ||A||_F / 2^q <= 0.25, and the
-    exponential series is truncated at the smallest degree m >= 1 whose
-    remainder t^(m+1)/(m+1)! e^t is below the unit roundoff 2^-53 (m <= 12).
-    The work runs over :func:`_sample_blocks`: 2x2 matrices sum the series
-    in the Cayley-Hamilton form :func:`_expm2`, larger ones by
-    :func:`_taylor_ps`; the result is then squared q times.  Every sample
-    gets the same arithmetic wherever it sits in the stack.
-    """
+    """Matrix exponential of a stack of square matrices: :func:`_expm_block`
+    on its :func:`_sample_blocks` with the whole stack's :func:`_expm_plan`."""
     a = np.ascontiguousarray(stack, dtype=np.complex128)
     d = a.shape[-1]
     flat = a.reshape(-1, d, d)
-    real = flat.view(np.float64).reshape(-1, 2 * d * d)
-    worst = math.sqrt(float(np.einsum("ij,ij->i", real, real).max())) if a.size else 0.0
+    plan = _expm_plan([flat])
+    out = np.empty_like(flat)
+    for rows, block in _sample_blocks(flat):
+        out[rows] = _expm_block(block, *plan).transpose(2, 0, 1)
+    return out.reshape(a.shape)
+
+
+def _expm_plan(stacks):
+    """(squarings q, degree m) for contiguous stacks (n, d, d): with t the
+    largest ||A||_F over them, q is the least with t / 2^q <= 0.25 and m >= 1
+    the least whose remainder t^(m+1)/(m+1)! e^t at t / 2^q is below the unit
+    roundoff 2^-53 (m <= 12)."""
+    worst = 0.0
+    for a in stacks:
+        if a.size:
+            real = a.view(np.float64).reshape(a.shape[0], -1)
+            worst = max(worst, math.sqrt(float(np.einsum("ij,ij->i", real, real).max())))
     squarings = 0
     while worst / (2.0 ** squarings) > 0.25:
         squarings += 1
-    degree = max(1, _taylor_degree(worst / (2.0 ** squarings)))
-    series = _expm2 if d == 2 else _taylor_ps
-    out = np.empty_like(flat)
-    for rows, block in _sample_blocks(flat):
-        if squarings:
-            block *= 2.0 ** -squarings
-        e = series(block, degree)
-        for _ in range(squarings):
-            e = _block_product(e, e)
-        out[rows] = e.transpose(2, 0, 1)
-    return out.reshape(a.shape)
+    return squarings, max(1, _taylor_degree(worst / (2.0 ** squarings)))
+
+
+def _expm_block(block: np.ndarray, squarings: int, degree: int) -> np.ndarray:
+    """Exponential of a block laid out (d, d, n), which it scales in place."""
+    if squarings:
+        block *= 2.0 ** -squarings
+    e = (_expm2 if block.shape[0] == 2 else _taylor_ps)(block, degree)
+    for _ in range(squarings):
+        e = _block_product(e, e)
+    return e
+
+
+def _chart_blocks(draws, theta: float):
+    """The blocks of :func:`_sample_blocks` of ``_normalize_stack(_expm(theta
+    * draws))`` bit for bit, from the draws (S, d, d) a block at a time."""
+    plan = _expm_plan(theta * draws[lo:lo + SAMPLE_BLOCK]
+                      for lo in range(0, draws.shape[0], SAMPLE_BLOCK))
+    for rows, x in _sample_blocks(draws):
+        e = _expm_block(np.multiply(theta, x, out=x), *plan)
+        yield rows, _normalize_stack(e.transpose(2, 0, 1)).transpose(1, 2, 0)
 
 
 def _taylor_ps(a: np.ndarray, degree: int) -> np.ndarray:

@@ -23,7 +23,8 @@ evaluated as a sign test on real matrix products: the test on g_s z is
 in the (k+1)^2 real features |z_i|^2, Re(conj(z_i) z_j) and
 Im(conj(z_i) z_j), i < j.  Its coefficients are built per stored element
 from rank-one terms, once, when the first row needs them, so neither the
-moved points nor their distances are ever formed.
+moved points nor their distances are ever formed; nor is the stack of
+group elements, as they come from the draws a block at a time.
 
 The build stores the draws and certifies how far their group elements move
 points: eps = max ||g - Id||_F, so that no g moves any point by more than
@@ -34,9 +35,7 @@ reach R about c_b, so every moved point of a row within R - fs of c_b
 passes it, and none of a row at R + fs or beyond does.  Each row is first
 placed against these levels: a row inside some ball is decided 1, a row
 outside every ball is decided 0, and only the rows left, the band rows,
-go through the products, and only for their candidate balls.  The group
-elements are formed from the draws when the products or the source first
-need them, so an evaluation whose rows are all decided forms none.
+go through the products, and only for their candidate balls.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ import numpy as np
 
 from .errors import ConfigError, StepTooSmall
 from .geometry import ChartCoordinates, ProjectivePoint, scaled_rows
-from .lie import SAMPLE_BLOCK, _expm, _frob, _normalize_stack, _sample_blocks
+from .lie import SAMPLE_BLOCK, _chart_blocks, _expm, _frob, _normalize_stack, _sample_blocks
 from .measure import MollifierSpec, ScaledMeasure, sample_matrices
 
 FunctionOnP = Callable[[np.ndarray], np.ndarray]
@@ -62,6 +61,10 @@ ROW_BLOCK = 128  # rows per evaluation block; bounds the working set for large m
 # then stays below the size at which OpenBLAS starts its threads, whose
 # start-up can stall a thin GEMM for milliseconds on a shared host.
 FORM_GEMM_OUTPUT = 2 ** 15
+# Coefficient values per chunk of balls and sample block as the forms are
+# built: a chunk's temporaries (about 0.5 MB) are then reused, not mapped
+# afresh, which takes a third off the forms of the 128-ball net.
+_FORM_CHUNK = 2 ** 16
 # Margins of the row decisions.  DECISION_ANGLE (radians) covers the
 # roundoff of the ratio |c^H z|^2 / |z|^2 and of its levels, which is below
 # 5e-8 rad even where cos^2 is flattest.  DECISION_VALUE narrows the reach
@@ -207,23 +210,28 @@ def _stored_images(matrices: np.ndarray, Z: np.ndarray):
 def _form_coefficients(matrices, centres, levels):
     """Coefficients (B, S, d*d) of |c_b^H g z|^2 - l_b |g z|^2 against
     :func:`_features` of z, for the stored g and the ball tests (c_b, l_b):
-    P(c_b^H g) - l_b sum_r P(g_r), g_r the rows of g.  Each ball's forms
-    are one contiguous (S, d*d) slab.  The work runs over
-    :func:`_sample_blocks`; the row sum is kept once per stored element,
-    not per ball."""
-    S, d = matrices.shape[:2]
+    P(c_b^H g) - l_b sum_r P(g_r), g_r the rows of g, by :func:`_forms`."""
+    return _forms(_sample_blocks(matrices), matrices.shape[0], centres, levels)
+
+
+def _forms(blocks, S, centres, levels):
+    """:func:`_form_coefficients` from the (rows, g) blocks of the S
+    elements, laid out (d, d, n).  Each ball's forms are one contiguous
+    (S, d*d) slab; the row sum is kept once per element, not per ball, and
+    the balls are taken a few at a time, _FORM_CHUNK values per block."""
     levels = np.asarray(levels, dtype=np.float64)
+    d = centres.shape[1]
     forms = np.empty((levels.size, S, d * d))
     weights = np.conj(centres).T[:, :, None]  # (d, B, 1)
-    for rows, g in _sample_blocks(matrices):
-        u = g[0][:, None] * weights[0]  # (d, B, n): entry j of c_b^H g
-        for i in range(1, d):
-            u += g[i][:, None] * weights[i]
-        row_sum = _rank_one(g[0])
-        for r in range(1, d):
-            row_sum += _rank_one(g[r])
-        block = _rank_one(u) - levels[:, None] * row_sum[:, None]  # (d*d, B, n)
-        forms[:, rows] = block.transpose(1, 2, 0)
+    step = max(1, _FORM_CHUNK // (SAMPLE_BLOCK * d * d))
+    for rows, g in blocks:
+        row_sum = _rank_one(g, axis=1).sum(axis=0)[:, None]  # P(g_r) summed in row order
+        for b in range(0, levels.size, step):
+            balls = slice(b, b + step)
+            u = g[0][:, None] * weights[0, balls]  # (d, balls, n): entry j of c_b^H g
+            for i in range(1, d):
+                u += g[i][:, None] * weights[i, balls]
+            forms[balls, rows] = (_rank_one(u) - levels[balls, None] * row_sum).transpose(1, 2, 0)
     return forms
 
 
@@ -264,19 +272,27 @@ def _decision_levels(levels, eps):
     return inner, outer
 
 
-def _rank_one(U: np.ndarray) -> np.ndarray:
-    """Coefficients P(u), shape (d*d, ...), of |u . z|^2 against
-    :func:`_features` of z, for vectors u laid out along the leading axis
-    of U (d, ...)."""
-    i, j = np.triu_indices(U.shape[0], 1)
-    cross = 2.0 * U[i] * np.conj(U[j])
-    return np.concatenate([U.real ** 2 + U.imag ** 2, cross.real, cross.imag])
+@lru_cache(maxsize=None)
+def _pairs(d: int):
+    """np.triu_indices(d, 1), kept read-only."""
+    pairs = np.triu_indices(d, 1)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
+
+
+def _rank_one(U: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Coefficients P(u) of |u . z|^2 against :func:`_features` of z, for
+    vectors u laid out along an axis of U, in place of that axis."""
+    i, j = _pairs(U.shape[axis])
+    cross = 2.0 * U.take(i, axis) * np.conj(U.take(j, axis))
+    return np.concatenate([U.real ** 2 + U.imag ** 2, cross.real, cross.imag], axis=axis)
 
 
 def _features(Z: np.ndarray) -> np.ndarray:
     """Real features (d*d, m) of rows, one column per row: |z_i|^2, then Re
     and Im of conj(z_i) z_j for i < j."""
-    i, j = np.triu_indices(Z.shape[1], 1)
+    i, j = _pairs(Z.shape[1])
     Zt = Z.T
     cross = np.conj(Zt[i]) * Zt[j]
     return np.concatenate([Zt.real ** 2 + Zt.imag ** 2, cross.real, cross.imag])
@@ -289,17 +305,17 @@ class RegularizedFunction:
     ``draws`` holds the S stored unit-scale draws x_j, shape (S, k+1, k+1),
     read-only (empty for the pass-through case theta = 0).  ``matrices``
     holds the group elements g_j = exp_chart(theta * x_j), formed from the
-    draws at the first band row or source call and kept; an evaluation
-    whose rows are all decided forms none.  ``eps`` is the displacement
-    certificate, the largest ||g - Id||_F over the g (0 when none is
-    stored), taken at the build from the few draws that can attain it
-    (:func:`_certificate`).  When the source offers ball tests, the
-    certificate decides the rows and balls that skip the products, and
+    draws when first read and kept; the form path never reads it.  ``eps``
+    is the displacement certificate, the largest ||g - Id||_F over the g (0
+    when none is stored), taken at the build from the few draws that can
+    attain it (:func:`_certificate`).  When the source offers ball tests,
+    the certificate decides the rows and balls that skip the products, and
     ``forms`` holds the real coefficients of each test on the moved point
     per ball and stored element, shape (B, S, (k+1)^2), one contiguous slab
-    per ball, formed when first read and kept; otherwise it is None and the
-    source is called on the moved points.  Evaluation is deterministic: the
-    same (seed, S, theta, point) gives the same value bit for bit.
+    per ball, formed from the draws when first read and kept; otherwise it
+    is None and the source is called on the moved points.  Evaluation is
+    deterministic: the same (seed, S, theta, point) gives the same value bit
+    for bit.
     """
 
     source: FunctionOnP
@@ -327,7 +343,7 @@ class RegularizedFunction:
     def forms(self) -> Optional[np.ndarray]:
         if self._decisions is None:
             return None
-        forms = _form_coefficients(self.matrices, *self.source.ball_tests())
+        forms = _forms(_chart_blocks(self.draws, self.theta), self.S, *self.source.ball_tests())
         forms.setflags(write=False)
         return forms
 
@@ -345,7 +361,7 @@ class RegularizedFunction:
         :func:`_decision_levels`).  A row inside some ball counts every
         stored element, a row with no candidate ball counts none, and the
         products run on the band rows, for their candidate balls only; the
-        first band row forms :attr:`matrices` and :attr:`forms`.  A decided
+        first band row forms :attr:`forms`.  A decided
         count equals the products' count bit for bit: each moved point of a
         decided row clears its test by a margin far above the products'
         roundoff."""
@@ -415,7 +431,7 @@ def _offsets(q: int, order: int) -> np.ndarray:
     rows = np.stack([eye, -eye], axis=1).reshape(2 * q, q)
     if order == 1:
         return rows
-    a, b = np.triu_indices(q, 1)
+    a, b = _pairs(q)
     plus, minus = eye[a] + eye[b], eye[a] - eye[b]
     pairs = np.stack([plus, minus, -minus, -plus], axis=1).reshape(-1, q)
     return np.concatenate([np.zeros((1, q)), rows, pairs])

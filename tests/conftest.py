@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import projcut as pc
-from projcut.lie import _expm
+from projcut.lie import _expm, _expm_block
 
 
 @pytest.fixture(scope="session")
@@ -30,6 +30,20 @@ def expm_sizes(monkeypatch):
 
     # the package re-exports the function regularize over its module name
     monkeypatch.setattr(importlib.import_module("projcut.regularize"), "_expm", spy)
+    return sizes
+
+
+@pytest.fixture
+def expm_draws(monkeypatch):
+    """The number of draws in every block the exponential takes, in order:
+    the blocks of every _expm stack and of the form pass alike."""
+    sizes = []
+
+    def spy(block, *plan):
+        sizes.append(block.shape[-1])
+        return _expm_block(block, *plan)
+
+    monkeypatch.setattr(importlib.import_module("projcut.lie"), "_expm_block", spy)
     return sizes
 
 

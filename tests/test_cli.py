@@ -518,13 +518,20 @@ def test_bundled_verify_never_forms_the_stack(name, tmp_path, monkeypatch, expm_
 
 
 @pytest.mark.parametrize("command", ["eval", "scaling"])
-def test_commands_with_band_rows_form_the_stack_once_per_build(command, tmp_path, expm_sizes):
+def test_commands_with_band_rows_exponentiate_each_draw_once_per_build(
+        command, tmp_path, monkeypatch, expm_sizes, expm_draws):
+    # each build exponentiates its certificate's few draws as a stack, and
+    # every draw once more, block by block, as it forms the coefficients;
+    # the stack of group elements is never formed
+    def refuse(self):
+        raise AssertionError(f"{command} formed the group elements")
+
+    monkeypatch.setattr(RegularizedFunction, "matrices", property(refuse))
     cfg = write_config(tmp_path / "cfg.json", deltas=[0.2, 0.1, 0.05])
     argv = _argv(command, cfg, tmp_path / "out", tmp_path)
     if command == "eval":  # one row on K, one in the band
         (tmp_path / "pts.csv").write_text("re0,im0,re1,im1\n1,0,0.2,0.1\n1,0,0.36,0.1\n")
     assert main(argv + ["--threads", "1"]) == 0
     builds = 1 if command == "eval" else 3
-    certificates, stacks = expm_sizes[0::2], expm_sizes[1::2]
-    assert len(expm_sizes) == 2 * builds
-    assert stacks == [600] * builds and max(certificates) < 600
+    assert len(expm_sizes) == builds and max(expm_sizes) < 600
+    assert sum(expm_draws) == sum(expm_sizes) + 600 * builds

@@ -8,10 +8,10 @@ import pytest
 import projcut as pc
 from projcut.errors import ConfigError, StepTooSmall
 from projcut.geometry import geodesic_row, rows_dist_to_set, tangent_row, uniform_rows
-from projcut.lie import SAMPLE_BLOCK, _expm, _frob, _normalize_stack
+from projcut.lie import SAMPLE_BLOCK, _expm, _expm_plan, _frob, _normalize_stack
 from projcut.regularize import (DECISION_ANGLE, DECISION_VALUE, FORM_GEMM_OUTPUT, MAX_S,
-                                ROW_BLOCK, _decision_levels, _features, _form_coefficients,
-                                _unit_draws, displacement_bound)
+                                ROW_BLOCK, RegularizedFunction, _decision_levels, _features,
+                                _form_coefficients, _forms, _unit_draws, displacement_bound)
 from projcut.rng import make_rng
 
 
@@ -331,42 +331,73 @@ def test_form_coefficient_rows_do_not_depend_on_block(k):
         assert np.array_equal(forms[:, j], _form_coefficients(g[j:j + 1], centres, levels)[:, 0])
 
 
-def test_forms_are_formed_once_at_the_first_band_row(two_ball_set, monkeypatch, expm_sizes):
-    # decided rows form nothing, not even the group elements; the first band
-    # row forms the elements and the coefficients, which later band rows
-    # reuse, bit for bit those of the direct call
+def test_forms_are_formed_once_at_the_first_band_row(two_ball_set, monkeypatch, expm_sizes,
+                                                    expm_draws):
+    # decided rows form nothing; the first band row forms the coefficients
+    # straight from the draws, exponentiating each draw once, block by
+    # block, with no stack of group elements; later band rows reuse them,
+    # bit for bit those of the direct call on that stack
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return _form_coefficients(*args)
+        return _forms(*args)
 
-    monkeypatch.setattr(importlib.import_module("projcut.regularize"), "_form_coefficients",
-                        counted)
+    def refuse(self):
+        raise AssertionError("the form path formed the group elements")
+
+    monkeypatch.setattr(importlib.import_module("projcut.regularize"), "_forms", counted)
     rho, S = 0.1, SAMPLE_BLOCK + 301
     f = pc.indicator_fattened(two_ball_set, rho)
     rf = pc.regularize(f, theta=0.3, S=S, seed=19, mollifier=pc.get_mollifier(1, 0.1))
-    assert len(expm_sizes) == 1 and expm_sizes[0] < 0.01 * S  # the certificate's few draws
+    certificate = expm_sizes[0]
+    assert expm_sizes == [certificate] == expm_draws and certificate < 0.01 * S
     assert np.all(rf.eval_homog(two_ball_set.centres) == 1.0)
-    assert calls == [] and len(expm_sizes) == 1
+    assert calls == [] and expm_draws == [certificate]
     rng = make_rng(38, 0)
     band = _band_heavy_rows(two_ball_set, rho, 60, rng)
-    chi = rf.eval_homog(band)
-    assert np.any((chi > 0.0) & (chi < 1.0))
-    assert expm_sizes[1:] == [S]
-    mats, forms = rf.matrices, rf.forms
-    assert np.array_equal(rf.eval_homog(band[::-1]), chi[::-1])
-    assert rf.matrices is mats and rf.forms is forms
-    assert len(calls) == 1 and expm_sizes[1:] == [S]
+    with monkeypatch.context() as m:
+        m.setattr(RegularizedFunction, "matrices", property(refuse))
+        chi = rf.eval_homog(band)
+        assert np.any((chi > 0.0) & (chi < 1.0))
+        forms = rf.forms
+        assert np.array_equal(rf.eval_homog(band[::-1]), chi[::-1])
+        assert rf.forms is forms
+    assert len(calls) == 1 and expm_sizes == [certificate]
+    assert expm_draws == [certificate, SAMPLE_BLOCK, 301]
     draws = _unit_draws(pc.get_mollifier(1, 0.1), S, 19)
     assert rf.draws is draws
+    mats = rf.matrices  # formed on demand, from the draws alone
+    assert expm_sizes == [certificate, S]
     assert np.array_equal(mats, _normalize_stack(_expm(0.3 * draws)))
     assert np.array_equal(forms, _form_coefficients(mats, *f.ball_tests()))
     assert not mats.flags.writeable and not forms.flags.writeable
-    assert len(calls) == 1
     # the certificate, from the few draws that can attain it, has the bits
     # of the maximum over the whole stack
     assert rf.eps == float(_frob(mats - np.eye(2)).max())
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("theta", [0.05, 1.0])
+@pytest.mark.parametrize("sigma", [0.1, 3.0])
+def test_form_pass_has_the_bits_of_the_stack(k, theta, sigma):
+    # the forms taken block by block from the draws equal, bit for bit, those
+    # of the stack of group elements, over several sample blocks, a covering
+    # ball among the balls, and up to 4 squarings of the exponential; a
+    # first block of small draws, which alone would take fewer squarings,
+    # takes those of the whole stack
+    rng = make_rng(39, k)
+    set_spec = pc.CompactSetSpec(tuple(pc.Ball(pc.ProjectivePoint(c), r)
+                                       for c, r in zip(uniform_rows(k, 3, rng), (0.0, 0.2, 1.5))))
+    f = pc.indicator_fattened(set_spec, 0.1)
+    rf = pc.regularize(f, theta, 2 * SAMPLE_BLOCK + 301, 3, pc.get_mollifier(k, sigma))
+    draws = rf.draws.copy()
+    draws[:SAMPLE_BLOCK] *= 0.05
+    if theta * sigma > 1.0:
+        squarings = [_expm_plan([theta * x])[0] for x in (rf.draws, draws[:SAMPLE_BLOCK])]
+        assert squarings[0] >= 3 > squarings[1]
+    for g in (rf, RegularizedFunction(f, theta, draws, rf.S)):
+        assert np.array_equal(g.forms, _form_coefficients(g.matrices, *f.ball_tests()))
 
 
 def test_generic_path_forms_the_elements_at_its_first_call(mollifier_k1, expm_sizes):
