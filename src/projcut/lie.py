@@ -161,23 +161,22 @@ def _expm(stack) -> np.ndarray:
     a = np.ascontiguousarray(stack, dtype=np.complex128)
     d = a.shape[-1]
     flat = a.reshape(-1, d, d)
-    plan = _expm_plan([flat])
+    plan = _expm_plan(flat)
     out = np.empty_like(flat)
     for rows, block in _sample_blocks(flat):
         out[rows] = _expm_block(block, *plan).transpose(2, 0, 1)
     return out.reshape(a.shape)
 
 
-def _expm_plan(stacks):
-    """(squarings q, degree m) for contiguous stacks (n, d, d): with t the
-    largest ||A||_F over them, q is the least with t / 2^q <= 0.25 and m >= 1
+def _expm_plan(a):
+    """(squarings q, degree m) for a contiguous stack (n, d, d): with t the
+    largest ||A||_F in it, q is the least with t / 2^q <= 0.25 and m >= 1
     the least whose remainder t^(m+1)/(m+1)! e^t at t / 2^q is below the unit
     roundoff 2^-53 (m <= 12)."""
     worst = 0.0
-    for a in stacks:
-        if a.size:
-            real = a.view(np.float64).reshape(a.shape[0], -1)
-            worst = max(worst, math.sqrt(float(np.einsum("ij,ij->i", real, real).max())))
+    if a.size:
+        real = a.view(np.float64).reshape(a.shape[0], -1)
+        worst = math.sqrt(float(np.einsum("ij,ij->i", real, real).max()))
     squarings = 0
     while worst / (2.0 ** squarings) > 0.25:
         squarings += 1
@@ -194,11 +193,11 @@ def _expm_block(block: np.ndarray, squarings: int, degree: int) -> np.ndarray:
     return e
 
 
-def _chart_blocks(draws, theta: float):
+def _chart_blocks(draws, theta: float, plan):
     """The blocks of :func:`_sample_blocks` of ``_normalize_stack(_expm(theta
-    * draws))`` bit for bit, from the draws (S, d, d) a block at a time."""
-    plan = _expm_plan(theta * draws[lo:lo + SAMPLE_BLOCK]
-                      for lo in range(0, draws.shape[0], SAMPLE_BLOCK))
+    * draws))`` bit for bit, from the draws (S, d, d) a block at a time,
+    given the stack's plan ``_expm_plan(theta * draws)`` (which the build's
+    certificate finds without a pass over every draw)."""
     for rows, x in _sample_blocks(draws):
         e = _expm_block(np.multiply(theta, x, out=x), *plan)
         yield rows, _normalize_stack(e.transpose(2, 0, 1)).transpose(1, 2, 0)

@@ -49,7 +49,8 @@ import numpy as np
 
 from .errors import ConfigError, StepTooSmall
 from .geometry import ChartCoordinates, ProjectivePoint, scaled_rows
-from .lie import SAMPLE_BLOCK, _chart_blocks, _expm, _frob, _normalize_stack, _sample_blocks
+from .lie import (SAMPLE_BLOCK, _chart_blocks, _expm, _expm_plan, _frob, _normalize_stack,
+                  _sample_blocks)
 from .measure import MollifierSpec, ScaledMeasure, sample_matrices
 
 FunctionOnP = Callable[[np.ndarray], np.ndarray]
@@ -119,10 +120,12 @@ def regularize(f: FunctionOnP, theta: float, S: int, seed, mollifier: MollifierS
         d = mollifier.k + 1
         draws, eps = np.zeros((0, d, d), dtype=np.complex128), 0.0
         draws.setflags(write=False)
+        plan = _expm_plan(draws)
     else:
         draws = _unit_draws(mollifier, int(S), int(seed))
-        eps = _certificate(draws, float(theta))
-    return RegularizedFunction(source=f, theta=float(theta), draws=draws, S=int(S), eps=eps)
+        eps, plan = _certificate(draws, float(theta))
+    return RegularizedFunction(source=f, theta=float(theta), draws=draws, S=int(S), plan=plan,
+                               eps=eps)
 
 
 @lru_cache(maxsize=1)
@@ -134,9 +137,10 @@ def _unit_draws(mollifier: MollifierSpec, S: int, seed: int) -> np.ndarray:
     return x
 
 
-def _certificate(draws: np.ndarray, theta: float) -> float:
-    """eps = max ||exp_chart(theta x) - Id||_F over the draws x, from the
-    few draws that can attain it.
+def _certificate(draws: np.ndarray, theta: float) -> tuple:
+    """(eps, plan): eps = max ||exp_chart(theta x) - Id||_F over the draws
+    x, from the few draws that can attain it, and the exponential's plan
+    ``_expm_plan(theta * draws)`` of the whole stack.
 
     With y = theta x, s = ||y||_F, a = ||y - y_00 Id||_F and the series
     remainder R = e^y - Id - y, ||R||_F <= rho = e^s - 1 - s.  Then
@@ -158,9 +162,9 @@ def _certificate(draws: np.ndarray, theta: float) -> float:
     largest a, can reach the largest lower bound, and the bounds are taken
     on those alone.  When q_max reaches 1/2 every draw is exponentiated.
     The draws of largest norm (within 1e-12, far above roundoff) are
-    always kept, so :func:`_expm` picks the squarings and degree of the
-    whole stack, and each kept element has the bits of its row of
-    :attr:`RegularizedFunction.matrices`."""
+    always kept, so the plan of the kept draws, which :func:`_expm` takes,
+    is the squarings and degree of the whole stack, and each kept element
+    has the bits of its row of :attr:`RegularizedFunction.matrices`."""
     S, d = draws.shape[:2]
     real = draws.reshape(S, d * d).view(np.float64)
     square = np.einsum("ij,ij->i", real, real)
@@ -196,8 +200,9 @@ def _certificate(draws: np.ndarray, theta: float) -> float:
         ai, e, q = bounds(idx)
         floor = ((ai - e) / (1.0 + q)).max()
         draws = draws[idx[((ai + e) / (1.0 - q) >= floor - slack(floor)) | largest[idx]]]
-    g = _normalize_stack(_expm(theta * draws))
-    return float(_frob(g - np.eye(d)).max())
+    y = theta * draws
+    g = _normalize_stack(_expm(y))
+    return float(_frob(g - np.eye(d)).max()), _expm_plan(y)
 
 
 def _stored_images(matrices: np.ndarray, Z: np.ndarray):
@@ -208,7 +213,7 @@ def _stored_images(matrices: np.ndarray, Z: np.ndarray):
 
 
 def _form_coefficients(matrices, centres, levels):
-    """Coefficients (B, S, d*d) of |c_b^H g z|^2 - l_b |g z|^2 against
+    """Coefficients (B, d*d, S) of |c_b^H g z|^2 - l_b |g z|^2 against
     :func:`_features` of z, for the stored g and the ball tests (c_b, l_b):
     P(c_b^H g) - l_b sum_r P(g_r), g_r the rows of g, by :func:`_forms`."""
     return _forms(_sample_blocks(matrices), matrices.shape[0], centres, levels)
@@ -217,11 +222,12 @@ def _form_coefficients(matrices, centres, levels):
 def _forms(blocks, S, centres, levels):
     """:func:`_form_coefficients` from the (rows, g) blocks of the S
     elements, laid out (d, d, n).  Each ball's forms are one contiguous
-    (S, d*d) slab; the row sum is kept once per element, not per ball, and
-    the balls are taken a few at a time, _FORM_CHUNK values per block."""
+    (d*d, S) slab, feature-major, so that a block writes d*d runs of n
+    contiguous values; the row sum is kept once per element, not per ball,
+    and the balls are taken a few at a time, _FORM_CHUNK values per block."""
     levels = np.asarray(levels, dtype=np.float64)
     d = centres.shape[1]
-    forms = np.empty((levels.size, S, d * d))
+    forms = np.empty((levels.size, d * d, S))
     weights = np.conj(centres).T[:, :, None]  # (d, B, 1)
     step = max(1, _FORM_CHUNK // (SAMPLE_BLOCK * d * d))
     for rows, g in blocks:
@@ -231,7 +237,8 @@ def _forms(blocks, S, centres, levels):
             u = g[0][:, None] * weights[0, balls]  # (d, balls, n): entry j of c_b^H g
             for i in range(1, d):
                 u += g[i][:, None] * weights[i, balls]
-            forms[balls, rows] = (_rank_one(u) - levels[balls, None] * row_sum).transpose(1, 2, 0)
+            forms[balls, :, rows] = (_rank_one(u)
+                                     - levels[balls, None] * row_sum).transpose(1, 0, 2)
     return forms
 
 
@@ -290,12 +297,11 @@ def _rank_one(U: np.ndarray, axis: int = 0) -> np.ndarray:
 
 
 def _features(Z: np.ndarray) -> np.ndarray:
-    """Real features (d*d, m) of rows, one column per row: |z_i|^2, then Re
+    """Real features (m, d*d) of rows, one feature row each: |z_i|^2, then Re
     and Im of conj(z_i) z_j for i < j."""
     i, j = _pairs(Z.shape[1])
-    Zt = Z.T
-    cross = np.conj(Zt[i]) * Zt[j]
-    return np.concatenate([Zt.real ** 2 + Zt.imag ** 2, cross.real, cross.imag])
+    cross = np.conj(Z[:, i]) * Z[:, j]
+    return np.concatenate([Z.real ** 2 + Z.imag ** 2, cross.real, cross.imag], axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,12 +314,15 @@ class RegularizedFunction:
     draws when first read and kept; the form path never reads it.  ``eps``
     is the displacement certificate, the largest ||g - Id||_F over the g (0
     when none is stored), taken at the build from the few draws that can
-    attain it (:func:`_certificate`).  When the source offers ball tests,
+    attain it (:func:`_certificate`), and ``plan`` the exponential's
+    squarings and degree for the whole stack, found there too
+    (``_expm_plan(theta * draws)``).  When the source offers ball tests,
     the certificate decides the rows and balls that skip the products, and
     ``forms`` holds the real coefficients of each test on the moved point
-    per ball and stored element, shape (B, S, (k+1)^2), one contiguous slab
-    per ball, formed from the draws when first read and kept; otherwise it
-    is None and the source is called on the moved points.  Evaluation is
+    per ball, feature and stored element, shape (B, (k+1)^2, S): one
+    contiguous slab per ball whose rows run over the stored elements,
+    formed from the draws when first read and kept; otherwise it is None
+    and the source is called on the moved points.  Evaluation is
     deterministic: the same (seed, S, theta, point) gives the same value bit
     for bit.
     """
@@ -322,6 +331,7 @@ class RegularizedFunction:
     theta: float
     draws: np.ndarray
     S: int
+    plan: tuple
     eps: float = 0.0
 
     @cached_property
@@ -343,7 +353,8 @@ class RegularizedFunction:
     def forms(self) -> Optional[np.ndarray]:
         if self._decisions is None:
             return None
-        forms = _forms(_chart_blocks(self.draws, self.theta), self.S, *self.source.ball_tests())
+        blocks = _chart_blocks(self.draws, self.theta, self.plan)
+        forms = _forms(blocks, self.S, *self.source.ball_tests())
         forms.setflags(write=False)
         return forms
 
@@ -407,16 +418,28 @@ class RegularizedFunction:
 
     def _form_hits(self, features: np.ndarray, balls: np.ndarray) -> np.ndarray:
         """Count of stored elements with a positive form among the given
-        balls, per column of features, from GEMMs of at most
-        FORM_GEMM_OUTPUT values each on the balls' contiguous slabs."""
-        step = max(1, FORM_GEMM_OUTPUT // features.shape[1])
-        hits = np.zeros(features.shape[1], dtype=np.int64)
+        balls, per row of features (m, d*d), m <= ROW_BLOCK, OR-ed over the
+        balls, from GEMMs of at most FORM_GEMM_OUTPUT values each on steps
+        of contiguous samples of the slabs.  The steps reuse one product,
+        one hit and one counter buffer; the counter is summed once."""
+        forms = self.forms  # the first call forms the slabs: before the buffers
+        m = features.shape[0]
+        step = max(1, FORM_GEMM_OUTPUT // m)
+        product = np.empty((m, min(step, self.S)))
+        hit = np.empty(product.shape, dtype=bool)
+        # m <= ROW_BLOCK gives step >= FORM_GEMM_OUTPUT // ROW_BLOCK = 256, so no
+        # entry takes more than ceil(MAX_S / 256) = 3907 increments: uint16 never wraps
+        count = np.zeros(product.shape, dtype=np.uint16)
+        p, h, c = product, hit, count
         for lo in range(0, self.S, step):
-            hit = self.forms[balls[0], lo:lo + step] @ features > 0.0
+            if self.S - lo < step:  # the last step is short: the buffers' first columns
+                p, h, c = (buf[:, :self.S - lo] for buf in (product, hit, count))
+            np.matmul(features, forms[balls[0], :, lo:lo + step], out=p)
+            np.greater(p, 0.0, out=h)
             for b in balls[1:]:
-                hit |= self.forms[b, lo:lo + step] @ features > 0.0
-            hits += hit.sum(axis=0, dtype=np.uint16)  # step <= FORM_GEMM_OUTPUT < 2^16
-        return hits
+                h |= np.matmul(features, forms[b, :, lo:lo + step], out=p) > 0.0
+            np.add(c, h, out=c)
+        return count.sum(axis=1)
 
     def __call__(self, p: ProjectivePoint) -> float:
         return float(self.eval_homog(p.homog[None, :])[0])

@@ -278,7 +278,7 @@ def test_form_kernel_matches_generic_path(k):
     kwargs = dict(theta=0.3, S=SAMPLE_BLOCK + 301, seed=14, mollifier=pc.get_mollifier(k, 0.1))
     kernel = pc.regularize(f, **kwargs)
     generic = pc.regularize(lambda rows: f(rows), **kwargs)
-    assert kernel.forms.shape == (3, kwargs["S"], (k + 1) ** 2)
+    assert kernel.forms.shape == (3, (k + 1) ** 2, kwargs["S"])
     assert generic.forms is None
 
     rows = np.concatenate([_band_heavy_rows(set_spec, rho, 260, rng),
@@ -304,9 +304,9 @@ def test_form_coefficients_are_the_ball_tests(k):
     images = np.einsum("sij,mj->smi", rf.matrices, Z)  # g z, shape (S, m, k+1)
     direct = (np.abs(images @ np.conj(centres).T) ** 2
               - levels * np.linalg.norm(images, axis=2, keepdims=True) ** 2)
-    values = rf.forms @ _features(Z)  # shape (B, S, m)
+    values = _features(Z) @ rf.forms  # shape (B, m, S)
     norms = np.linalg.norm(Z, axis=1) ** 2
-    assert np.all(np.abs(values - direct.transpose(2, 0, 1)) <= 1e-12 * norms)
+    assert np.all(np.abs(values - direct.transpose(2, 1, 0)) <= 1e-12 * norms[:, None])
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -321,14 +321,59 @@ def test_form_coefficient_rows_do_not_depend_on_block(k):
     centres = uniform_rows(k, 3, rng)
     levels = np.array([0.9, 0.5, -1.0])
     forms = _form_coefficients(g, centres, levels)
-    assert forms.shape == (3, S, d * d)
+    assert forms.shape == (3, d * d, S)
     Z = uniform_rows(k, 20, rng)
     images = np.einsum("sij,mj->smi", g, Z)
     direct = (np.abs(images @ np.conj(centres).T) ** 2
               - levels * np.linalg.norm(images, axis=2, keepdims=True) ** 2)
-    assert np.all(np.abs(forms @ _features(Z) - direct.transpose(2, 0, 1)) <= 1e-12)
+    assert np.all(np.abs(_features(Z) @ forms - direct.transpose(2, 1, 0)) <= 1e-12)
     for j in range(S):
-        assert np.array_equal(forms[:, j], _form_coefficients(g[j:j + 1], centres, levels)[:, 0])
+        assert np.array_equal(forms[:, :, j],
+                              _form_coefficients(g[j:j + 1], centres, levels)[:, :, 0])
+
+
+def _counted_hits(features, forms, balls):
+    """np.count_nonzero(features @ slab > 0, axis=1), OR-ed over the balls'
+    slabs, SAMPLE_BLOCK samples at a time."""
+    hits = np.zeros(features.shape[0], dtype=np.int64)
+    for lo in range(0, forms.shape[2], SAMPLE_BLOCK):
+        hit = features @ forms[balls[0], :, lo:lo + SAMPLE_BLOCK] > 0.0
+        for b in balls[1:]:
+            hit |= features @ forms[b, :, lo:lo + SAMPLE_BLOCK] > 0.0
+        hits += np.count_nonzero(hit, axis=1)
+    return hits
+
+
+@pytest.mark.parametrize("k, S, m, balls", [
+    (1, SAMPLE_BLOCK + 301, 1, [0]),
+    (1, SAMPLE_BLOCK + 301, ROW_BLOCK, [1]),
+    (2, SAMPLE_BLOCK + 301, 1, [0, 1, 2]),
+    (3, SAMPLE_BLOCK + 301, ROW_BLOCK, [0, 1, 2]),
+    (1, 65837, ROW_BLOCK, [0, 1, 2]),
+])
+def test_form_hits_count_the_positive_forms(k, S, m, balls):
+    # the counter reused over the steps of samples, the last step short,
+    # counts what the whole products count; at S = 65837 and m = ROW_BLOCK
+    # a row inside a ball takes 258 increments of 1, past a uint8 counter
+    rng = make_rng(41, k)
+    set_spec = pc.CompactSetSpec(tuple(pc.Ball(pc.ProjectivePoint(c), r)
+                                       for c, r in zip(uniform_rows(k, 3, rng), (0.0, 0.05, 0.2))))
+    rho = 0.1
+    rf = pc.regularize(pc.indicator_fattened(set_spec, rho), theta=0.3, S=S, seed=21,
+                       mollifier=pc.get_mollifier(k, 0.1))
+    rows = _band_heavy_rows(set_spec, rho, m + 40, rng)
+    counts = _counted_hits(_features(rows), rf.forms, balls)
+    rows = rows[np.argsort((counts == 0) | (counts == S), kind="stable")[:m]]  # band rows first
+    rows[1:4] = set_spec.centres[:m - 1]  # rows 1-3 are the centres when m > 1
+    features = _features(rows)
+    hits = rf._form_hits(features, np.array(balls))
+    assert S % (FORM_GEMM_OUTPUT // m) != 0
+    assert np.array_equal(hits, _counted_hits(features, rf.forms, balls))
+    assert np.any((hits > 0) & (hits < S))  # the band is exercised
+    if m > 1:  # each candidate's centre counts every sample, OR-ed over the balls
+        assert np.all(hits[1:4][balls] == S)
+        assert len(balls) == 1 or all(np.any(hits > _counted_hits(features, rf.forms, [b]))
+                                      for b in balls)
 
 
 def test_forms_are_formed_once_at_the_first_band_row(two_ball_set, monkeypatch, expm_sizes,
@@ -385,7 +430,7 @@ def test_form_pass_has_the_bits_of_the_stack(k, theta, sigma):
     # of the stack of group elements, over several sample blocks, a covering
     # ball among the balls, and up to 4 squarings of the exponential; a
     # first block of small draws, which alone would take fewer squarings,
-    # takes those of the whole stack
+    # takes those of the whole stack, the plan the build found
     rng = make_rng(39, k)
     set_spec = pc.CompactSetSpec(tuple(pc.Ball(pc.ProjectivePoint(c), r)
                                        for c, r in zip(uniform_rows(k, 3, rng), (0.0, 0.2, 1.5))))
@@ -394,9 +439,9 @@ def test_form_pass_has_the_bits_of_the_stack(k, theta, sigma):
     draws = rf.draws.copy()
     draws[:SAMPLE_BLOCK] *= 0.05
     if theta * sigma > 1.0:
-        squarings = [_expm_plan([theta * x])[0] for x in (rf.draws, draws[:SAMPLE_BLOCK])]
+        squarings = [_expm_plan(theta * x)[0] for x in (rf.draws, draws[:SAMPLE_BLOCK])]
         assert squarings[0] >= 3 > squarings[1]
-    for g in (rf, RegularizedFunction(f, theta, draws, rf.S)):
+    for g in (rf, RegularizedFunction(f, theta, draws, rf.S, rf.plan)):
         assert np.array_equal(g.forms, _form_coefficients(g.matrices, *f.ball_tests()))
 
 
@@ -416,7 +461,7 @@ def test_generic_path_forms_the_elements_at_its_first_call(mollifier_k1, expm_si
 def test_certificate_has_the_bits_of_the_whole_stack(k, S, monkeypatch):
     # eps is the largest ||g - Id||_F over the whole stack bit for bit, and
     # each exponentiated draw has the bits of its row of the stack: the
-    # same squarings and degree
+    # same squarings and degree, the plan the build keeps
     stacks = []
 
     def spy(stack):
@@ -431,6 +476,7 @@ def test_certificate_has_the_bits_of_the_whole_stack(k, S, monkeypatch):
         for theta in (1.0, 0.5, 0.1, 0.01, 0.001):
             stacks.clear()
             rf = pc.regularize(ones, theta, S, seed, mollifier)
+            assert rf.plan == _expm_plan(theta * draws)
             (scaled, g), = stacks
             mats = rf.matrices
             assert rf.eps == float(_frob(mats - np.eye(k + 1)).max())
@@ -439,13 +485,14 @@ def test_certificate_has_the_bits_of_the_whole_stack(k, S, monkeypatch):
             assert np.array_equal(_normalize_stack(g), mats[rows])
 
 
-@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
 def test_certificate_takes_every_draw_far_from_the_identity(k, expm_sizes):
     # a wide mollifier: some draw has |y_00| + e^s - 1 - s >= 1/2, where the
     # bounds prune nothing, so every draw is exponentiated
     rf = pc.regularize(ones, 1.0, 400, 3, pc.get_mollifier(k, 2.0))
     assert expm_sizes == [400]
     assert rf.eps == float(_frob(rf.matrices - np.eye(k + 1)).max()) >= 0.5
+    assert rf.plan == _expm_plan(rf.draws)
 
 
 @pytest.mark.parametrize("seed", [1.5, True, np.True_, -1, math.nan, "3", None])
