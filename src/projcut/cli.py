@@ -234,8 +234,9 @@ def cmd_eval(cfg: RunConfig, config: CutoffConfig, points_path: str) -> tuple[in
         parts = np.array(rows)  # re0, im0, re1, im1, ...
         cf = build_cutoff(cfg.set_spec, cfg.deltas[0], config)
         rows = np.column_stack([parts, cf.eval_homog(parts.view(np.complex128))]).tolist()
-    table = ([_fmt(x) for x in row] for row in rows)
-    return 0, {Path(points_path).stem + "_chi.csv": _csv_text(expected + ["chi"], table)}
+    line = ",".join(["%.17g"] * (len(expected) + 1)) + "\n"  # _fmt of each value
+    text = ",".join(expected + ["chi"]) + "\n" + "".join(line % tuple(row) for row in rows)
+    return 0, {Path(points_path).stem + "_chi.csv": text}
 
 
 def cmd_diagnostics(config: CutoffConfig) -> tuple[int, dict]:

@@ -26,10 +26,12 @@ DEFAULT_SIGMA = 0.1    # working radius on the traceless matrices
 TRACE_TOL = 1e-12
 
 _UNIT_ROUNDOFF = 2.0 ** -53
-# Samples per block of the structure-of-arrays kernels (:func:`_sample_blocks`):
-# large enough that each entry vector amortises numpy's per-call cost, small
-# enough that a block's products and powers stay in cache.
-SAMPLE_BLOCK = 2048
+# Matrix entries per block of the structure-of-arrays kernels
+# (:func:`_sample_blocks`), 128 KiB of complex128: large enough that each
+# entry vector amortises numpy's per-call cost, small enough that a block's
+# products and powers stay in cache and every pass over S samples holds one
+# block's temporaries, whatever d.
+BLOCK_ENTRIES = 2 ** 13
 # Multiply-adds per real product in from_coords.  Below 2^18 OpenBLAS runs a
 # GEMM on one thread; starting its threads for these thin products costs more
 # time than it saves and keeps their buffers resident.
@@ -137,12 +139,19 @@ def _frob(stack) -> np.ndarray:
     return np.sqrt((np.abs(stack) ** 2).sum(axis=(-2, -1)))
 
 
+def block_samples(d: int) -> int:
+    """Samples per block of d x d matrices, BLOCK_ENTRIES // d^2: 2048 at
+    d = 2, 910 at d = 3, 512 at d = 4."""
+    return BLOCK_ENTRIES // (d * d)
+
+
 def _sample_blocks(stack):
-    """Yield (rows, block) for a stack (S, d, d): the slice of SAMPLE_BLOCK
-    samples and a copy of their matrices laid out (d, d, n), so that every
-    matrix entry is one contiguous length-n vector."""
-    for lo in range(0, stack.shape[0], SAMPLE_BLOCK):
-        rows = slice(lo, lo + SAMPLE_BLOCK)
+    """Yield (rows, block) for a stack (S, d, d): the slice of
+    :func:`block_samples` samples and a copy of their matrices laid out
+    (d, d, n), so that every matrix entry is one contiguous length-n vector."""
+    n = block_samples(stack.shape[-1])
+    for lo in range(0, stack.shape[0], n):
+        rows = slice(lo, lo + n)
         yield rows, stack[rows].transpose(1, 2, 0).copy()
 
 
@@ -407,21 +416,32 @@ def to_coords(x) -> np.ndarray:
     return np.real(np.einsum("aij,...ij->...a", np.conj(basis), m))
 
 
-def from_coords(v, k: int) -> np.ndarray:
+def _coord_chunk(k: int) -> int:
+    """Rows per real product in :func:`from_coords`: at most _GEMM_SIZE
+    multiply-adds, 5461 rows at k = 1 and 273 at k = 3."""
+    return max(1, _GEMM_SIZE // (sl_basis(k).shape[0] * 2 * (k + 1) ** 2))
+
+
+def from_coords(v, k: int, out=None) -> np.ndarray:
     """Traceless matrices with the given real coordinates in :func:`sl_basis`,
     for rows v of shape (..., 2k^2 + 4k): real matrix products of the rows
-    with the basis read as real and imaginary parts, in blocks of at most
-    _GEMM_SIZE multiply-adds."""
+    with the basis read as real and imaginary parts, :func:`_coord_chunk`
+    rows at a time.  They are written into ``out``, a C-contiguous complex
+    array (..., k+1, k+1), when one is given."""
     v = np.asarray(v, dtype=np.float64)
     basis = sl_basis(k)
     d = k + 1
     real = basis.view(np.float64).reshape(basis.shape[0], 2 * d * d)
     rows = v.reshape(-1, basis.shape[0])
-    out = np.empty((rows.shape[0], 2 * d * d))
-    step = max(1, _GEMM_SIZE // real.size)
+    if out is None:
+        out = np.empty(v.shape[:-1] + (d, d), dtype=np.complex128)
+    elif not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    flat = out.reshape(rows.shape[0], d * d).view(np.float64)
+    step = _coord_chunk(k)
     for lo in range(0, rows.shape[0], step):
-        np.matmul(rows[lo:lo + step], real, out=out[lo:lo + step])
-    return out.view(np.complex128).reshape(v.shape[:-1] + (d, d))
+        np.matmul(rows[lo:lo + step], real, out=flat[lo:lo + step])
+    return out
 
 
 def _uniform_coord_rows(sigma: float, k: int, count: int, rng) -> np.ndarray:

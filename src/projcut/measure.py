@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ThetaZero
-from .lie import AlgebraElement, from_coords
+from .lie import AlgebraElement, _coord_chunk, from_coords
 from .rng import make_rng
 
 _CDF_NODES = 4096
@@ -144,25 +144,46 @@ def radial_cdf_nodes(n: int):
     return _radius_table(n)[:2]
 
 
-def sample_rows(m: ScaledMeasure, count: int, seed) -> np.ndarray:
-    """Coordinate rows (count, n) of draws: radius by monotone inverse-CDF
-    lookup, direction uniform on the unit sphere.  Deterministic in seed;
-    every row has norm strictly below theta*sigma."""
+def _row_chunks(m: ScaledMeasure, count: int, seed):
+    """Yield (lo, rows): the coordinate rows lo, lo + 1, ... of the draws,
+    one :func:`from_coords` chunk at a time, so that no (count, n) array is
+    formed.  The stream holds the count uniforms of the radii first, then
+    the normals of the directions row by row, as one draw of each would."""
     if count < 1:
         raise ValueError("count must be at least 1")
     n = m.base.n
     rng = make_rng(seed, 31)
     t, cdf, _ = _radius_table(n)
-    radii = np.interp(rng.random(count), cdf, t) * (m.theta * m.base.sigma)
-    dirs = rng.standard_normal((count, n))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    dirs *= radii[:, None]  # in place: a second (count, n) array would set the peak memory
-    return dirs
+    uniforms = rng.random(count)
+    step = _coord_chunk(m.base.k)
+
+    def rows(lo):
+        u = uniforms[lo:lo + step]
+        dirs = rng.standard_normal((u.size, n))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        dirs *= (np.interp(u, cdf, t) * (m.theta * m.base.sigma))[:, None]
+        return dirs
+
+    return ((lo, rows(lo)) for lo in range(0, count, step))
+
+
+def sample_rows(m: ScaledMeasure, count: int, seed) -> np.ndarray:
+    """Coordinate rows (count, n) of draws: radius by monotone inverse-CDF
+    lookup, direction uniform on the unit sphere.  Deterministic in seed;
+    every row has norm strictly below theta*sigma."""
+    return np.concatenate([rows for _, rows in _row_chunks(m, count, seed)])
 
 
 def sample_matrices(m: ScaledMeasure, count: int, seed) -> np.ndarray:
-    """Stacked matrices (count, k+1, k+1) drawn from the scaled measure."""
-    return from_coords(sample_rows(m, count, seed), m.base.k)
+    """Stacked matrices (count, k+1, k+1) drawn from the scaled measure,
+    the rows of :func:`sample_rows` read by :func:`from_coords` a chunk at
+    a time into the result."""
+    k = m.base.k
+    chunks = _row_chunks(m, count, seed)  # refuses count < 1 before the result exists
+    out = np.empty((count, k + 1, k + 1), dtype=np.complex128)
+    for lo, rows in chunks:
+        from_coords(rows, k, out=out[lo:lo + rows.shape[0]])
+    return out
 
 
 def sample(m: ScaledMeasure, count: int, seed) -> list:

@@ -49,8 +49,8 @@ import numpy as np
 
 from .errors import ConfigError, StepTooSmall
 from .geometry import ChartCoordinates, ProjectivePoint, scaled_rows
-from .lie import (SAMPLE_BLOCK, _chart_blocks, _expm, _expm_plan, _frob, _normalize_stack,
-                  _sample_blocks)
+from .lie import (BLOCK_ENTRIES, _chart_blocks, _expm, _expm_plan, _frob, _normalize_stack,
+                  _sample_blocks, block_samples)
 from .measure import MollifierSpec, ScaledMeasure, sample_matrices
 
 FunctionOnP = Callable[[np.ndarray], np.ndarray]
@@ -207,9 +207,10 @@ def _certificate(draws: np.ndarray, theta: float) -> tuple:
 
 def _stored_images(matrices: np.ndarray, Z: np.ndarray):
     """The rows Z (m, d) moved by the stored matrices (S, d, d), one block of
-    SAMPLE_BLOCK matrices at a time: yields arrays (block, m, d) of g z."""
-    for lo in range(0, matrices.shape[0], SAMPLE_BLOCK):
-        yield np.einsum("sij,mj->smi", matrices[lo:lo + SAMPLE_BLOCK], Z)
+    :func:`block_samples` matrices at a time: yields arrays (block, m, d) of g z."""
+    n = block_samples(matrices.shape[-1])
+    for lo in range(0, matrices.shape[0], n):
+        yield np.einsum("sij,mj->smi", matrices[lo:lo + n], Z)
 
 
 def _form_coefficients(matrices, centres, levels):
@@ -229,7 +230,7 @@ def _forms(blocks, S, centres, levels):
     d = centres.shape[1]
     forms = np.empty((levels.size, d * d, S))
     weights = np.conj(centres).T[:, :, None]  # (d, B, 1)
-    step = max(1, _FORM_CHUNK // (SAMPLE_BLOCK * d * d))
+    step = _FORM_CHUNK // BLOCK_ENTRIES
     for rows, g in blocks:
         row_sum = _rank_one(g, axis=1).sum(axis=0)[:, None]  # P(g_r) summed in row order
         for b in range(0, levels.size, step):
@@ -395,7 +396,7 @@ class RegularizedFunction:
         return total / self.S
 
     def _source_sum(self, Z: np.ndarray) -> np.ndarray:
-        """Sum of f over the stored elements, SAMPLE_BLOCK at a time, per row."""
+        """Sum of f over the stored elements, a sample block at a time, per row."""
         total = np.zeros(Z.shape[0])
         for images in _stored_images(self.matrices, Z):
             vals = np.asarray(self.source(images.reshape(-1, Z.shape[1])), dtype=np.float64)
@@ -421,15 +422,15 @@ class RegularizedFunction:
         balls, per row of features (m, d*d), m <= ROW_BLOCK, OR-ed over the
         balls, from GEMMs of at most FORM_GEMM_OUTPUT values each on steps
         of contiguous samples of the slabs.  The steps reuse one product,
-        one hit and one counter buffer; the counter is summed once."""
+        one hit and one uint8 counter buffer; the counter is flushed into
+        the totals every 255 steps, before any entry can wrap."""
         forms = self.forms  # the first call forms the slabs: before the buffers
         m = features.shape[0]
         step = max(1, FORM_GEMM_OUTPUT // m)
         product = np.empty((m, min(step, self.S)))
         hit = np.empty(product.shape, dtype=bool)
-        # m <= ROW_BLOCK gives step >= FORM_GEMM_OUTPUT // ROW_BLOCK = 256, so no
-        # entry takes more than ceil(MAX_S / 256) = 3907 increments: uint16 never wraps
-        count = np.zeros(product.shape, dtype=np.uint16)
+        count = np.zeros(product.shape, dtype=np.uint8)
+        total = np.zeros(m, dtype=np.int64)
         p, h, c = product, hit, count
         for lo in range(0, self.S, step):
             if self.S - lo < step:  # the last step is short: the buffers' first columns
@@ -438,8 +439,11 @@ class RegularizedFunction:
             np.greater(p, 0.0, out=h)
             for b in balls[1:]:
                 h |= np.matmul(features, forms[b, :, lo:lo + step], out=p) > 0.0
-            np.add(c, h, out=c)
-        return count.sum(axis=1)
+            np.add(c, h.view(np.uint8), out=c)  # uint8 + uint8: no cast per step
+            if lo // step % 255 == 254:  # each entry has taken at most 255 increments
+                total += count.sum(axis=1, dtype=np.int64)
+                count.fill(0)
+        return total + count.sum(axis=1, dtype=np.int64)
 
     def __call__(self, p: ProjectivePoint) -> float:
         return float(self.eval_homog(p.homog[None, :])[0])

@@ -10,7 +10,7 @@ import pytest
 from projcut.cli import CEILINGS, DEFAULT_BANDS, load_config, main
 from projcut.cutoff import DEFAULT_S, CutoffConfig, build_cutoff
 from projcut.errors import ConfigError
-from projcut.lie import SAMPLE_BLOCK
+from projcut.lie import block_samples
 from projcut.regularize import MAX_S, RegularizedFunction
 
 BASE_SET = {
@@ -402,7 +402,7 @@ def test_bundled_configs_are_valid():
         cfg = load_config(config_dir / name)
         assert cfg.S == 20000 and cfg.seed == 42
     cfg = load_config(config_dir / "verify_k3.json")  # several sample blocks at k = 3
-    assert cfg.k == 3 and cfg.S > 2 * SAMPLE_BLOCK
+    assert cfg.k == 3 and cfg.S > 2 * block_samples(4)
     cfg = load_config(config_dir / "verify_rp1_net.json")  # a 128-ball cover of RP^1
     assert cfg.k == 1 and len(cfg.set_spec.balls) == 128 and cfg.S == 2000
 

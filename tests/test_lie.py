@@ -7,7 +7,7 @@ import scipy.linalg
 import projcut as pc
 from projcut.errors import (DegenerateImage, NormalizationUndefined, OutOfChart)
 from projcut import lie
-from projcut.lie import SAMPLE_BLOCK, _expm, _logm, _taylor_degree, _uniform_coord_rows
+from projcut.lie import _expm, _logm, _taylor_degree, _uniform_coord_rows, block_samples
 from projcut.rng import make_rng
 
 from conftest import random_traceless
@@ -76,7 +76,7 @@ def _equal_norm_stack(rng, d, norm, count):
 @pytest.mark.parametrize("norm", [0.2, 1.7])  # 0 and 3 squarings
 def test_exp_blocks_match_scipy_and_single_calls(d, norm):
     rng = make_rng(10, 6 * d + int(norm))
-    stack = _equal_norm_stack(rng, d, norm, 2 * SAMPLE_BLOCK + 37)
+    stack = _equal_norm_stack(rng, d, norm, 2 * block_samples(d) + 37)
     out = _expm(stack)
     ref = scipy.linalg.expm(stack)
     err = np.abs(out - ref).max(axis=(1, 2))
@@ -99,9 +99,10 @@ def test_exp_takes_three_block_products_at_degree_six(monkeypatch):
     monkeypatch.setattr(lie, "_block_product", counted)
     norm = 0.01
     assert _taylor_degree(norm) == 6
-    stack = _equal_norm_stack(make_rng(10, 7), 4, norm, 2 * SAMPLE_BLOCK + 37)
+    n = block_samples(4)
+    stack = _equal_norm_stack(make_rng(10, 7), 4, norm, 2 * n + 37)
     _expm(stack)
-    assert calls == [SAMPLE_BLOCK] * 3 + [SAMPLE_BLOCK] * 3 + [37] * 3
+    assert calls == [n] * 3 + [n] * 3 + [37] * 3
 
 
 def test_exp_of_non_traceless_2x2_matches_scipy():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from scipy.integrate import cumulative_simpson, quad
 import projcut as pc
 from projcut import measure
 from projcut.errors import ThetaZero
-from projcut.lie import from_coords, to_coords
-from projcut.measure import real_dimension, sample_rows
+from projcut.lie import _coord_chunk, from_coords, to_coords
+from projcut.measure import radial_cdf_nodes, real_dimension, sample_matrices, sample_rows
 from projcut.rng import make_rng
 
 from conftest import random_traceless
@@ -171,6 +172,48 @@ def test_sample_determinism(mollifier_k1):
     assert np.array_equal(a, b)
     c = sample_rows(m, 1000, seed=10)
     assert not np.array_equal(a, c)
+
+
+def _whole_stack_rows(m, count, seed):
+    """The coordinate rows of the draws taken in one pass over the whole
+    stack: count uniforms, one (count, n) normal draw, its row norms and
+    the scaling."""
+    rng = make_rng(seed, 31)
+    t, cdf = radial_cdf_nodes(m.base.n)
+    radii = np.interp(rng.random(count), cdf, t) * (m.theta * m.base.sigma)
+    dirs = rng.standard_normal((count, m.base.n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs *= radii[:, None]
+    return dirs
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_chunked_draws_keep_the_bits_of_the_whole_stack(k):
+    # the sampler draws, normalises and scales one from_coords chunk at a
+    # time, and its draws are those of the whole-stack pass bit for bit
+    chunk = _coord_chunk(k)
+    m = pc.ScaledMeasure(pc.get_mollifier(k, 0.1), 0.7)
+    for S in (1, chunk, chunk + 1, 2 * chunk + 1, 20000):
+        for seed in (0, 5):
+            rows = _whole_stack_rows(m, S, seed)
+            x, ref = sample_matrices(m, S, seed), from_coords(rows, k)
+            assert x.shape == ref.shape == (S, k + 1, k + 1)
+            assert x.tobytes() == ref.tobytes()
+            assert sample_rows(m, S, seed).tobytes() == rows.tobytes()
+
+
+def test_sampler_holds_its_output_and_one_chunk():
+    # at k = 3, S = 20000 the draws take 4.9 MiB; a (S, n) normal draw
+    # would take another 4.6 MiB
+    m = pc.ScaledMeasure(pc.get_mollifier(3, 0.1), 1.0)
+    sample_matrices(m, 1, 0)  # the radius table, cached
+    tracemalloc.start()
+    try:
+        x = sample_matrices(m, 20000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= x.nbytes + 2 ** 20
 
 
 def test_radius_law_kolmogorov_smirnov(mollifier_k1):

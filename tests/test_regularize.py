@@ -1,6 +1,7 @@
 import importlib
 import math
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +9,14 @@ import pytest
 import projcut as pc
 from projcut.errors import ConfigError, StepTooSmall
 from projcut.geometry import geodesic_row, rows_dist_to_set, tangent_row, uniform_rows
-from projcut.lie import SAMPLE_BLOCK, _expm, _expm_plan, _frob, _normalize_stack
+from projcut.lie import _expm, _expm_plan, _frob, _normalize_stack, block_samples
 from projcut.regularize import (DECISION_ANGLE, DECISION_VALUE, FORM_GEMM_OUTPUT, MAX_S,
                                 ROW_BLOCK, RegularizedFunction, _decision_levels, _features,
                                 _form_coefficients, _forms, _unit_draws, displacement_bound)
 from projcut.rng import make_rng
+
+# one sample block and 301 samples at k = 1; three blocks at k = 2 and five at k = 3
+S_BLOCKS = block_samples(2) + 301
 
 
 def ones(rows):
@@ -275,7 +279,7 @@ def test_form_kernel_matches_generic_path(k):
                                        for c, r in zip(centers, (0.0, 0.05, 0.2))))
     rho = 0.1
     f = pc.indicator_fattened(set_spec, rho)
-    kwargs = dict(theta=0.3, S=SAMPLE_BLOCK + 301, seed=14, mollifier=pc.get_mollifier(k, 0.1))
+    kwargs = dict(theta=0.3, S=S_BLOCKS, seed=14, mollifier=pc.get_mollifier(k, 0.1))
     kernel = pc.regularize(f, **kwargs)
     generic = pc.regularize(lambda rows: f(rows), **kwargs)
     assert kernel.forms.shape == (3, (k + 1) ** 2, kwargs["S"])
@@ -315,7 +319,7 @@ def test_form_coefficient_rows_do_not_depend_on_block(k):
     # for bit the row of the one-element call
     rng = make_rng(34, k)
     d = k + 1
-    S = 2 * SAMPLE_BLOCK + 37
+    S = 2 * block_samples(d) + 37
     noise = rng.standard_normal((S, d, d)) + 1j * rng.standard_normal((S, d, d))
     g = _normalize_stack(np.eye(d) + 0.05 * noise)
     centres = uniform_rows(k, 3, rng)
@@ -334,27 +338,28 @@ def test_form_coefficient_rows_do_not_depend_on_block(k):
 
 def _counted_hits(features, forms, balls):
     """np.count_nonzero(features @ slab > 0, axis=1), OR-ed over the balls'
-    slabs, SAMPLE_BLOCK samples at a time."""
+    slabs, 2048 samples at a time."""
     hits = np.zeros(features.shape[0], dtype=np.int64)
-    for lo in range(0, forms.shape[2], SAMPLE_BLOCK):
-        hit = features @ forms[balls[0], :, lo:lo + SAMPLE_BLOCK] > 0.0
+    for lo in range(0, forms.shape[2], 2048):
+        hit = features @ forms[balls[0], :, lo:lo + 2048] > 0.0
         for b in balls[1:]:
-            hit |= features @ forms[b, :, lo:lo + SAMPLE_BLOCK] > 0.0
+            hit |= features @ forms[b, :, lo:lo + 2048] > 0.0
         hits += np.count_nonzero(hit, axis=1)
     return hits
 
 
 @pytest.mark.parametrize("k, S, m, balls", [
-    (1, SAMPLE_BLOCK + 301, 1, [0]),
-    (1, SAMPLE_BLOCK + 301, ROW_BLOCK, [1]),
-    (2, SAMPLE_BLOCK + 301, 1, [0, 1, 2]),
-    (3, SAMPLE_BLOCK + 301, ROW_BLOCK, [0, 1, 2]),
+    (1, S_BLOCKS, 1, [0]),
+    (1, S_BLOCKS, ROW_BLOCK, [1]),
+    (2, S_BLOCKS, 1, [0, 1, 2]),
+    (3, S_BLOCKS, ROW_BLOCK, [0, 1, 2]),
     (1, 65837, ROW_BLOCK, [0, 1, 2]),
 ])
 def test_form_hits_count_the_positive_forms(k, S, m, balls):
     # the counter reused over the steps of samples, the last step short,
     # counts what the whole products count; at S = 65837 and m = ROW_BLOCK
-    # a row inside a ball takes 258 increments of 1, past a uint8 counter
+    # a row inside a ball takes 258 increments of 1, so the uint8 counter is
+    # flushed once, after 255 steps
     rng = make_rng(41, k)
     set_spec = pc.CompactSetSpec(tuple(pc.Ball(pc.ProjectivePoint(c), r)
                                        for c, r in zip(uniform_rows(k, 3, rng), (0.0, 0.05, 0.2))))
@@ -392,7 +397,7 @@ def test_forms_are_formed_once_at_the_first_band_row(two_ball_set, monkeypatch, 
         raise AssertionError("the form path formed the group elements")
 
     monkeypatch.setattr(importlib.import_module("projcut.regularize"), "_forms", counted)
-    rho, S = 0.1, SAMPLE_BLOCK + 301
+    rho, S = 0.1, S_BLOCKS
     f = pc.indicator_fattened(two_ball_set, rho)
     rf = pc.regularize(f, theta=0.3, S=S, seed=19, mollifier=pc.get_mollifier(1, 0.1))
     certificate = expm_sizes[0]
@@ -409,7 +414,7 @@ def test_forms_are_formed_once_at_the_first_band_row(two_ball_set, monkeypatch, 
         assert np.array_equal(rf.eval_homog(band[::-1]), chi[::-1])
         assert rf.forms is forms
     assert len(calls) == 1 and expm_sizes == [certificate]
-    assert expm_draws == [certificate, SAMPLE_BLOCK, 301]
+    assert expm_draws == [certificate, block_samples(2), 301]
     draws = _unit_draws(pc.get_mollifier(1, 0.1), S, 19)
     assert rf.draws is draws
     mats = rf.matrices  # formed on demand, from the draws alone
@@ -435,14 +440,39 @@ def test_form_pass_has_the_bits_of_the_stack(k, theta, sigma):
     set_spec = pc.CompactSetSpec(tuple(pc.Ball(pc.ProjectivePoint(c), r)
                                        for c, r in zip(uniform_rows(k, 3, rng), (0.0, 0.2, 1.5))))
     f = pc.indicator_fattened(set_spec, 0.1)
-    rf = pc.regularize(f, theta, 2 * SAMPLE_BLOCK + 301, 3, pc.get_mollifier(k, sigma))
+    n = block_samples(k + 1)
+    rf = pc.regularize(f, theta, 2 * n + 301, 3, pc.get_mollifier(k, sigma))
     draws = rf.draws.copy()
-    draws[:SAMPLE_BLOCK] *= 0.05
+    draws[:n] *= 0.05
     if theta * sigma > 1.0:
-        squarings = [_expm_plan(theta * x)[0] for x in (rf.draws, draws[:SAMPLE_BLOCK])]
+        squarings = [_expm_plan(theta * x)[0] for x in (rf.draws, draws[:n])]
         assert squarings[0] >= 3 > squarings[1]
     for g in (rf, RegularizedFunction(f, theta, draws, rf.S, rf.plan)):
         assert np.array_equal(g.forms, _form_coefficients(g.matrices, *f.ball_tests()))
+
+
+def test_build_and_forms_hold_draws_forms_and_one_block():
+    # at k = 3, S = 20000 the draws and the forms of two balls take 4.9 MiB
+    # each; the sampler and the form pass add one chunk's or one block's
+    # temporaries, not a stack-sized array
+    k, S = 3, 20000
+    rng = make_rng(42, k)
+    set_spec = pc.CompactSetSpec(tuple(pc.Ball(pc.ProjectivePoint(c), 0.05)
+                                       for c in uniform_rows(k, 2, rng)))
+    f = pc.indicator_fattened(set_spec, 0.1)
+    mollifier = pc.get_mollifier(k, 0.1)
+    pc.regularize(f, 0.3, 1, 0, mollifier)  # the radius table, cached
+    _unit_draws.cache_clear()
+    tracemalloc.start()
+    try:
+        rf = pc.regularize(f, 0.3, S, 7, mollifier)
+        forms = rf.forms
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _unit_draws.cache_clear()
+    assert forms.shape == (2, (k + 1) ** 2, S)
+    assert peak <= rf.draws.nbytes + forms.nbytes + 3 * 2 ** 20
 
 
 def test_generic_path_forms_the_elements_at_its_first_call(mollifier_k1, expm_sizes):
@@ -457,7 +487,7 @@ def test_generic_path_forms_the_elements_at_its_first_call(mollifier_k1, expm_si
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("S", [1, SAMPLE_BLOCK + 301, 20000])
+@pytest.mark.parametrize("S", [1, S_BLOCKS, 20000])
 def test_certificate_has_the_bits_of_the_whole_stack(k, S, monkeypatch):
     # eps is the largest ||g - Id||_F over the whole stack bit for bit, and
     # each exponentiated draw has the bits of its row of the stack: the
@@ -701,7 +731,7 @@ def test_certificate_decisions_match_generic_path_at_the_boundary(k):
     # rows placed at the decision levels: the pruned form path against the
     # indicator called on every moved point, bit for bit
     rng = make_rng(35, k)
-    kwargs = dict(theta=0.3, S=SAMPLE_BLOCK + 301, seed=18, mollifier=pc.get_mollifier(k, 0.1))
+    kwargs = dict(theta=0.3, S=S_BLOCKS, seed=18, mollifier=pc.get_mollifier(k, 0.1))
     eps = pc.regularize(ones, **kwargs).eps  # the certificate does not depend on the source
     fs = math.asin(eps / (1.0 - eps))
     radius, rho = 0.05, 0.1
