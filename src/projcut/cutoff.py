@@ -153,12 +153,13 @@ class CutoffFunction:
 def build_cutoff(set_spec: CompactSetSpec, delta: float, config: CutoffConfig) -> CutoffFunction:
     """Smooth the indicator of the delta/2-neighbourhood at the matched scale.
 
-    The build stores the sample and its certificate ``rf.eps``, the largest
-    Frobenius distance of a stored group element from the identity, and
-    refuses it above :attr:`CutoffFunction.frob_bound`; it certifies the
-    displacement bounds of :func:`verify_cutoff`.  Neither the group
-    elements nor the ball tests' coefficients are formed here: the
-    evaluator forms them at the first row that needs them.
+    The build stores the sample and its certificate ``rf.eps``, a
+    closed-form upper bound on the Frobenius distance of every stored group
+    element from the identity, and refuses it above
+    :attr:`CutoffFunction.frob_bound`; it certifies the displacement bounds
+    of :func:`verify_cutoff`.  Nothing is exponentiated here: the group
+    elements and the ball tests' coefficients are formed by the evaluator
+    at the first row that needs them.
     """
     if not DELTA_FLOOR < delta < config.delta0:
         raise DeltaOutOfRange(f"delta must lie in ({DELTA_FLOOR}, {config.delta0})")
@@ -206,9 +207,12 @@ def rows_on_set(set_spec: CompactSetSpec, count: int, rng) -> np.ndarray:
 
 def _check_draw(dist: float, count: int):
     """Refuse a sampler's distance that is not finite and positive, and a
-    negative count, before any draw."""
+    count that is not a nonnegative integer (:func:`_is_integer`: True would
+    draw one point), before any draw."""
     if not 0.0 < dist < math.inf:  # NaN too
         raise ValueError("distance must be finite and positive")
+    if not _is_integer(count):
+        raise ValueError("count must be an integer")
     if count < 0:
         raise ValueError("count must be nonnegative")
 
@@ -266,18 +270,21 @@ def verify_cutoff(cf: CutoffFunction, n_inner: int = 200, n_outer: int = 200,
     delta, and, for every point of P^k at no cost per point, (c) the
     chart-Euclidean and (d) the Fubini-Study displacement by every stored g.
 
-    With eps = cf.rf.eps >= ||g - Id||_F >= ||g - Id||_2, (c) is eps, which
-    bounds ||(g - Id) zeta|| / ||zeta|| for every chart vector zeta, against
+    With eps = cf.rf.eps >= ||g - Id||_F >= ||g - Id||_2 for every stored
+    g, the build's closed-form bound, (c) is eps, which bounds
+    ||(g - Id) zeta|| / ||zeta|| for every chart vector zeta, against
     :attr:`CutoffFunction.frob_bound`, the bound the build checked, and (d)
     is :func:`displacement_bound` (eps) against delta / 2.  Whenever (d)
     holds, (a) and (b) are 0 at every point; the evaluator decides the
     sampled points by the same certificate, with no matrix product once fs
     clears delta / 2 by the decision margins, as in every bundled config.
+    The sampled points are drawn from ``seed``, a nonnegative integer
+    (:func:`check_seed`).
     """
     for name, count in (("n_inner", n_inner), ("n_outer", n_outer)):
         if not _is_integer(count) or count < 1:
             raise ValueError(f"{name}: must be an integer, at least 1")
-    rng = make_rng(seed, 41)
+    rng = make_rng(check_seed(seed), 41)
     inner = rows_on_set(cf.set_spec, n_inner, rng)
     outer = rows_off_set(cf.set_spec, cf.delta, n_outer, rng)
     a = float(np.max(np.abs(cf.eval_homog(inner) - 1.0)))
@@ -293,9 +300,11 @@ def annulus_grid(set_spec: CompactSetSpec, delta: float, count: int,
     the derivatives of the cut-off live, each in its maximum-modulus chart.
     Batches of points at random distances beyond random balls are kept where
     they land in the annulus; after 200 * count draws the rest are kept
-    unconditioned, for an empty annulus (a set covering the whole space)."""
+    unconditioned, for an empty annulus (a set covering the whole space).
+    ``seed`` is a nonnegative integer (:func:`check_seed`) and ``count`` a
+    nonnegative integer."""
     _check_draw(delta, count)
-    rng = make_rng(seed, 51, tag)
+    rng = make_rng(check_seed(seed), 51, tag)
     centres, radii = set_spec.centres, set_spec.radii
     lo, hi = 0.25 * delta, delta
     kept, have, drawn = [centres[:0]], 0, 0  # no rows yet: count = 0 gives an empty grid

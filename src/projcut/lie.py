@@ -166,26 +166,25 @@ def _block_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _expm(stack) -> np.ndarray:
     """Matrix exponential of a stack of square matrices: :func:`_expm_block`
-    on its :func:`_sample_blocks` with the whole stack's :func:`_expm_plan`."""
+    on its :func:`_sample_blocks` with the :func:`_expm_plan` of the
+    stack's largest ||A||_F."""
     a = np.ascontiguousarray(stack, dtype=np.complex128)
     d = a.shape[-1]
     flat = a.reshape(-1, d, d)
-    plan = _expm_plan(flat)
+    real = flat.reshape(flat.shape[0], d * d).view(np.float64)
+    worst = math.sqrt(float(np.einsum("ij,ij->i", real, real).max())) if a.size else 0.0
+    plan = _expm_plan(worst)
     out = np.empty_like(flat)
     for rows, block in _sample_blocks(flat):
         out[rows] = _expm_block(block, *plan).transpose(2, 0, 1)
     return out.reshape(a.shape)
 
 
-def _expm_plan(a):
-    """(squarings q, degree m) for a contiguous stack (n, d, d): with t the
-    largest ||A||_F in it, q is the least with t / 2^q <= 0.25 and m >= 1
-    the least whose remainder t^(m+1)/(m+1)! e^t at t / 2^q is below the unit
-    roundoff 2^-53 (m <= 12)."""
-    worst = 0.0
-    if a.size:
-        real = a.view(np.float64).reshape(a.shape[0], -1)
-        worst = math.sqrt(float(np.einsum("ij,ij->i", real, real).max()))
+def _expm_plan(worst: float):
+    """(squarings q, degree m) for the matrices of ||A||_F <= worst: q is
+    the least with worst / 2^q <= 0.25 and m >= 1 the least whose remainder
+    t^(m+1)/(m+1)! e^t at t = worst / 2^q is below the unit roundoff 2^-53
+    (m <= 12)."""
     squarings = 0
     while worst / (2.0 ** squarings) > 0.25:
         squarings += 1
@@ -203,10 +202,12 @@ def _expm_block(block: np.ndarray, squarings: int, degree: int) -> np.ndarray:
 
 
 def _chart_blocks(draws, theta: float, plan):
-    """The blocks of :func:`_sample_blocks` of ``_normalize_stack(_expm(theta
-    * draws))`` bit for bit, from the draws (S, d, d) a block at a time,
-    given the stack's plan ``_expm_plan(theta * draws)`` (which the build's
-    certificate finds without a pass over every draw)."""
+    """The group elements exp_chart(theta x) of the draws x (S, d, d) as the
+    (rows, block) pairs of :func:`_sample_blocks`, each block scaled in
+    place, exponentiated with ``plan`` and normalised, so no (S, d, d)
+    stack is formed.  With plan the :func:`_expm_plan` of theta times the
+    largest ||x||_F, as the build's certificate finds it, they are the
+    blocks of ``_normalize_stack(_expm(theta * draws))`` bit for bit."""
     for rows, x in _sample_blocks(draws):
         e = _expm_block(np.multiply(theta, x, out=x), *plan)
         yield rows, _normalize_stack(e.transpose(2, 0, 1)).transpose(1, 2, 0)

@@ -27,10 +27,10 @@ moved points nor their distances are ever formed; nor is the stack of
 group elements, as they come from the draws a block at a time.
 
 The build stores the draws and certifies how far their group elements move
-points: eps = max ||g - Id||_F, so that no g moves any point by more than
-fs = :func:`displacement_bound` (eps).  A bound on ||g - Id||_F per draw
-rules out all but a few draws as the maximiser, and only those are
-exponentiated (:func:`_certificate`).  A test holds on all of a ball of
+points: eps >= ||g - Id||_F for every stored g, so that no g moves any
+point by more than fs = :func:`displacement_bound` (eps).  eps is the
+largest of a closed-form bound per draw, so the build exponentiates
+nothing (:func:`_certificate`).  A test holds on all of a ball of
 reach R about c_b, so every moved point of a row within R - fs of c_b
 passes it, and none of a row at R + fs or beyond does.  Each row is first
 placed against these levels: a row inside some ball is decided 1, a row
@@ -49,8 +49,7 @@ import numpy as np
 
 from .errors import ConfigError, StepTooSmall
 from .geometry import ChartCoordinates, ProjectivePoint, scaled_rows
-from .lie import (BLOCK_ENTRIES, _chart_blocks, _expm, _expm_plan, _frob, _normalize_stack,
-                  _sample_blocks, block_samples)
+from .lie import BLOCK_ENTRIES, _chart_blocks, _expm_plan, _sample_blocks, block_samples
 from .measure import MollifierSpec, ScaledMeasure, sample_matrices
 
 FunctionOnP = Callable[[np.ndarray], np.ndarray]
@@ -103,9 +102,10 @@ def check_seed(seed) -> int:
 def regularize(f: FunctionOnP, theta: float, S: int, seed, mollifier: MollifierSpec) -> "RegularizedFunction":
     """Draw S traceless matrices x_j once from the unit-scale mollifier and
     return the averaging evaluator over the group elements
-    exp_chart(theta * x_j), with their certificate eps, the largest
-    ||g - Id||_F (:func:`_certificate`).  The elements are formed from the
-    stored draws when first needed (:attr:`RegularizedFunction.matrices`).
+    exp_chart(theta * x_j), with their certificate eps, an upper bound on
+    every ||g - Id||_F (:func:`_certificate`).  The elements are formed
+    from the stored draws when first needed
+    (:attr:`RegularizedFunction.matrices`); the build forms none.
 
     theta = 0 returns the pass-through evaluator (the Dirac case).  The same
     seed yields the same x_j for every theta, so evaluators at different
@@ -120,7 +120,7 @@ def regularize(f: FunctionOnP, theta: float, S: int, seed, mollifier: MollifierS
         d = mollifier.k + 1
         draws, eps = np.zeros((0, d, d), dtype=np.complex128), 0.0
         draws.setflags(write=False)
-        plan = _expm_plan(draws)
+        plan = _expm_plan(0.0)
     else:
         draws = _unit_draws(mollifier, int(S), int(seed))
         eps, plan = _certificate(draws, float(theta))
@@ -138,71 +138,46 @@ def _unit_draws(mollifier: MollifierSpec, S: int, seed: int) -> np.ndarray:
 
 
 def _certificate(draws: np.ndarray, theta: float) -> tuple:
-    """(eps, plan): eps = max ||exp_chart(theta x) - Id||_F over the draws
-    x, from the few draws that can attain it, and the exponential's plan
-    ``_expm_plan(theta * draws)`` of the whole stack.
+    """(eps, plan): eps, an upper bound on ||exp_chart(theta x) - Id||_F
+    for every draw x, in closed form, and the exponential's plan
+    ``_expm_plan(theta * max ||x||_F)``.  Nothing is exponentiated.
 
     With y = theta x, s = ||y||_F, a = ||y - y_00 Id||_F and the series
     remainder R = e^y - Id - y, ||R||_F <= rho = e^s - 1 - s.  Then
-    e^y - (e^y)_00 Id = (y - y_00 Id) + (R - R_00 Id) lies within
-    e = (1 + sqrt(d)) rho of y - y_00 Id, and |(e^y)_00 - 1| <= q =
-    |y_00| + rho, so (a - e) / (1 + q) <= ||exp_chart(y) - Id||_F <=
-    (a + e) / (1 - q): the algebra of :func:`estimate_distortion`, per
-    draw.  The norms are vectors over the draws, with no stack-sized
-    temporary: ||x - x_00 Id||^2 = ||x||^2 + d |x_00|^2 -
-    2 Re(conj(x_00) tr x).
-
-    A draw whose upper bound stays below the largest lower bound, by more
-    than a slack (1e-9 relative, 1e-12 absolute) far above the roundoff of
-    the bounds and of the computed ||g - Id||_F, is not the maximiser and
-    is not exponentiated.  e grows with ||x||, and q with ||x|| and |x_00|,
-    so with e_max and q_max their largest values over the draws, no upper
-    bound exceeds (a + e_max) / (1 - q_max): only the draws with
-    a >= (f - slack) (1 - q_max) - e_max, f the lower bound of the draw of
-    largest a, can reach the largest lower bound, and the bounds are taken
-    on those alone.  When q_max reaches 1/2 every draw is exponentiated.
-    The draws of largest norm (within 1e-12, far above roundoff) are
-    always kept, so the plan of the kept draws, which :func:`_expm` takes,
-    is the squarings and degree of the whole stack, and each kept element
-    has the bits of its row of :attr:`RegularizedFunction.matrices`."""
+    e^y - (e^y)_00 Id = (y - y_00 Id) + (R - R_00 Id) has norm at most
+    a + e, e = (1 + sqrt(d)) rho, and |(e^y)_00| >= 1 - q, q = |y_00| +
+    rho, so ||exp_chart(y) - Id||_F <= (a + e) / (1 - q) while q < 1: the
+    algebra of :func:`estimate_distortion`, per draw, and equal to s C(s),
+    C that function's constant, at its worst case.  eps is the largest of
+    these bounds times 1 + 1e-12, far above their roundoff, and inf when
+    some q >= 1, where nothing is bounded.  The vectors over the draws are
+    formed in place, with no stack-sized temporary.  ||x - x_00 Id||^2 =
+    ||x||^2 + d |x_00|^2 - 2 Re(conj(x_00) tr x) is taken without its last
+    term: the draws are traceless, so that term is roundoff, below 1e-15
+    of the rest."""
     S, d = draws.shape[:2]
     real = draws.reshape(S, d * d).view(np.float64)
-    square = np.einsum("ij,ij->i", real, real)
-    x00 = draws[:, 0, 0]
-    abs00 = np.abs(x00)
-    trace = np.einsum("sii->s", draws)
-    cross = x00.real * trace.real
-    cross += x00.imag * trace.imag
-    cross *= 2.0
-    a = abs00 * abs00  # a = theta ||x - x_00 Id||_F, formed in place
+    s = np.einsum("ij,ij->i", real, real)  # ||x||^2, then s
+    q = np.abs(draws[:, 0, 0])  # |x_00|, then q
+    a = q * q  # ||x - x_00 Id||^2 = ||x||^2 + d |x_00|^2, then a
     a *= d
-    a += square
-    a -= cross
-    np.sqrt(np.maximum(a, 0.0, out=a), out=a)
+    a += s
+    np.sqrt(a, out=a)
     a *= theta
-
-    def bounds(i):
-        """(a, e, q) of the draws i."""
-        s = theta * np.sqrt(square[i])
-        rho = np.expm1(s) - s
-        return a[i], (1.0 + math.sqrt(d)) * rho, theta * abs00[i] + rho
-
-    def slack(floor):
-        return 1e-9 * floor + 1e-12
-
-    _, e_max, _ = bounds(np.argmax(square))
-    q_max = theta * abs00.max() + e_max / (1.0 + math.sqrt(d))
-    if q_max < 0.5:
-        a0, e0, q0 = bounds(np.argmax(a))
-        floor = (a0 - e0) / (1.0 + q0)
-        largest = square >= (1.0 - 1e-12) * square.max()
-        idx = np.flatnonzero((a >= (floor - slack(floor)) * (1.0 - q_max) - e_max) | largest)
-        ai, e, q = bounds(idx)
-        floor = ((ai - e) / (1.0 + q)).max()
-        draws = draws[idx[((ai + e) / (1.0 - q) >= floor - slack(floor)) | largest[idx]]]
-    y = theta * draws
-    g = _normalize_stack(_expm(y))
-    return float(_frob(g - np.eye(d)).max()), _expm_plan(y)
+    np.sqrt(s, out=s)
+    s *= theta
+    plan = _expm_plan(float(s.max()))
+    rho = np.expm1(s)
+    rho -= s
+    q *= theta
+    q += rho
+    if not q.max() < 1.0:
+        return math.inf, plan
+    rho *= 1.0 + math.sqrt(d)  # e
+    a += rho
+    np.subtract(1.0, q, out=q)
+    a /= q
+    return float(a.max()) * (1.0 + 1e-12), plan
 
 
 def _stored_images(matrices: np.ndarray, Z: np.ndarray):
@@ -310,20 +285,21 @@ class RegularizedFunction:
     """Frozen-sample smoothing of a bounded evaluator.
 
     ``draws`` holds the S stored unit-scale draws x_j, shape (S, k+1, k+1),
-    read-only (empty for the pass-through case theta = 0).  ``matrices``
-    holds the group elements g_j = exp_chart(theta * x_j), formed from the
-    draws when first read and kept; the form path never reads it.  ``eps``
-    is the displacement certificate, the largest ||g - Id||_F over the g (0
-    when none is stored), taken at the build from the few draws that can
-    attain it (:func:`_certificate`), and ``plan`` the exponential's
-    squarings and degree for the whole stack, found there too
-    (``_expm_plan(theta * draws)``).  When the source offers ball tests,
-    the certificate decides the rows and balls that skip the products, and
-    ``forms`` holds the real coefficients of each test on the moved point
-    per ball, feature and stored element, shape (B, (k+1)^2, S): one
-    contiguous slab per ball whose rows run over the stored elements,
-    formed from the draws when first read and kept; otherwise it is None
-    and the source is called on the moved points.  Evaluation is
+    read-only (empty for the pass-through case theta = 0).  ``eps`` is the
+    displacement certificate, an upper bound on ||g - Id||_F for every
+    stored g (0 when none is stored, inf when it bounds nothing), and
+    ``plan`` the exponential's squarings and degree for theta times the
+    largest ||x_j||_F, both found at the build in closed form
+    (:func:`_certificate`).  ``matrices`` holds the group elements g_j =
+    exp_chart(theta * x_j), formed from the draws when first read and kept,
+    by the blocks of :func:`_chart_blocks` with that plan, as the form pass
+    takes them; the form path never reads it.  When the source offers ball
+    tests, the certificate decides the rows and balls that skip the
+    products, and ``forms`` holds the real coefficients of each test on the
+    moved point per ball, feature and stored element, shape (B, (k+1)^2,
+    S): one contiguous slab per ball whose rows run over the stored
+    elements, formed from the draws when first read and kept; otherwise it
+    is None and the source is called on the moved points.  Evaluation is
     deterministic: the same (seed, S, theta, point) gives the same value bit
     for bit.
     """
@@ -337,7 +313,9 @@ class RegularizedFunction:
 
     @cached_property
     def matrices(self) -> np.ndarray:
-        mats = _normalize_stack(_expm(self.theta * self.draws))
+        mats = np.empty_like(self.draws)
+        for rows, g in _chart_blocks(self.draws, self.theta, self.plan):
+            mats[rows] = g.transpose(2, 0, 1)
         mats.setflags(write=False)
         return mats
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import projcut as pc
-from projcut.lie import _expm, _expm_block
+from projcut.lie import _expm_block
 
 
 @pytest.fixture(scope="session")
@@ -20,23 +20,10 @@ def two_ball_set():
 
 
 @pytest.fixture
-def expm_sizes(monkeypatch):
-    """The stack size of every exponential that regularize takes, in order."""
-    sizes = []
-
-    def spy(stack):
-        sizes.append(stack.shape[0])
-        return _expm(stack)
-
-    # the package re-exports the function regularize over its module name
-    monkeypatch.setattr(importlib.import_module("projcut.regularize"), "_expm", spy)
-    return sizes
-
-
-@pytest.fixture
 def expm_draws(monkeypatch):
     """The number of draws in every block the exponential takes, in order:
-    the blocks of every _expm stack and of the form pass alike."""
+    the blocks of every _expm stack, of the form pass and of
+    RegularizedFunction.matrices alike."""
     sizes = []
 
     def spy(block, *plan):

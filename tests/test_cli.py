@@ -5,12 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from projcut.cli import CEILINGS, DEFAULT_BANDS, load_config, main
 from projcut.cutoff import DEFAULT_S, CutoffConfig, build_cutoff
 from projcut.errors import ConfigError
-from projcut.lie import block_samples
+from projcut.lie import _expm_plan, _frob, block_samples
 from projcut.regularize import MAX_S, RegularizedFunction
 
 BASE_SET = {
@@ -493,36 +494,42 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
-def test_bundled_builds_exponentiate_under_one_percent(name, expm_sizes):
-    # at each bundled theta, with the default S, the certificate
-    # exponentiates fewer than 1% of the draws
+def test_bundled_builds_exponentiate_under_one_percent(name, expm_draws):
+    # at each bundled theta, with the default S, the build exponentiates no
+    # draw at all: its closed-form certificate bounds every stored element
+    # and stays within the per-sample bound, and its plan is that of the
+    # largest scaled draw
     cfg = load_config(CONFIG_DIR / name)
     config = CutoffConfig(cfg.k, cfg.sigma, cfg.delta0, DEFAULT_S, cfg.seed)
     for delta in cfg.deltas:
-        expm_sizes.clear()
-        build_cutoff(cfg.set_spec, delta, config)
-        assert len(expm_sizes) == 1 and expm_sizes[0] < 0.01 * DEFAULT_S
+        cf = build_cutoff(cfg.set_spec, delta, config)
+        assert expm_draws == []
+        rf = cf.rf
+        assert rf.plan == _expm_plan(float(_frob(rf.theta * rf.draws).max()))
+        assert float(_frob(rf.matrices - np.eye(cfg.k + 1)).max()) <= rf.eps <= cf.frob_bound
+        expm_draws.clear()
 
 
 @pytest.mark.parametrize("name", ["verify_two_balls.json", "verify_k3.json"])
-def test_bundled_verify_never_forms_the_stack(name, tmp_path, monkeypatch, expm_sizes):
+def test_bundled_verify_never_forms_the_stack(name, tmp_path, monkeypatch, expm_draws):
     # every row verify evaluates is decided by the certificate, which
-    # exponentiates a few draws only
+    # exponentiates nothing: neither the group elements nor the forms
+    # are formed
     def refuse(self):
-        raise AssertionError("verify formed the group elements")
+        raise AssertionError("verify formed the group elements or the forms")
 
     monkeypatch.setattr(RegularizedFunction, "matrices", property(refuse))
-    cfg = load_config(CONFIG_DIR / name)
+    monkeypatch.setattr(RegularizedFunction, "forms", property(refuse))
     assert main(["verify", "--config", str(CONFIG_DIR / name), "--out", str(tmp_path)]) == 0
-    assert len(expm_sizes) == len(cfg.deltas) and max(expm_sizes) < 0.01 * cfg.S
+    assert expm_draws == []
 
 
 @pytest.mark.parametrize("command", ["eval", "scaling"])
 def test_commands_with_band_rows_exponentiate_each_draw_once_per_build(
-        command, tmp_path, monkeypatch, expm_sizes, expm_draws):
-    # each build exponentiates its certificate's few draws as a stack, and
-    # every draw once more, block by block, as it forms the coefficients;
-    # the stack of group elements is never formed
+        command, tmp_path, monkeypatch, expm_draws):
+    # the builds exponentiate nothing; each build's form pass exponentiates
+    # every draw once, block by block; the stack of group elements is
+    # never formed
     def refuse(self):
         raise AssertionError(f"{command} formed the group elements")
 
@@ -533,5 +540,4 @@ def test_commands_with_band_rows_exponentiate_each_draw_once_per_build(
         (tmp_path / "pts.csv").write_text("re0,im0,re1,im1\n1,0,0.2,0.1\n1,0,0.36,0.1\n")
     assert main(argv + ["--threads", "1"]) == 0
     builds = 1 if command == "eval" else 3
-    assert len(expm_sizes) == builds and max(expm_sizes) < 600
-    assert sum(expm_draws) == sum(expm_sizes) + 600 * builds
+    assert expm_draws == [600] * builds

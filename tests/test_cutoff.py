@@ -164,10 +164,13 @@ def test_build_cutoff_claims(config_small, two_ball_set):
 
 
 def test_build_cutoff_per_sample_bound(config_small, two_ball_set):
+    # the certificate bounds every stored element from above, within a few
+    # percent, and stays within the per-sample bound the build checks
     cf = pc.build_cutoff(two_ball_set, 0.2, config_small)
     bound = config_small.distortion * cf.theta * config_small.sigma
     devs = _frob(cf.rf.matrices - np.eye(2))
-    assert float(devs.max()) == cf.rf.eps <= bound == cf.frob_bound
+    assert float(devs.max()) <= cf.rf.eps <= bound == cf.frob_bound
+    assert cf.rf.eps < 1.05 * float(devs.max())
     assert bound == pytest.approx(config_small.budget * 0.2 / 4.0, rel=1e-14)
 
 
@@ -543,6 +546,26 @@ def test_samplers_refuse_bad_distance_or_count(dist, count, two_ball_set):
         annulus_grid(two_ball_set, dist, count, seed=9)
     with pytest.raises(ValueError, match=message):
         rows_off_set(two_ball_set, dist, count, make_rng(40, 3))
+
+
+@pytest.mark.parametrize("count", [2.5, True, np.True_, np.float64(3.0), "3"])
+def test_samplers_refuse_counts_that_are_not_integers(count, two_ball_set):
+    # True drew one point and 2.5 two, or a whole batch of 2 * count
+    with pytest.raises(ValueError, match="^count must be an integer$"):
+        annulus_grid(two_ball_set, 0.1, count, seed=9)
+    with pytest.raises(ValueError, match="^count must be an integer$"):
+        rows_off_set(two_ball_set, 0.1, count, make_rng(40, 3))
+
+
+@pytest.mark.parametrize("sampler", ["verify_cutoff", "annulus_grid"])
+@pytest.mark.parametrize("seed", [2.5, True, np.True_, -1, "3", None])
+def test_sampled_points_refuse_bad_seeds(sampler, seed, config_small, two_ball_set):
+    # the rule of regularize: 2.5 ran seed 2 and True seed 1
+    with pytest.raises(ConfigError, match="^seed: must be a nonnegative integer$"):
+        if sampler == "verify_cutoff":
+            pc.verify_cutoff(pc.build_cutoff(two_ball_set, 0.1, config_small), 5, 5, seed=seed)
+        else:
+            annulus_grid(two_ball_set, 0.1, 5, seed=seed)
 
 
 def test_samplers_take_count_zero(two_ball_set):

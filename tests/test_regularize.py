@@ -11,12 +11,20 @@ from projcut.errors import ConfigError, StepTooSmall
 from projcut.geometry import geodesic_row, rows_dist_to_set, tangent_row, uniform_rows
 from projcut.lie import _expm, _expm_plan, _frob, _normalize_stack, block_samples
 from projcut.regularize import (DECISION_ANGLE, DECISION_VALUE, FORM_GEMM_OUTPUT, MAX_S,
-                                ROW_BLOCK, RegularizedFunction, _decision_levels, _features,
-                                _form_coefficients, _forms, _unit_draws, displacement_bound)
+                                ROW_BLOCK, RegularizedFunction, _certificate, _decision_levels,
+                                _features, _form_coefficients, _forms, _unit_draws,
+                                displacement_bound)
 from projcut.rng import make_rng
+
+from conftest import random_traceless
 
 # one sample block and 301 samples at k = 1; three blocks at k = 2 and five at k = 3
 S_BLOCKS = block_samples(2) + 301
+
+
+def _stack_plan(stack):
+    """The exponential's plan for the largest ||A||_F of a stack."""
+    return _expm_plan(float(_frob(stack).max()))
 
 
 def ones(rows):
@@ -381,12 +389,12 @@ def test_form_hits_count_the_positive_forms(k, S, m, balls):
                                       for b in balls)
 
 
-def test_forms_are_formed_once_at_the_first_band_row(two_ball_set, monkeypatch, expm_sizes,
-                                                    expm_draws):
-    # decided rows form nothing; the first band row forms the coefficients
-    # straight from the draws, exponentiating each draw once, block by
-    # block, with no stack of group elements; later band rows reuse them,
-    # bit for bit those of the direct call on that stack
+def test_forms_are_formed_once_at_the_first_band_row(two_ball_set, monkeypatch, expm_draws):
+    # the build and the decided rows exponentiate nothing; the first band
+    # row forms the coefficients straight from the draws, exponentiating
+    # each draw once, block by block, with no stack of group elements;
+    # later band rows reuse them, bit for bit those of the direct call on
+    # that stack
     calls = []
 
     def counted(*args):
@@ -400,10 +408,9 @@ def test_forms_are_formed_once_at_the_first_band_row(two_ball_set, monkeypatch, 
     rho, S = 0.1, S_BLOCKS
     f = pc.indicator_fattened(two_ball_set, rho)
     rf = pc.regularize(f, theta=0.3, S=S, seed=19, mollifier=pc.get_mollifier(1, 0.1))
-    certificate = expm_sizes[0]
-    assert expm_sizes == [certificate] == expm_draws and certificate < 0.01 * S
+    assert expm_draws == []
     assert np.all(rf.eval_homog(two_ball_set.centres) == 1.0)
-    assert calls == [] and expm_draws == [certificate]
+    assert calls == [] and expm_draws == []
     rng = make_rng(38, 0)
     band = _band_heavy_rows(two_ball_set, rho, 60, rng)
     with monkeypatch.context() as m:
@@ -413,18 +420,16 @@ def test_forms_are_formed_once_at_the_first_band_row(two_ball_set, monkeypatch, 
         forms = rf.forms
         assert np.array_equal(rf.eval_homog(band[::-1]), chi[::-1])
         assert rf.forms is forms
-    assert len(calls) == 1 and expm_sizes == [certificate]
-    assert expm_draws == [certificate, block_samples(2), 301]
+    assert len(calls) == 1 and expm_draws == [block_samples(2), 301]
     draws = _unit_draws(pc.get_mollifier(1, 0.1), S, 19)
     assert rf.draws is draws
-    mats = rf.matrices  # formed on demand, from the draws alone
-    assert expm_sizes == [certificate, S]
+    mats = rf.matrices  # formed on demand, from the draws alone, by the same blocks
+    assert expm_draws == [block_samples(2), 301] * 2
     assert np.array_equal(mats, _normalize_stack(_expm(0.3 * draws)))
     assert np.array_equal(forms, _form_coefficients(mats, *f.ball_tests()))
     assert not mats.flags.writeable and not forms.flags.writeable
-    # the certificate, from the few draws that can attain it, has the bits
-    # of the maximum over the whole stack
-    assert rf.eps == float(_frob(mats - np.eye(2)).max())
+    # the certificate bounds every element from above
+    assert float(_frob(mats - np.eye(2)).max()) <= rf.eps
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -445,7 +450,7 @@ def test_form_pass_has_the_bits_of_the_stack(k, theta, sigma):
     draws = rf.draws.copy()
     draws[:n] *= 0.05
     if theta * sigma > 1.0:
-        squarings = [_expm_plan(theta * x)[0] for x in (rf.draws, draws[:n])]
+        squarings = [_stack_plan(theta * x)[0] for x in (rf.draws, draws[:n])]
         assert squarings[0] >= 3 > squarings[1]
     for g in (rf, RegularizedFunction(f, theta, draws, rf.S, rf.plan)):
         assert np.array_equal(g.forms, _form_coefficients(g.matrices, *f.ball_tests()))
@@ -475,54 +480,117 @@ def test_build_and_forms_hold_draws_forms_and_one_block():
     assert peak <= rf.draws.nbytes + forms.nbytes + 3 * 2 ** 20
 
 
-def test_generic_path_forms_the_elements_at_its_first_call(mollifier_k1, expm_sizes):
+def test_generic_path_forms_the_elements_at_its_first_call(mollifier_k1, expm_draws):
     rf = pc.regularize(re_zeta1, 0.2, 500, seed=6, mollifier=mollifier_k1)
-    assert len(expm_sizes) == 1 and expm_sizes[0] < 500
+    assert expm_draws == []
     rows = np.array([[1.0, 0.3 + 0.1j], [1.0, 0.2]])
     vals = rf.eval_homog(rows)
     mats = rf.matrices
-    assert expm_sizes[1:] == [500]
+    assert expm_draws == [500]
     assert np.array_equal(rf.eval_homog(rows), vals)
-    assert rf.matrices is mats and expm_sizes[1:] == [500]
+    assert rf.matrices is mats and expm_draws == [500]
+
+
+def _draw_bounds(draws, theta):
+    """(a + e) / (1 - q) per draw, the bound of _certificate written out
+    one matrix at a time."""
+    d = draws.shape[-1]
+    out = []
+    for x in draws:
+        y = theta * x
+        s = np.linalg.norm(y)
+        rho = math.expm1(s) - s
+        a = np.linalg.norm(y - y[0, 0] * np.eye(d))
+        out.append((a + (1.0 + math.sqrt(d)) * rho) / (1.0 - abs(y[0, 0]) - rho))
+    return np.array(out)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("S", [1, S_BLOCKS, 20000])
-def test_certificate_has_the_bits_of_the_whole_stack(k, S, monkeypatch):
-    # eps is the largest ||g - Id||_F over the whole stack bit for bit, and
-    # each exponentiated draw has the bits of its row of the stack: the
-    # same squarings and degree, the plan the build keeps
-    stacks = []
-
-    def spy(stack):
-        out = _expm(stack)
-        stacks.append((stack, out))
-        return out
-
-    monkeypatch.setattr(importlib.import_module("projcut.regularize"), "_expm", spy)
+def test_certificate_has_the_bits_of_the_whole_stack(k, S, expm_draws):
+    # eps is the largest closed-form bound over the draws, exponentiates
+    # nothing, bounds every row of the stack of group elements from above
+    # and is at most s C(s) at the largest scaled norm s, C the distortion
+    # constant; the plan is that of the largest scaled draw, and the
+    # elements formed with it have the bits of the whole stack
     mollifier = pc.get_mollifier(k, 0.1)
     for seed in ((0, 1, 2) if S < 20000 else (3,)):
         draws = _unit_draws(mollifier, S, seed)
         for theta in (1.0, 0.5, 0.1, 0.01, 0.001):
-            stacks.clear()
             rf = pc.regularize(ones, theta, S, seed, mollifier)
-            assert rf.plan == _expm_plan(theta * draws)
-            (scaled, g), = stacks
+            assert expm_draws == []
+            assert rf.plan == _stack_plan(theta * draws)
+            if S < 20000:
+                assert rf.eps == pytest.approx(_draw_bounds(draws, theta).max() * (1.0 + 1e-12),
+                                               rel=1e-13)
             mats = rf.matrices
-            assert rf.eps == float(_frob(mats - np.eye(k + 1)).max())
-            index = {x.tobytes(): i for i, x in enumerate(theta * draws)}
-            rows = [index[x.tobytes()] for x in scaled]
-            assert np.array_equal(_normalize_stack(g), mats[rows])
+            expm_draws.clear()
+            assert np.array_equal(mats, _normalize_stack(_expm(theta * draws)))
+            expm_draws.clear()
+            s = theta * float(_frob(draws).max())
+            assert float(_frob(mats - np.eye(k + 1)).max()) <= rf.eps
+            assert rf.eps <= s * pc.estimate_distortion(s, k) * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_certificate_takes_every_draw_far_from_the_identity(k, expm_sizes):
-    # a wide mollifier: some draw has |y_00| + e^s - 1 - s >= 1/2, where the
-    # bounds prune nothing, so every draw is exponentiated
+def test_certificate_takes_every_draw_far_from_the_identity(k, expm_draws):
+    # a wide mollifier: some draw has q = |y_00| + e^s - 1 - s >= 1, where
+    # the series bounds nothing, so eps is inf, with nothing exponentiated
     rf = pc.regularize(ones, 1.0, 400, 3, pc.get_mollifier(k, 2.0))
-    assert expm_sizes == [400]
-    assert rf.eps == float(_frob(rf.matrices - np.eye(k + 1)).max()) >= 0.5
-    assert rf.plan == _expm_plan(rf.draws)
+    assert rf.eps == math.inf and expm_draws == []
+    assert rf.plan == _stack_plan(rf.draws)
+    assert float(_frob(rf.matrices - np.eye(k + 1)).max()) >= 0.5
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_certificate_meets_the_distortion_bound_at_its_worst_case(k):
+    # draws on estimate_distortion's worst case, ||x - x_00 Id|| = sqrt(k+1) ||x||
+    # and |x_00| = sqrt(k/(k+1)) ||x||, at a norm just below sigma, with
+    # theta = 1 and sigma small enough that frob_bound = C(sigma) sigma:
+    # each such draw's bound is s C(s), so eps exceeds frob_bound by at
+    # most its roundoff allowance 1e-12, and by nothing 1e-9 below sigma;
+    # no other draw's bound is larger
+    config = pc.CutoffConfig(k, sigma=0.02)
+    sigma, theta = config.sigma, config.theta_max
+    assert config.distortion == pc.estimate_distortion(sigma, k)
+    assert theta == pytest.approx(1.0, rel=1e-15)
+    bound = config.distortion * theta * sigma
+    norm = sigma * (1.0 - 2.0 ** -40)
+    worst = np.diag([1.0] + [-1.0 / k] * k).astype(np.complex128)
+    worst *= norm / np.linalg.norm(worst)
+    rng = make_rng(36, k)
+    phases = np.exp(2j * math.pi * rng.random(5))
+    others = np.stack([random_traceless(rng, k + 1, norm) for _ in range(50)])
+    draws = np.concatenate([phases[:, None, None] * worst, others])
+    eps, plan = _certificate(draws, theta)
+    assert plan == _stack_plan(theta * draws)
+    assert bound * (1.0 - 1e-9) <= eps <= bound * (1.0 + 1e-12)
+    assert _certificate(others, theta)[0] < eps
+    assert _certificate((1.0 - 1e-9) * draws, theta)[0] <= bound
+    s = theta * norm
+    assert _certificate(worst[None], theta)[0] == pytest.approx(
+        s * pc.estimate_distortion(s, k) * (1.0 + 1e-12), rel=1e-14)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("sigma", [2.0, 3.0])
+def test_certificate_past_the_series_decides_nothing(k, sigma, two_ball_set):
+    # some q >= 1: eps is inf, no row is decided, every band row takes the
+    # products for every ball, and the form path equals the indicator
+    # called on every moved point, bit for bit
+    rng = make_rng(34, k)
+    set_spec = pc.CompactSetSpec(tuple(pc.Ball(pc.ProjectivePoint(c), r)
+                                       for c, r in zip(uniform_rows(k, 2, rng), (0.05, 0.2))))
+    f = pc.indicator_fattened(set_spec, 0.1)
+    kwargs = dict(theta=1.0, S=400, seed=5, mollifier=pc.get_mollifier(k, sigma))
+    kernel = pc.regularize(f, **kwargs)
+    assert kernel.eps == math.inf and displacement_bound(kernel.eps) == 0.5 * math.pi
+    rows = np.concatenate([set_spec.centres, _band_heavy_rows(set_spec, 0.1, 40, rng),
+                           uniform_rows(k, 20, rng)])
+    assert _decided(kernel, rows) == (0, [[0, 1]])
+    chi = kernel.eval_homog(rows)
+    assert np.array_equal(chi, pc.regularize(lambda z: f(z), **kwargs).eval_homog(rows))
+    assert np.any((chi > 0.0) & (chi < 1.0))
 
 
 @pytest.mark.parametrize("seed", [1.5, True, np.True_, -1, math.nan, "3", None])
