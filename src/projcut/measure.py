@@ -13,6 +13,14 @@ inverse-CDF table and whose total is the integral.  That rule is exact to
 roundoff here: its Euler-Maclaurin error terms are the odd derivatives of
 t^(n-1) exp(-1/(1-t^2)) at the ends, which vanish to all orders at t = 1 and
 below order n-1 at t = 0, so the error is O(h^n) with h = 1/(_CDF_NODES-1).
+
+The table is read through a guide table (Chen & Asau 1974; Devroye 1986,
+section III.2.4): _GUIDE_BUCKETS equal buckets of [0, 1], each holding the
+last node at or below its left end, so that a uniform in a bucket that holds
+at most one node finds its node with one comparison, not a binary search.
+The lookup then takes np.interp's own slope and arithmetic, so it returns
+np.interp's bits; the few buckets that hold more nodes, in the flat head and
+tail of the CDF, are passed to np.interp itself.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from .lie import AlgebraElement, _coord_chunk, from_coords
 from .rng import make_rng
 
 _CDF_NODES = 4096
+_GUIDE_BUCKETS = 2 ** 13  # a power of two: u * _GUIDE_BUCKETS and cdf * _GUIDE_BUCKETS are exact
 
 
 def real_dimension(k: int) -> int:
@@ -60,7 +69,7 @@ def normalization(k: int, sigma: float) -> float:
     if not 0.0 < sigma < math.inf:
         raise ValueError("sigma must be finite and positive")
     n = real_dimension(k)
-    return 1.0 / (sphere_area(n) * sigma ** n * _radius_table(n)[2])
+    return 1.0 / (sphere_area(n) * sigma ** n * _radius_table(n).total)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,43 +134,96 @@ def scaled_density(m: ScaledMeasure, x):
     return m.theta ** (-m.base.n) * density(m.base, mm / m.theta)
 
 
+@dataclass(frozen=True, eq=False)
+class _RadiusTable:
+    """Inverse-CDF table of the radial law t^(n-1) * bump(t) on [0, 1]: the
+    nodes t and cdf, the trapezoid integral ``total`` that normalises cdf,
+    and the guide table of :func:`_inverse_cdf`.  ``first[b]`` is the last
+    node with cdf <= b / _GUIDE_BUCKETS, ``crowded[b]`` marks the buckets
+    with more than one node in (b, b + 1] / _GUIDE_BUCKETS, and ``slope`` is
+    np.interp's (t[j+1] - t[j]) / (cdf[j+1] - cdf[j]), 0 where cdf is flat
+    (only crowded buckets reach those nodes)."""
+
+    t: np.ndarray
+    cdf: np.ndarray
+    total: float
+    first: np.ndarray
+    crowded: np.ndarray
+    slope: np.ndarray
+
+
 @lru_cache(maxsize=None)
-def _radius_table(n: int):
-    # inverse-CDF lookup table for the radial law t^(n-1) * bump(t) on [0, 1],
-    # with the trapezoid integral of that law that normalises it
+def _radius_table(n: int) -> _RadiusTable:
     t = np.linspace(0.0, 1.0, _CDF_NODES)
     pdf = t ** (n - 1) * bump_profile(t)
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(t))])
     total = float(cdf[-1])
     cdf /= total
-    t.setflags(write=False)
-    cdf.setflags(write=False)
-    return t, cdf, total
+    # ceil: a node with cdf <= b / M has ceil(cdf M) <= b, so the running
+    # count of nodes per ceil(cdf M) counts the nodes at or below b / M
+    per_bucket = np.bincount(np.ceil(cdf * _GUIDE_BUCKETS).astype(np.intp),
+                             minlength=_GUIDE_BUCKETS + 1)
+    first = np.cumsum(per_bucket) - 1
+    crowded = np.diff(first) > 1
+    with np.errstate(divide="ignore"):
+        slope = np.diff(t) / np.diff(cdf)
+    slope[~np.isfinite(slope)] = 0.0
+    table = _RadiusTable(t, cdf, total, first[:-1], crowded, slope)
+    for arr in (t, cdf, table.first, crowded, slope):
+        arr.setflags(write=False)
+    return table
+
+
+def _inverse_cdf(u: np.ndarray, table: _RadiusTable) -> np.ndarray:
+    """np.interp(u, table.cdf, table.t), bit for bit, for u in [0, 1),
+    written into u.  In a bucket b that holds at most one node, the last
+    node j with cdf[j] <= u is first[b] or the node after it; np.interp's
+    slope[j] * (u - cdf[j]) + t[j] follows, which is t[j] where u = cdf[j].
+    The crowded buckets' uniforms go through np.interp."""
+    j = np.multiply(u, _GUIDE_BUCKETS).astype(np.intp)  # the bucket of each uniform
+    crowded = np.flatnonzero(table.crowded[j])
+    rest = np.interp(u[crowded], table.cdf, table.t)
+    np.take(table.first, j, out=j)
+    j += table.cdf[j + 1] <= u
+    node = np.take(table.cdf, j)
+    np.subtract(u, node, out=u)
+    np.multiply(u, np.take(table.slope, j, out=node), out=u)
+    np.add(u, np.take(table.t, j, out=node), out=u)
+    u[crowded] = rest
+    return u
 
 
 def radial_cdf_nodes(n: int):
     """The (radius, CDF) table used for sampling, for inspection."""
-    return _radius_table(n)[:2]
+    table = _radius_table(n)
+    return table.t, table.cdf
 
 
 def _row_chunks(m: ScaledMeasure, count: int, seed):
     """Yield (lo, rows): the coordinate rows lo, lo + 1, ... of the draws,
     one :func:`from_coords` chunk at a time, so that no (count, n) array is
-    formed.  The stream holds the count uniforms of the radii first, then
-    the normals of the directions row by row, as one draw of each would."""
+    formed.  The stream holds the count uniforms of the radii first, which
+    become radii at once (:func:`_inverse_cdf`), then the normals of the
+    directions row by row, as one draw of each would.  Each chunk's rows
+    are normalised by np.linalg.norm's arithmetic for real rows (square,
+    np.add.reduce, sqrt), into two buffers that every chunk reuses."""
     if count < 1:
         raise ValueError("count must be at least 1")
     n = m.base.n
     rng = make_rng(seed, 31)
-    t, cdf, _ = _radius_table(n)
-    uniforms = rng.random(count)
+    radii = _inverse_cdf(rng.random(count), _radius_table(n))
+    radii *= m.theta * m.base.sigma
     step = _coord_chunk(m.base.k)
+    square = np.empty((min(step, count), n))
+    norms = np.empty(square.shape[0])
 
     def rows(lo):
-        u = uniforms[lo:lo + step]
-        dirs = rng.standard_normal((u.size, n))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        dirs *= (np.interp(u, cdf, t) * (m.theta * m.base.sigma))[:, None]
+        dirs = rng.standard_normal((min(step, count - lo), n))
+        sq, nrm = square[:dirs.shape[0]], norms[:dirs.shape[0]]
+        np.multiply(dirs, dirs, out=sq)
+        np.sqrt(np.add.reduce(sq, axis=1, out=nrm), out=nrm)
+        dirs /= nrm[:, None]
+        dirs *= radii[lo:lo + step, None]
         return dirs
 
     return ((lo, rows(lo)) for lo in range(0, count, step))

@@ -110,7 +110,8 @@ def regularize(f: FunctionOnP, theta: float, S: int, seed, mollifier: MollifierS
     theta = 0 returns the pass-through evaluator (the Dirac case).  The same
     seed yields the same x_j for every theta, so evaluators at different
     scales share their randomness; the draw itself is shared too, so the
-    builds of one command at several theta sample it once.
+    builds of one command at several theta sample it, and pass over it for
+    their certificates (:func:`_unit_terms`), once.
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
@@ -123,7 +124,7 @@ def regularize(f: FunctionOnP, theta: float, S: int, seed, mollifier: MollifierS
         plan = _expm_plan(0.0)
     else:
         draws = _unit_draws(mollifier, int(S), int(seed))
-        eps, plan = _certificate(draws, float(theta))
+        eps, plan = _bound(*_unit_terms(mollifier, int(S), int(seed)), draws.shape[1], float(theta))
     return RegularizedFunction(source=f, theta=float(theta), draws=draws, S=int(S), plan=plan,
                                eps=eps)
 
@@ -135,6 +136,25 @@ def _unit_draws(mollifier: MollifierSpec, S: int, seed: int) -> np.ndarray:
     x = sample_matrices(ScaledMeasure(mollifier, 1.0), S, seed)
     x.setflags(write=False)
     return x
+
+
+@lru_cache(maxsize=1)
+def _unit_terms(mollifier: MollifierSpec, S: int, seed: int) -> tuple:
+    """:func:`_draw_terms` of :func:`_unit_draws` for the same key,
+    read-only and kept: the builds of one command at several theta pass
+    over the draws once."""
+    terms = _draw_terms(_unit_draws(mollifier, S, seed))
+    for v in terms:
+        v.setflags(write=False)
+    return terms
+
+
+def _draw_terms(draws: np.ndarray) -> tuple:
+    """The theta-free vectors of :func:`_certificate`: ||x||_F^2 and
+    |x_00| per draw."""
+    S, d = draws.shape[:2]
+    real = draws.reshape(S, d * d).view(np.float64)
+    return np.einsum("ij,ij->i", real, real), np.abs(draws[:, 0, 0])
 
 
 def _certificate(draws: np.ndarray, theta: float) -> tuple:
@@ -150,26 +170,28 @@ def _certificate(draws: np.ndarray, theta: float) -> tuple:
     algebra of :func:`estimate_distortion`, per draw, and equal to s C(s),
     C that function's constant, at its worst case.  eps is the largest of
     these bounds times 1 + 1e-12, far above their roundoff, and inf when
-    some q >= 1, where nothing is bounded.  The vectors over the draws are
-    formed in place, with no stack-sized temporary.  ||x - x_00 Id||^2 =
+    some q >= 1, where nothing is bounded.  ||x - x_00 Id||^2 =
     ||x||^2 + d |x_00|^2 - 2 Re(conj(x_00) tr x) is taken without its last
     term: the draws are traceless, so that term is roundoff, below 1e-15
-    of the rest."""
-    S, d = draws.shape[:2]
-    real = draws.reshape(S, d * d).view(np.float64)
-    s = np.einsum("ij,ij->i", real, real)  # ||x||^2, then s
-    q = np.abs(draws[:, 0, 0])  # |x_00|, then q
-    a = q * q  # ||x - x_00 Id||^2 = ||x||^2 + d |x_00|^2, then a
+    of the rest.  This is :func:`_bound` of :func:`_draw_terms`."""
+    return _bound(*_draw_terms(draws), draws.shape[1], theta)
+
+
+def _bound(norm2: np.ndarray, corner: np.ndarray, d: int, theta: float) -> tuple:
+    """The (eps, plan) of :func:`_certificate` from the theta-free vectors
+    ||x||_F^2 and |x_00| of the draws, which it leaves as they are: four
+    S-vectors, each formed once and then worked in place."""
+    a = corner * corner  # ||x - x_00 Id||^2 = ||x||^2 + d |x_00|^2, then a
     a *= d
-    a += s
+    a += norm2
     np.sqrt(a, out=a)
     a *= theta
-    np.sqrt(s, out=s)
+    s = np.sqrt(norm2)
     s *= theta
     plan = _expm_plan(float(s.max()))
     rho = np.expm1(s)
     rho -= s
-    q *= theta
+    q = corner * theta  # q = theta |x_00| + rho
     q += rho
     if not q.max() < 1.0:
         return math.inf, plan
@@ -384,16 +406,23 @@ class RegularizedFunction:
     def _decide(self, Z: np.ndarray):
         """The counts of the decided rows, S inside a ball and 0 elsewhere,
         and the band rows grouped by their candidate balls, as a list of
-        (balls, rows) index arrays."""
+        (balls, rows) index arrays, in the order of the patterns read as
+        bits, first ball first."""
         conj_centres, inner, outer = self._decisions
         ratio = np.abs(Z @ conj_centres) ** 2 / (Z.real ** 2 + Z.imag ** 2).sum(axis=1)[:, None]
         inside = np.any(ratio > inner, axis=1)
         candidates = (ratio > outer) & ~inside[:, None]
         band = np.flatnonzero(np.any(candidates, axis=1))
-        patterns, group = np.unique(candidates[band], axis=0, return_inverse=True)
-        group = group.reshape(-1)  # numpy 2.0.0 may return the inverse with an extra axis
-        return (np.where(inside, float(self.S), 0.0),
-                [(np.flatnonzero(p), band[group == i]) for i, p in enumerate(patterns)])
+        total = np.where(inside, float(self.S), 0.0)
+        if band.size == 0:
+            return total, []
+        # one fixed-width bytes key per band row, its candidate pattern packed
+        # eight balls to a byte: equal keys are equal patterns
+        packed = np.packbits(candidates[band], axis=1)
+        keys = packed.view(f"S{packed.shape[1]}").reshape(-1)
+        _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+        return total, [(np.flatnonzero(candidates[band[f]]), band[group == i])
+                       for i, f in enumerate(first)]
 
     def _form_hits(self, features: np.ndarray, balls: np.ndarray) -> np.ndarray:
         """Count of stored elements with a positive form among the given

@@ -2,8 +2,8 @@
 
 Every stochastic routine in the package derives its generator from a user
 seed plus fixed integer tags, so reruns are bit-for-bit reproducible.  The
-bit generator is Philox, a counter-based scheme, so disjoint index ranges
-can be produced concurrently without coordination.
+bit generator is Philox; it stays fixed, because every output byte depends
+on its stream.
 """
 
 import numpy as np

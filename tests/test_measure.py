@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,29 @@ def test_chunked_draws_keep_the_bits_of_the_whole_stack(k):
             assert x.shape == ref.shape == (S, k + 1, k + 1)
             assert x.tobytes() == ref.tobytes()
             assert sample_rows(m, S, seed).tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_guide_table_lookup_has_the_bits_of_interp(k):
+    # the guide-table lookup returns np.interp's bits on a million uniforms,
+    # on every node below 1 (np.interp's exact-node case), at both ends of
+    # [0, 1), and at and inside the buckets that hold several nodes; a
+    # table built afresh raises no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        table = measure._radius_table.__wrapped__(real_dimension(k))
+    t, cdf = table.t, table.cdf
+    crowded = np.flatnonzero(table.crowded)
+    assert 0 < crowded.size < 0.05 * measure._GUIDE_BUCKETS
+    rng = make_rng(44, k)
+    u = np.concatenate([
+        rng.random(10 ** 6), cdf[cdf < 1.0], 0.5 * (cdf[:-1] + cdf[1:])[cdf[1:] < 1.0],
+        [0.0, np.nextafter(1.0, 0.0)],
+        crowded / measure._GUIDE_BUCKETS,
+        (crowded + rng.random((16, crowded.size))).ravel() / measure._GUIDE_BUCKETS,
+    ])
+    ref = np.interp(u, cdf, t)
+    assert measure._inverse_cdf(u.copy(), table).tobytes() == ref.tobytes()
 
 
 def test_sampler_holds_its_output_and_one_chunk():

@@ -12,8 +12,8 @@ from projcut.geometry import geodesic_row, rows_dist_to_set, tangent_row, unifor
 from projcut.lie import _expm, _expm_plan, _frob, _normalize_stack, block_samples
 from projcut.regularize import (DECISION_ANGLE, DECISION_VALUE, FORM_GEMM_OUTPUT, MAX_S,
                                 ROW_BLOCK, RegularizedFunction, _certificate, _decision_levels,
-                                _features, _form_coefficients, _forms, _unit_draws,
-                                displacement_bound)
+                                _draw_terms, _features, _form_coefficients, _forms,
+                                _unit_draws, _unit_terms, displacement_bound)
 from projcut.rng import make_rng
 
 from conftest import random_traceless
@@ -533,6 +533,48 @@ def test_certificate_has_the_bits_of_the_whole_stack(k, S, expm_draws):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("sigma", [0.1, 2.0])
+def test_build_certificate_has_the_bits_of_the_certificate(k, sigma):
+    # each build applies the theta-dependent part of _certificate to the
+    # kept theta-free vectors of its draws: eps and plan keep their bits,
+    # inf included (sigma = 2)
+    mollifier = pc.get_mollifier(k, sigma)
+    unbounded = 0
+    for seed in (0, 1, 2):
+        draws = _unit_draws(mollifier, S_BLOCKS, seed)
+        for theta in (1.0, 0.5, 0.1, 0.01, 0.001):
+            rf = pc.regularize(ones, theta, S_BLOCKS, seed, mollifier)
+            eps, plan = _certificate(draws, theta)
+            assert rf.plan == plan
+            assert np.float64(rf.eps).tobytes() == np.float64(eps).tobytes()
+            unbounded += rf.eps == math.inf
+    assert (unbounded > 0) == (sigma == 2.0)
+
+
+def test_builds_of_one_draw_pass_over_it_once(monkeypatch, mollifier_k1):
+    # builds at other theta on the same (mollifier, S, seed) reuse the
+    # theta-free vectors; another seed takes them afresh
+    regularize = importlib.import_module("projcut.regularize")
+    passes = []
+
+    def spy(draws):
+        passes.append(draws.shape[0])
+        return _draw_terms(draws)
+
+    monkeypatch.setattr(regularize, "_draw_terms", spy)
+    _unit_terms.cache_clear()
+    builds = [pc.regularize(ones, theta, 700, 11, mollifier_k1) for theta in (0.3, 0.1, 0.02, 0.3)]
+    assert passes == [700]
+    pc.regularize(ones, 0.1, 700, 12, mollifier_k1)
+    assert passes == [700, 700]
+    terms = _unit_terms(mollifier_k1, 700, 12)
+    with pytest.raises(ValueError):
+        terms[0][0] = 1.0
+    for rf in builds:
+        assert (rf.eps, rf.plan) == _certificate(rf.draws, rf.theta)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
 def test_certificate_takes_every_draw_far_from_the_identity(k, expm_draws):
     # a wide mollifier: some draw has q = |y_00| + e^s - 1 - s >= 1, where
     # the series bounds nothing, so eps is inf, with nothing exponentiated
@@ -847,6 +889,33 @@ def test_certificate_decisions_match_generic_path_at_the_boundary(k):
     assert _decided(kernel, boundary) == (0, [[0, 1]])
     assert np.array_equal(kernel.eval_homog(boundary),
                           pc.regularize(lambda z: f(z), **wide).eval_homog(boundary))
+
+
+def test_band_groups_on_many_balls_are_the_distinct_patterns():
+    # 130 balls along a geodesic, each row's candidates packed into 17
+    # bytes, the last two balls in a byte of their own: the groups are the
+    # distinct candidate patterns, in order, each band row in one, and the
+    # pruned path equals the indicator called on every moved point
+    rng = make_rng(39, 1)
+    c0 = uniform_rows(1, 1, rng)[0]
+    v = tangent_row(c0, rng)
+    balls = tuple(pc.Ball(pc.ProjectivePoint(geodesic_row(c0, v, 0.011 * i)), 0.003)
+                  for i in range(130))
+    net = pc.CompactSetSpec(balls)
+    f = pc.indicator_fattened(net, 0.003)
+    kwargs = dict(theta=0.05, S=300, seed=20, mollifier=pc.get_mollifier(1, 0.1))
+    kernel = pc.regularize(f, **kwargs)
+    rows = np.concatenate([_scaled(geodesic_row(c0, v, rng.uniform(-0.01, 1.44, 300)), rng),
+                           _boundary_rows(kernel, net, 0.003, rng, 1)])
+    total, groups = kernel._decide(rows)
+    patterns = [list(b) for b, _ in groups]
+    assert len(patterns) > 100 and patterns == sorted(patterns, key=lambda b: [-x for x in b])
+    assert any(len(b) > 1 for b in patterns) and any(129 in b for b in patterns)
+    band = np.sort(np.concatenate([r for _, r in groups]))
+    assert np.array_equal(band, np.unique(band)) and np.all(total[band] == 0.0)
+    chi = kernel.eval_homog(rows)
+    assert np.array_equal(chi, pc.regularize(lambda z: f(z), **kwargs).eval_homog(rows))
+    assert np.any((chi > 0.0) & (chi < 1.0))
 
 
 @pytest.mark.parametrize("S", [2.5, True, np.True_, 0, MAX_S + 1])
