@@ -13,17 +13,19 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, DeltaOutOfRange
 from .geometry import (ChartCoordinates, CompactSetSpec, ProjectivePoint, geodesic_row,
                        rows_dist_to_set, tangent_row, uniform_rows)
-# log_chart and check_distortion are unused here but kept: the benchmark tracer binds them by name
+# log_chart, check_distortion and regularize are unused here but kept: the
+# benchmark tracer binds them by name
 from .lie import DEFAULT_SIGMA, check_distortion, estimate_distortion, log_chart
 from .measure import get_mollifier
-from .regularize import (RegularizedFunction, ScalingReport, _check_stencil, _is_integer,
-                         _stored_images, c_alpha_estimate, check_S, check_seed,
+from .regularize import (RegularizedFunction, Sample, ScalingReport, _check_stencil,
+                         _is_integer, _stored_images, c_alpha_estimate, check_S, check_seed,
                          displacement_bound, regularize, scaling_slope)
 from .rng import make_rng
 
@@ -47,7 +49,8 @@ class CutoffConfig:
     delta0 / (4 C)), and C >= sqrt(k+1).  ``budget`` = min(1, 4 C sigma /
     delta0) is the fraction of the delta/4 displacement budget spent at
     delta0, so the smoothing scale for a given delta is budget * delta /
-    (4 C sigma), at most 1.  Both are computed at construction.
+    (4 C sigma), at most 1.  Both are computed at construction; ``sample``,
+    the draw every build shares (:class:`Sample`), at its first read.
     """
 
     k: int
@@ -77,6 +80,10 @@ class CutoffConfig:
     @property
     def theta_max(self) -> float:
         return self.budget * self.delta0 / (4.0 * self.distortion * self.sigma)
+
+    @cached_property
+    def sample(self) -> Sample:
+        return Sample.draw(get_mollifier(self.k, self.sigma), self.S, self.seed)
 
 
 def choose_theta(config: CutoffConfig, delta: float) -> float:
@@ -153,7 +160,7 @@ class CutoffFunction:
 def build_cutoff(set_spec: CompactSetSpec, delta: float, config: CutoffConfig) -> CutoffFunction:
     """Smooth the indicator of the delta/2-neighbourhood at the matched scale.
 
-    The build stores the sample and its certificate ``rf.eps``, a
+    The build stores ``config.sample`` and its certificate ``rf.eps``, a
     closed-form upper bound on the Frobenius distance of every stored group
     element from the identity, and refuses it above
     :attr:`CutoffFunction.frob_bound`; it certifies the displacement bounds
@@ -165,8 +172,8 @@ def build_cutoff(set_spec: CompactSetSpec, delta: float, config: CutoffConfig) -
         raise DeltaOutOfRange(f"delta must lie in ({DELTA_FLOOR}, {config.delta0})")
     if set_spec.k != config.k:
         raise ConfigError("set: dimension does not match the configuration")
-    rf = regularize(indicator_fattened(set_spec, 0.5 * delta), choose_theta(config, delta),
-                    config.S, config.seed, get_mollifier(config.k, config.sigma))
+    rf = config.sample.smooth(indicator_fattened(set_spec, 0.5 * delta),
+                              choose_theta(config, delta))
     cf = CutoffFunction(config, set_spec, delta, rf)
     if rf.eps > cf.frob_bound:
         raise ConfigError(f"distortion: stored sample deviates by {rf.eps:.3e}, "
@@ -342,12 +349,13 @@ def scaling_experiment(set_spec: CompactSetSpec, deltas, alpha: int,
     the step delta / STEPS_PER_DELTA, and regress log-log.  Every step must
     lie in the stencil window of :func:`c_alpha_estimate`, so the deltas lie
     in [4e-4, 0.4]; they are checked before any build.  With workers > 1
-    the deltas run in a pool of min(workers, number of deltas) processes.
+    the deltas run in a pool of min(workers, number of deltas) processes;
+    the config's sample is drawn first and travels with each task.
 
     Rows with vanishing seminorm mark the experiment degenerate (constant
     function); the slope is then reported as NaN.
     """
-    if alpha not in (1, 2):
+    if not _is_integer(alpha) or alpha not in (1, 2):
         raise ValueError("alpha must be 1 or 2")
     deltas = sorted(float(d) for d in deltas)
     if len(deltas) < 3 or len(set(deltas)) < len(deltas):
@@ -361,6 +369,7 @@ def scaling_experiment(set_spec: CompactSetSpec, deltas, alpha: int,
     tasks = [(set_spec, d, alpha, config, grid_points, i)
              for i, d in enumerate(reversed(deltas))]
     workers = min(workers or 1, len(tasks))  # the pool starts all its workers at once
+    config.sample  # one draw per command, at any number of workers
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_scaling_row, tasks))

@@ -26,22 +26,22 @@ from rank-one terms, once, when the first row needs them, so neither the
 moved points nor their distances are ever formed; nor is the stack of
 group elements, as they come from the draws a block at a time.
 
-The build stores the draws and certifies how far their group elements move
-points: eps >= ||g - Id||_F for every stored g, so that no g moves any
-point by more than fs = :func:`displacement_bound` (eps).  eps is the
-largest of a closed-form bound per draw, so the build exponentiates
-nothing (:func:`_certificate`).  A test holds on all of a ball of
-reach R about c_b, so every moved point of a row within R - fs of c_b
-passes it, and none of a row at R + fs or beyond does.  Each row is first
-placed against these levels: a row inside some ball is decided 1, a row
-outside every ball is decided 0, and only the rows left, the band rows,
+The draws are one :class:`Sample`, a value that every build at any theta
+shares.  A build stores them and certifies how far their group elements
+move points: eps >= ||g - Id||_F for every stored g, so that no g moves any
+point by more than fs = :func:`displacement_bound` (eps), in closed form,
+exponentiating nothing (:meth:`Sample.certificate`).  A test holds on all
+of a ball of reach R about c_b, so every moved point of a row within R - fs
+of c_b passes it, and none of a row at R + fs or beyond does.  Each row is
+first placed against these levels: a row inside some ball is decided 1, a
+row outside every ball is decided 0, and only the rows left, the band rows,
 go through the products, and only for their candidate balls.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
@@ -100,106 +100,97 @@ def check_seed(seed) -> int:
 
 
 def regularize(f: FunctionOnP, theta: float, S: int, seed, mollifier: MollifierSpec) -> "RegularizedFunction":
-    """Draw S traceless matrices x_j once from the unit-scale mollifier and
-    return the averaging evaluator over the group elements
-    exp_chart(theta * x_j), with their certificate eps, an upper bound on
-    every ||g - Id||_F (:func:`_certificate`).  The elements are formed
-    from the stored draws when first needed
-    (:attr:`RegularizedFunction.matrices`); the build forms none.
-
-    theta = 0 returns the pass-through evaluator (the Dirac case).  The same
-    seed yields the same x_j for every theta, so evaluators at different
-    scales share their randomness; the draw itself is shared too, so the
-    builds of one command at several theta sample it, and pass over it for
-    their certificates (:func:`_unit_terms`), once.
-    """
+    """Draw S traceless matrices x_j from the unit-scale mollifier, one
+    :class:`Sample`, and return its averaging evaluator over the group
+    elements exp_chart(theta * x_j) (:meth:`Sample.smooth`).  theta = 0
+    returns the pass-through evaluator (the Dirac case).  The same seed
+    yields the same x_j for every theta, so evaluators at different scales
+    share their randomness; builds that share the draw itself take one
+    :class:`Sample`."""
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
+    if theta != 0.0:
+        return Sample.draw(mollifier, S, seed).smooth(f, theta)
     check_S(S)
     check_seed(seed)
-    if theta == 0.0:
-        d = mollifier.k + 1
-        draws, eps = np.zeros((0, d, d), dtype=np.complex128), 0.0
-        draws.setflags(write=False)
-        plan = _expm_plan(0.0)
-    else:
-        draws = _unit_draws(mollifier, int(S), int(seed))
-        eps, plan = _bound(*_unit_terms(mollifier, int(S), int(seed)), draws.shape[1], float(theta))
-    return RegularizedFunction(source=f, theta=float(theta), draws=draws, S=int(S), plan=plan,
-                               eps=eps)
+    draws = np.zeros((0, mollifier.k + 1, mollifier.k + 1), dtype=np.complex128)
+    draws.setflags(write=False)
+    return RegularizedFunction(source=f, theta=0.0, draws=draws, S=int(S), plan=_expm_plan(0.0))
 
 
-@lru_cache(maxsize=1)
-def _unit_draws(mollifier: MollifierSpec, S: int, seed: int) -> np.ndarray:
-    """The S unit-scale draws x_j for (mollifier, S, seed), read-only and
-    kept for the next call with the same key."""
-    x = sample_matrices(ScaledMeasure(mollifier, 1.0), S, seed)
-    x.setflags(write=False)
-    return x
+@dataclass(frozen=True, eq=False)
+class Sample:
+    """The frozen draw of a command: ``draws``, the S unit-scale traceless
+    matrices x_j, shape (S, d, d), and the theta-free vectors of
+    :meth:`certificate`, ``norm2`` = ||x_j||_F^2 and ``corner`` = |(x_j)_00|,
+    each read-only and formed once, here, so that the builds of a command at
+    several theta share the draw and pass over it once.  A pickle carries
+    the draws alone; loading it derives the rest afresh."""
 
+    draws: np.ndarray
+    norm2: np.ndarray = field(init=False, repr=False)
+    corner: np.ndarray = field(init=False, repr=False)
 
-@lru_cache(maxsize=1)
-def _unit_terms(mollifier: MollifierSpec, S: int, seed: int) -> tuple:
-    """:func:`_draw_terms` of :func:`_unit_draws` for the same key,
-    read-only and kept: the builds of one command at several theta pass
-    over the draws once."""
-    terms = _draw_terms(_unit_draws(mollifier, S, seed))
-    for v in terms:
-        v.setflags(write=False)
-    return terms
+    def __post_init__(self):
+        draws = self.draws.view()  # read-only, whatever the caller's array allows
+        S, d = draws.shape[:2]
+        real = draws.reshape(S, d * d).view(np.float64)
+        for name, v in (("draws", draws), ("norm2", np.einsum("ij,ij->i", real, real)),
+                        ("corner", np.abs(draws[:, 0, 0]))):
+            v.setflags(write=False)
+            object.__setattr__(self, name, v)
 
+    def __reduce__(self):
+        return Sample, (self.draws,)
 
-def _draw_terms(draws: np.ndarray) -> tuple:
-    """The theta-free vectors of :func:`_certificate`: ||x||_F^2 and
-    |x_00| per draw."""
-    S, d = draws.shape[:2]
-    real = draws.reshape(S, d * d).view(np.float64)
-    return np.einsum("ij,ij->i", real, real), np.abs(draws[:, 0, 0])
+    @classmethod
+    def draw(cls, mollifier: MollifierSpec, S, seed) -> "Sample":
+        """The S draws of seed from the unit-scale mollifier, S and seed checked first."""
+        return cls(sample_matrices(ScaledMeasure(mollifier, 1.0), check_S(S), check_seed(seed)))
 
+    def smooth(self, f: FunctionOnP, theta: float) -> "RegularizedFunction":
+        """The evaluator of :func:`regularize` over these draws, theta in (0, 1]."""
+        eps, plan = self.certificate(float(theta))
+        return RegularizedFunction(source=f, theta=float(theta), draws=self.draws,
+                                   S=self.draws.shape[0], plan=plan, eps=eps)
 
-def _certificate(draws: np.ndarray, theta: float) -> tuple:
-    """(eps, plan): eps, an upper bound on ||exp_chart(theta x) - Id||_F
-    for every draw x, in closed form, and the exponential's plan
-    ``_expm_plan(theta * max ||x||_F)``.  Nothing is exponentiated.
+    def certificate(self, theta: float) -> tuple:
+        """(eps, plan): eps, an upper bound on ||exp_chart(theta x) - Id||_F
+        for every draw x, in closed form, and the exponential's plan
+        ``_expm_plan(theta * max ||x||_F)``.  Nothing is exponentiated.
 
-    With y = theta x, s = ||y||_F, a = ||y - y_00 Id||_F and the series
-    remainder R = e^y - Id - y, ||R||_F <= rho = e^s - 1 - s.  Then
-    e^y - (e^y)_00 Id = (y - y_00 Id) + (R - R_00 Id) has norm at most
-    a + e, e = (1 + sqrt(d)) rho, and |(e^y)_00| >= 1 - q, q = |y_00| +
-    rho, so ||exp_chart(y) - Id||_F <= (a + e) / (1 - q) while q < 1: the
-    algebra of :func:`estimate_distortion`, per draw, and equal to s C(s),
-    C that function's constant, at its worst case.  eps is the largest of
-    these bounds times 1 + 1e-12, far above their roundoff, and inf when
-    some q >= 1, where nothing is bounded.  ||x - x_00 Id||^2 =
-    ||x||^2 + d |x_00|^2 - 2 Re(conj(x_00) tr x) is taken without its last
-    term: the draws are traceless, so that term is roundoff, below 1e-15
-    of the rest.  This is :func:`_bound` of :func:`_draw_terms`."""
-    return _bound(*_draw_terms(draws), draws.shape[1], theta)
-
-
-def _bound(norm2: np.ndarray, corner: np.ndarray, d: int, theta: float) -> tuple:
-    """The (eps, plan) of :func:`_certificate` from the theta-free vectors
-    ||x||_F^2 and |x_00| of the draws, which it leaves as they are: four
-    S-vectors, each formed once and then worked in place."""
-    a = corner * corner  # ||x - x_00 Id||^2 = ||x||^2 + d |x_00|^2, then a
-    a *= d
-    a += norm2
-    np.sqrt(a, out=a)
-    a *= theta
-    s = np.sqrt(norm2)
-    s *= theta
-    plan = _expm_plan(float(s.max()))
-    rho = np.expm1(s)
-    rho -= s
-    q = corner * theta  # q = theta |x_00| + rho
-    q += rho
-    if not q.max() < 1.0:
-        return math.inf, plan
-    rho *= 1.0 + math.sqrt(d)  # e
-    a += rho
-    np.subtract(1.0, q, out=q)
-    a /= q
-    return float(a.max()) * (1.0 + 1e-12), plan
+        With y = theta x, s = ||y||_F, a = ||y - y_00 Id||_F and the series
+        remainder R = e^y - Id - y, ||R||_F <= rho = e^s - 1 - s.  Then
+        e^y - (e^y)_00 Id = (y - y_00 Id) + (R - R_00 Id) has norm at most
+        a + e, e = (1 + sqrt(d)) rho, and |(e^y)_00| >= 1 - q, q = |y_00| +
+        rho, so ||exp_chart(y) - Id||_F <= (a + e) / (1 - q) while q < 1: the
+        algebra of :func:`estimate_distortion`, per draw, and equal to s C(s),
+        C that function's constant, at its worst case.  eps is the largest of
+        these bounds times 1 + 1e-12, far above their roundoff, and inf when
+        some q >= 1, where nothing is bounded.  ||x - x_00 Id||^2 =
+        ||x||^2 + d |x_00|^2 - 2 Re(conj(x_00) tr x) is taken without its last
+        term: the draws are traceless, so that term is roundoff, below 1e-15
+        of the rest.  Four S-vectors are formed, each once, worked in place."""
+        norm2, corner, d = self.norm2, self.corner, self.draws.shape[1]
+        a = corner * corner  # ||x - x_00 Id||^2 = ||x||^2 + d |x_00|^2, then a
+        a *= d
+        a += norm2
+        np.sqrt(a, out=a)
+        a *= theta
+        s = np.sqrt(norm2)
+        s *= theta
+        plan = _expm_plan(float(s.max()))
+        rho = np.expm1(s)
+        rho -= s
+        q = corner * theta  # q = theta |x_00| + rho
+        q += rho
+        if not q.max() < 1.0:
+            return math.inf, plan
+        rho *= 1.0 + math.sqrt(d)  # e
+        a += rho
+        np.subtract(1.0, q, out=q)
+        a /= q
+        return float(a.max()) * (1.0 + 1e-12), plan
 
 
 def _stored_images(matrices: np.ndarray, Z: np.ndarray):
@@ -312,7 +303,7 @@ class RegularizedFunction:
     stored g (0 when none is stored, inf when it bounds nothing), and
     ``plan`` the exponential's squarings and degree for theta times the
     largest ||x_j||_F, both found at the build in closed form
-    (:func:`_certificate`).  ``matrices`` holds the group elements g_j =
+    (:meth:`Sample.certificate`).  ``matrices`` holds the group elements g_j =
     exp_chart(theta * x_j), formed from the draws when first read and kept,
     by the blocks of :func:`_chart_blocks` with that plan, as the form pass
     takes them; the form path never reads it.  When the source offers ball
@@ -512,7 +503,7 @@ def _noise_guard(numerators, values):
 
 
 def _check_stencil(order: int, step: float):
-    if order not in (1, 2):
+    if not _is_integer(order) or order not in (1, 2):  # True would run order 1
         raise ValueError("order must be 1 or 2")
     if not 1e-5 <= step <= 1e-2:
         raise ValueError("step must lie in [1e-5, 1e-2]")

@@ -34,6 +34,21 @@ def expm_draws(monkeypatch):
     return sizes
 
 
+@pytest.fixture
+def sampler_calls(monkeypatch):
+    """The count of every call of the sampler that Sample.draw makes, in
+    order."""
+    regularize = importlib.import_module("projcut.regularize")
+    counts, sample_matrices = [], regularize.sample_matrices
+
+    def spy(m, count, seed):
+        counts.append(count)
+        return sample_matrices(m, count, seed)
+
+    monkeypatch.setattr(regularize, "sample_matrices", spy)
+    return counts
+
+
 @pytest.fixture(scope="session")
 def mollifier_k1():
     return pc.get_mollifier(1, 0.1)

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -179,6 +180,45 @@ def test_scaling_threads_agree(scaling_config, tmp_path):
     assert run_cli("scaling", "--config", str(scaling_config), "--out", str(out2),
                    "--threads", "2").returncode == 0
     assert (out1 / "scaling_alpha1.csv").read_bytes() == (out2 / "scaling_alpha1.csv").read_bytes()
+
+
+def test_verify_draws_the_sample_once(tmp_path, sampler_calls):
+    cfg = write_config(tmp_path / "verify.json", deltas=[0.2, 0.1, 0.05])
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert sampler_calls == [600]
+
+
+def test_scaling_draws_the_sample_once_at_any_worker_count(tmp_path, monkeypatch,
+                                                           sampler_calls):
+    # the stand-in pool runs each task here after a pickle round trip, as a
+    # worker process receives it: the sample travels with the config
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, (pickle.loads(pickle.dumps(t)) for t in tasks))
+
+    monkeypatch.setattr("projcut.cutoff.ProcessPoolExecutor", RecordingPool)
+    cfg = write_config(tmp_path / "scaling.json", deltas=[0.2, 0.1, 0.05, 0.025], grid=10)
+    outputs = []
+    for threads in ("1", "4"):
+        sampler_calls.clear()
+        out = tmp_path / threads
+        assert main(["scaling", "--config", str(cfg), "--out", str(out),
+                     "--threads", threads]) in (0, 1)
+        assert sampler_calls == [600]
+        outputs.append((out / "scaling_alpha1.csv").read_bytes())
+    assert sizes == [4]
+    assert outputs[0] == outputs[1]
 
 
 def test_eval_center_and_far_point(verify_config, tmp_path):

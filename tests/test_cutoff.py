@@ -1,6 +1,8 @@
+import gc
 import importlib
 import math
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +55,27 @@ def test_config_refuses_S_above_the_ceiling(S, two_ball_set, monkeypatch):
     with pytest.raises(ConfigError, match=f"^S: must be at most {MAX_S}$"):
         pc.build_cutoff(two_ball_set, 0.1, pc.CutoffConfig(1, S=S))
     assert pc.CutoffConfig(1, S=MAX_S).S == MAX_S
+
+
+def test_config_draws_its_sample_at_the_first_build(two_ball_set, sampler_calls):
+    # the config owns the sample: drawn once, at the first build rather than
+    # at construction, and shared by every build
+    config = pc.CutoffConfig(1, S=1500, seed=8)
+    assert sampler_calls == []
+    cf = pc.build_cutoff(two_ball_set, 0.1, config)
+    other = pc.build_cutoff(two_ball_set, 0.05, config)
+    assert sampler_calls == [1500]
+    assert cf.rf.draws is other.rf.draws is config.sample.draws
+
+
+def test_draws_die_with_their_config(two_ball_set):
+    # no module keeps the draws for a later call
+    config = pc.CutoffConfig(1, S=1500, seed=8)
+    cf = pc.build_cutoff(two_ball_set, 0.1, config)
+    draws = weakref.ref(cf.rf.draws)
+    del config, cf
+    gc.collect()
+    assert draws() is None
 
 
 def test_config_accepts_numpy_integers():
@@ -481,8 +504,9 @@ def test_scaling_experiment_degenerate_cover(config_small):
 def test_scaling_experiment_validation(config_small, two_ball_set):
     with pytest.raises(ValueError):
         pc.scaling_experiment(two_ball_set, [0.2, 0.1], 1, config_small)
-    with pytest.raises(ValueError):
-        pc.scaling_experiment(two_ball_set, [0.2, 0.1, 0.05], 3, config_small)
+    for alpha in (3, True, np.True_, 2.0):  # True ran as alpha 1
+        with pytest.raises(ValueError, match="^alpha must be 1 or 2$"):
+            pc.scaling_experiment(two_ball_set, [0.2, 0.1, 0.05], alpha, config_small)
     # 0.5 / 40 is above the stencil window: refused before any build
     with pytest.raises(ConfigError, match="^deltas: 0.5 gives the step .*; step must lie in"):
         pc.scaling_experiment(two_ball_set, [0.5, 0.1, 0.05], 1, config_small,

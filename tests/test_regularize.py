@@ -1,5 +1,6 @@
 import importlib
 import math
+import pickle
 import statistics
 import tracemalloc
 
@@ -10,10 +11,10 @@ import projcut as pc
 from projcut.errors import ConfigError, StepTooSmall
 from projcut.geometry import geodesic_row, rows_dist_to_set, tangent_row, uniform_rows
 from projcut.lie import _expm, _expm_plan, _frob, _normalize_stack, block_samples
+from projcut.measure import sample_matrices
 from projcut.regularize import (DECISION_ANGLE, DECISION_VALUE, FORM_GEMM_OUTPUT, MAX_S,
-                                ROW_BLOCK, RegularizedFunction, _certificate, _decision_levels,
-                                _draw_terms, _features, _form_coefficients, _forms,
-                                _unit_draws, _unit_terms, displacement_bound)
+                                ROW_BLOCK, RegularizedFunction, Sample, _decision_levels,
+                                _features, _form_coefficients, _forms, displacement_bound)
 from projcut.rng import make_rng
 
 from conftest import random_traceless
@@ -58,15 +59,21 @@ def test_constant_one_stays_one(mollifier_k1):
 
 
 def test_unit_draw_is_shared_across_theta(mollifier_k1):
-    # two scales, one draw: each stores what a fresh uncached draw would give
+    # two scales, one Sample: each build stores its draws, which are what a
+    # fresh draw gives, and has the bits of regularize at the same seed
+    sample = Sample.draw(mollifier_k1, 300, 9)
+    fresh = pc.sample_matrices(pc.ScaledMeasure(mollifier_k1, 1.0), 300, 9)
+    assert np.array_equal(sample.draws, fresh)
     for theta in (0.2, 0.05):
-        rf = pc.regularize(ones, theta, 300, seed=9, mollifier=mollifier_k1)
-        fresh = pc.sample_matrices(pc.ScaledMeasure(mollifier_k1, 1.0), 300, 9)
+        rf = sample.smooth(ones, theta)
+        assert rf.draws is sample.draws and rf.S == 300
         assert np.array_equal(rf.matrices, _normalize_stack(_expm(theta * fresh)))
-    draws = _unit_draws(mollifier_k1, 300, 9)
-    assert _unit_draws(mollifier_k1, 300, 9) is draws
+        own = pc.regularize(ones, theta, 300, seed=9, mollifier=mollifier_k1)
+        assert own.draws is not sample.draws
+        assert (own.eps, own.plan) == (rf.eps, rf.plan)
+        assert np.array_equal(own.matrices, rf.matrices)
     with pytest.raises(ValueError):
-        draws[0, 0, 0] = 1.0
+        sample.draws[0, 0, 0] = 1.0
 
 
 def test_far_point_vanishes_with_displacement_audit(ball_indicator, mollifier_k1):
@@ -148,8 +155,11 @@ def test_finite_diff_noise_guard(mollifier_k1):
 def test_finite_diff_validation(mollifier_k1):
     rf = pc.regularize(ones, 0.0, 1, seed=10, mollifier=mollifier_k1)
     c = pc.ChartCoordinates(0, np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        pc.finite_diff(rf, c, 3, 1e-3)
+    for order in (3, 0, True, np.True_, 1.0):  # True and 1.0 ran order 1
+        with pytest.raises(ValueError, match="^order must be 1 or 2$"):
+            pc.finite_diff(rf, c, order, 1e-3)
+        with pytest.raises(ValueError, match="^order must be 1 or 2$"):
+            pc.c_alpha_estimate(rf, [c], order, 1e-3)
     with pytest.raises(ValueError):
         pc.finite_diff(rf, c, 1, 1e-6)
     with pytest.raises(ValueError):
@@ -421,8 +431,8 @@ def test_forms_are_formed_once_at_the_first_band_row(two_ball_set, monkeypatch, 
         assert np.array_equal(rf.eval_homog(band[::-1]), chi[::-1])
         assert rf.forms is forms
     assert len(calls) == 1 and expm_draws == [block_samples(2), 301]
-    draws = _unit_draws(pc.get_mollifier(1, 0.1), S, 19)
-    assert rf.draws is draws
+    draws = Sample.draw(pc.get_mollifier(1, 0.1), S, 19).draws
+    assert np.array_equal(rf.draws, draws)
     mats = rf.matrices  # formed on demand, from the draws alone, by the same blocks
     assert expm_draws == [block_samples(2), 301] * 2
     assert np.array_equal(mats, _normalize_stack(_expm(0.3 * draws)))
@@ -466,18 +476,16 @@ def test_build_and_forms_hold_draws_forms_and_one_block():
                                        for c in uniform_rows(k, 2, rng)))
     f = pc.indicator_fattened(set_spec, 0.1)
     mollifier = pc.get_mollifier(k, 0.1)
-    pc.regularize(f, 0.3, 1, 0, mollifier)  # the radius table, cached
-    _unit_draws.cache_clear()
+    Sample.draw(mollifier, 1, 0)  # the radius table, cached
     tracemalloc.start()
     try:
-        rf = pc.regularize(f, 0.3, S, 7, mollifier)
-        forms = rf.forms
+        sample = Sample.draw(mollifier, S, 7)
+        forms = sample.smooth(f, 0.3).forms
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        _unit_draws.cache_clear()
     assert forms.shape == (2, (k + 1) ** 2, S)
-    assert peak <= rf.draws.nbytes + forms.nbytes + 3 * 2 ** 20
+    assert peak <= sample.draws.nbytes + forms.nbytes + 3 * 2 ** 20
 
 
 def test_generic_path_forms_the_elements_at_its_first_call(mollifier_k1, expm_draws):
@@ -492,7 +500,7 @@ def test_generic_path_forms_the_elements_at_its_first_call(mollifier_k1, expm_dr
 
 
 def _draw_bounds(draws, theta):
-    """(a + e) / (1 - q) per draw, the bound of _certificate written out
+    """(a + e) / (1 - q) per draw, the bound of Sample.certificate written out
     one matrix at a time."""
     d = draws.shape[-1]
     out = []
@@ -515,9 +523,10 @@ def test_certificate_has_the_bits_of_the_whole_stack(k, S, expm_draws):
     # elements formed with it have the bits of the whole stack
     mollifier = pc.get_mollifier(k, 0.1)
     for seed in ((0, 1, 2) if S < 20000 else (3,)):
-        draws = _unit_draws(mollifier, S, seed)
+        sample = Sample.draw(mollifier, S, seed)
+        draws = sample.draws
         for theta in (1.0, 0.5, 0.1, 0.01, 0.001):
-            rf = pc.regularize(ones, theta, S, seed, mollifier)
+            rf = sample.smooth(ones, theta)
             assert expm_draws == []
             assert rf.plan == _stack_plan(theta * draws)
             if S < 20000:
@@ -535,43 +544,67 @@ def test_certificate_has_the_bits_of_the_whole_stack(k, S, expm_draws):
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("sigma", [0.1, 2.0])
 def test_build_certificate_has_the_bits_of_the_certificate(k, sigma):
-    # each build applies the theta-dependent part of _certificate to the
-    # kept theta-free vectors of its draws: eps and plan keep their bits,
-    # inf included (sigma = 2)
+    # each build applies Sample.certificate to the theta-free vectors of
+    # its own draws: eps and plan keep the bits of a Sample made from a
+    # fresh draw of the same seed, inf included (sigma = 2)
     mollifier = pc.get_mollifier(k, sigma)
     unbounded = 0
     for seed in (0, 1, 2):
-        draws = _unit_draws(mollifier, S_BLOCKS, seed)
+        sample = Sample(sample_matrices(pc.ScaledMeasure(mollifier, 1.0), S_BLOCKS, seed))
         for theta in (1.0, 0.5, 0.1, 0.01, 0.001):
             rf = pc.regularize(ones, theta, S_BLOCKS, seed, mollifier)
-            eps, plan = _certificate(draws, theta)
+            eps, plan = sample.certificate(theta)
             assert rf.plan == plan
             assert np.float64(rf.eps).tobytes() == np.float64(eps).tobytes()
             unbounded += rf.eps == math.inf
     assert (unbounded > 0) == (sigma == 2.0)
 
 
-def test_builds_of_one_draw_pass_over_it_once(monkeypatch, mollifier_k1):
-    # builds at other theta on the same (mollifier, S, seed) reuse the
-    # theta-free vectors; another seed takes them afresh
-    regularize = importlib.import_module("projcut.regularize")
-    passes = []
+def test_builds_of_one_draw_pass_over_it_once(monkeypatch, mollifier_k1, sampler_calls):
+    # builds at several theta on one Sample reuse its draws and its
+    # theta-free vectors: one draw and one pass over it, at the Sample;
+    # regularize makes a Sample of its own, so it draws and passes again
+    passes, post_init = [], Sample.__post_init__
 
-    def spy(draws):
-        passes.append(draws.shape[0])
-        return _draw_terms(draws)
+    def spy(self):
+        passes.append(self.draws.shape[0])
+        post_init(self)
 
-    monkeypatch.setattr(regularize, "_draw_terms", spy)
-    _unit_terms.cache_clear()
-    builds = [pc.regularize(ones, theta, 700, 11, mollifier_k1) for theta in (0.3, 0.1, 0.02, 0.3)]
-    assert passes == [700]
+    monkeypatch.setattr(Sample, "__post_init__", spy)
+    sample = Sample.draw(mollifier_k1, 700, 11)
+    builds = [sample.smooth(ones, theta) for theta in (0.3, 0.1, 0.02, 0.3)]
+    assert sampler_calls == [700] and passes == [700]
     pc.regularize(ones, 0.1, 700, 12, mollifier_k1)
-    assert passes == [700, 700]
-    terms = _unit_terms(mollifier_k1, 700, 12)
-    with pytest.raises(ValueError):
-        terms[0][0] = 1.0
+    assert sampler_calls == [700, 700] and passes == [700, 700]
+    assert np.allclose(sample.norm2, _frob(sample.draws) ** 2, rtol=1e-14, atol=0.0)
+    assert np.array_equal(sample.corner, np.abs(sample.draws[:, 0, 0]))
+    for v in (sample.norm2, sample.corner):
+        with pytest.raises(ValueError):
+            v[0] = 1.0
     for rf in builds:
-        assert (rf.eps, rf.plan) == _certificate(rf.draws, rf.theta)
+        assert rf.draws is sample.draws
+        assert (rf.eps, rf.plan) == Sample(rf.draws.copy()).certificate(rf.theta)
+
+
+@pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+def test_sample_pickle_keeps_the_bits_read_only(protocol):
+    # a pickle carries the draws alone, and a loaded array is writeable
+    # under some protocols; loading derives the theta-free vectors afresh,
+    # with the same bits, and every array is read-only again
+    sample = Sample.draw(pc.get_mollifier(2, 0.1), 900, 4)
+    loaded = pickle.loads(pickle.dumps(sample, protocol=protocol))
+    for name in ("draws", "norm2", "corner"):
+        a, b = getattr(sample, name), getattr(loaded, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        assert not b.flags.writeable
+    assert loaded.certificate(0.3) == sample.certificate(0.3)
+
+
+def test_sample_leaves_the_callers_array_writeable(mollifier_k1):
+    x = pc.sample_matrices(pc.ScaledMeasure(mollifier_k1, 1.0), 50, 2)
+    sample = Sample(x)
+    assert x.flags.writeable and not sample.draws.flags.writeable
+    assert np.shares_memory(x, sample.draws)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -604,13 +637,13 @@ def test_certificate_meets_the_distortion_bound_at_its_worst_case(k):
     phases = np.exp(2j * math.pi * rng.random(5))
     others = np.stack([random_traceless(rng, k + 1, norm) for _ in range(50)])
     draws = np.concatenate([phases[:, None, None] * worst, others])
-    eps, plan = _certificate(draws, theta)
+    eps, plan = Sample(draws).certificate(theta)
     assert plan == _stack_plan(theta * draws)
     assert bound * (1.0 - 1e-9) <= eps <= bound * (1.0 + 1e-12)
-    assert _certificate(others, theta)[0] < eps
-    assert _certificate((1.0 - 1e-9) * draws, theta)[0] <= bound
+    assert Sample(others).certificate(theta)[0] < eps
+    assert Sample((1.0 - 1e-9) * draws).certificate(theta)[0] <= bound
     s = theta * norm
-    assert _certificate(worst[None], theta)[0] == pytest.approx(
+    assert Sample(worst[None]).certificate(theta)[0] == pytest.approx(
         s * pc.estimate_distortion(s, k) * (1.0 + 1e-12), rel=1e-14)
 
 
