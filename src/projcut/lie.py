@@ -177,6 +177,8 @@ def _expm(stack) -> np.ndarray:
     out = np.empty_like(flat)
     for rows, block in _sample_blocks(flat):
         out[rows] = _expm_block(block, *plan).transpose(2, 0, 1)
+    if d == 2 and np.any(tau := 0.5 * np.trace(flat, axis1=1, axis2=2)):
+        out *= np.exp(tau)[:, None, None]  # _expm_block took the traceless part
     return out.reshape(a.shape)
 
 
@@ -192,7 +194,8 @@ def _expm_plan(worst: float):
 
 
 def _expm_block(block: np.ndarray, squarings: int, degree: int) -> np.ndarray:
-    """Exponential of a block laid out (d, d, n), which it scales in place."""
+    """Exponential of a block laid out (d, d, n), which it scales in place;
+    at d = 2 that of its traceless part (:func:`_expm2`)."""
     if squarings:
         block *= 2.0 ** -squarings
     e = (_expm2 if block.shape[0] == 2 else _taylor_ps)(block, degree)
@@ -201,16 +204,17 @@ def _expm_block(block: np.ndarray, squarings: int, degree: int) -> np.ndarray:
     return e
 
 
-def _chart_blocks(draws, theta: float, plan):
-    """The group elements exp_chart(theta x) of the draws x (S, d, d) as the
-    (rows, block) pairs of :func:`_sample_blocks`, each block scaled in
-    place, exponentiated with ``plan`` and normalised, so no (S, d, d)
-    stack is formed.  With plan the :func:`_expm_plan` of theta times the
-    largest ||x||_F, as the build's certificate finds it, they are the
-    blocks of ``_normalize_stack(_expm(theta * draws))`` bit for bit."""
-    for rows, x in _sample_blocks(draws):
-        e = _expm_block(np.multiply(theta, x, out=x), *plan)
-        yield rows, _normalize_stack(e.transpose(2, 0, 1)).transpose(1, 2, 0)
+def _exp_blocks(draws, theta: float, plan):
+    """exp(theta x) of the draws x (S, d, d) by ``plan``, unnormalised, as
+    the (rows, block) pairs of :func:`_sample_blocks` of ``_expm(theta *
+    draws)``, bit for bit with the plan of the whole stack; each block is
+    scaled from a view of the draws into one reused buffer."""
+    n = block_samples(draws.shape[-1])
+    buf = np.empty(draws.shape[1:] + (min(n, draws.shape[0]),), dtype=np.complex128)
+    for lo in range(0, draws.shape[0], n):
+        x = draws[lo:lo + n].transpose(1, 2, 0)
+        block = np.multiply(theta, x, out=buf[..., :x.shape[-1]])
+        yield slice(lo, lo + n), _expm_block(block, *plan)
 
 
 def _taylor_ps(a: np.ndarray, degree: int) -> np.ndarray:
@@ -255,34 +259,33 @@ def _taylor_degree(t: float) -> int:
 
 
 def _expm2(a: np.ndarray, degree: int) -> np.ndarray:
-    """Exponential of a block of 2x2 matrices laid out (2, 2, n), by
-    Cayley-Hamilton.
+    """Exponential of the traceless part B = A - tau Id, tau = tr(A)/2, of
+    a block of 2x2 matrices laid out (2, 2, n), by Cayley-Hamilton, written
+    over the block; e^A is e^tau times it.
 
-    With tau = tr(A)/2 and B = A - tau Id, B^2 = nu Id for nu = -det B, so
-    e^A = e^tau (c(nu) Id + s(nu) B) with c(nu) = sum nu^j/(2j)! and
-    s(nu) = sum nu^j/(2j+1)!, which are cosh(mu) and sinh(mu)/mu for
-    mu^2 = nu.  Both sums run to the power of nu that keeps every term of
-    the degree-``degree`` exponential series.
+    B^2 = nu Id for nu = -det B, so e^B = c(nu) Id + s(nu) B with
+    c(nu) = sum nu^j/(2j)! and s(nu) = sum nu^j/(2j+1)!, which are cosh(mu)
+    and sinh(mu)/mu for mu^2 = nu.  Both sums run to the power of nu that
+    keeps every term of the degree-``degree`` exponential series, nu at least.
     """
     (a00, a01), (a10, a11) = a
-    tau = 0.5 * (a00 + a11)
     half_gap = 0.5 * (a00 - a11)  # B = [[half_gap, a01], [a10, -half_gap]]
     nu = a01 * a10 + half_gap * half_gap
-    top = degree // 2
-    c = np.full_like(nu, 1.0 / math.factorial(2 * top))
-    s = np.full_like(nu, 1.0 / math.factorial(2 * top + 1))
+    top = max(1, degree // 2)  # Horner's rule, from the top terms times nu
+    c = nu * (1.0 / math.factorial(2 * top))
+    s = nu * (1.0 / math.factorial(2 * top + 1))
     for j in range(top - 1, -1, -1):
-        c = c * nu + 1.0 / math.factorial(2 * j)
-        s = s * nu + 1.0 / math.factorial(2 * j + 1)
-    scale = np.exp(tau)
-    c *= scale
-    s *= scale
-    out = np.empty_like(a)
-    out[0, 0] = c + s * half_gap
-    out[0, 1] = s * a01
-    out[1, 0] = s * a10
-    out[1, 1] = c - s * half_gap
-    return out
+        c += 1.0 / math.factorial(2 * j)
+        s += 1.0 / math.factorial(2 * j + 1)
+        if j:
+            c *= nu
+            s *= nu
+    np.multiply(s, half_gap, out=half_gap)
+    np.add(c, half_gap, out=a00)
+    np.subtract(c, half_gap, out=a11)
+    np.multiply(s, a01, out=a01)
+    np.multiply(s, a10, out=a10)
+    return a
 
 
 def exp_sl(x) -> np.ndarray:

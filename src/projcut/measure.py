@@ -206,7 +206,8 @@ def _row_chunks(m: ScaledMeasure, count: int, seed):
     become radii at once (:func:`_inverse_cdf`), then the normals of the
     directions row by row, as one draw of each would.  Each chunk's rows
     are normalised by np.linalg.norm's arithmetic for real rows (square,
-    np.add.reduce, sqrt), into two buffers that every chunk reuses."""
+    np.add.reduce, sqrt, at k = 1 as its in-order column sums), into two
+    buffers that every chunk reuses."""
     if count < 1:
         raise ValueError("count must be at least 1")
     n = m.base.n
@@ -221,7 +222,13 @@ def _row_chunks(m: ScaledMeasure, count: int, seed):
         dirs = rng.standard_normal((min(step, count - lo), n))
         sq, nrm = square[:dirs.shape[0]], norms[:dirs.shape[0]]
         np.multiply(dirs, dirs, out=sq)
-        np.sqrt(np.add.reduce(sq, axis=1, out=nrm), out=nrm)
+        if n < 8:  # below numpy's pairwise block the reduction adds in column order
+            np.add(sq[:, 0], sq[:, 1], out=nrm)
+            for c in range(2, n):
+                nrm += sq[:, c]
+        else:
+            np.add.reduce(sq, axis=1, out=nrm)
+        np.sqrt(nrm, out=nrm)
         dirs /= nrm[:, None]
         dirs *= radii[lo:lo + step, None]
         return dirs

@@ -24,7 +24,8 @@ in the (k+1)^2 real features |z_i|^2, Re(conj(z_i) z_j) and
 Im(conj(z_i) z_j), i < j.  Its coefficients are built per stored element
 from rank-one terms, once, when the first row needs them, so neither the
 moved points nor their distances are ever formed; nor is the stack of
-group elements, as they come from the draws a block at a time.
+group elements, as they come from the draws a block at a time, taken on
+g = e^(theta x) unnormalised: the test is homogeneous in g.
 
 The draws are one :class:`Sample`, a value that every build at any theta
 shares.  A build stores them and certifies how far their group elements
@@ -49,7 +50,8 @@ import numpy as np
 
 from .errors import ConfigError, StepTooSmall
 from .geometry import ChartCoordinates, ProjectivePoint, scaled_rows
-from .lie import BLOCK_ENTRIES, _chart_blocks, _expm_plan, _sample_blocks, block_samples
+from .lie import (BLOCK_ENTRIES, _exp_blocks, _expm_plan, _normalize_stack, _sample_blocks,
+                  block_samples)
 from .measure import MollifierSpec, ScaledMeasure, sample_matrices
 
 FunctionOnP = Callable[[np.ndarray], np.ndarray]
@@ -231,6 +233,33 @@ def _forms(blocks, S, centres, levels):
     return forms
 
 
+def _forms2(blocks, S, centres, levels):
+    """:func:`_forms` at d = 2, bit for bit, a ball at a time: each entry of
+    c_b^H g is two products with scalars, and a ball's four rows are formed
+    in one contiguous buffer, then copied into its slab."""
+    levels = np.asarray(levels, dtype=np.float64)
+    forms = np.empty((levels.size, 4, S))
+    weights = np.conj(centres)
+    u, t = np.empty((2, 2, min(block_samples(2), S)), dtype=np.complex128)
+    row_sum, terms, level_terms = np.empty((3, 4, u.shape[-1]))
+    for rows, g in blocks:
+        uu, tt, rs, out, lt = (a[..., :g.shape[-1]] for a in (u, t, row_sum, terms, level_terms))
+        sq = np.square(g.real) + np.square(g.imag)
+        np.add(sq[0], sq[1], out=rs[:2])  # P(g_r) summed in row order
+        cross = 2.0 * g[:, 0] * np.conj(g[:, 1])
+        rs[2:] = np.add(cross[0], cross[1], out=cross[0]).view(np.float64).reshape(-1, 2).T
+        for b, (w0, w1) in enumerate(weights):
+            if b == 0 or levels[b] != levels[b - 1]:  # balls of one radius share it
+                np.multiply(levels[b], rs, out=lt)
+            np.multiply(g[0], w0, out=uu)
+            uu += np.multiply(g[1], w1, out=tt)
+            np.square(uu.real, out=out[:2])
+            out[:2] += np.square(uu.imag)
+            out[2:] = (2.0 * uu[0] * np.conj(uu[1])).view(np.float64).reshape(-1, 2).T
+            forms[b, :, rows] = np.subtract(out, lt, out=out)
+    return forms
+
+
 def displacement_bound(eps: float) -> float:
     """The Fubini-Study distance by which no g with ||g - Id||_F <= eps moves any
     point, as sin fs_distance(z, g z) <= ||(g - Id) z|| / ||g z|| <= eps / (1 - eps)
@@ -305,16 +334,16 @@ class RegularizedFunction:
     largest ||x_j||_F, both found at the build in closed form
     (:meth:`Sample.certificate`).  ``matrices`` holds the group elements g_j =
     exp_chart(theta * x_j), formed from the draws when first read and kept,
-    by the blocks of :func:`_chart_blocks` with that plan, as the form pass
-    takes them; the form path never reads it.  When the source offers ball
-    tests, the certificate decides the rows and balls that skip the
-    products, and ``forms`` holds the real coefficients of each test on the
-    moved point per ball, feature and stored element, shape (B, (k+1)^2,
-    S): one contiguous slab per ball whose rows run over the stored
-    elements, formed from the draws when first read and kept; otherwise it
-    is None and the source is called on the moved points.  Evaluation is
-    deterministic: the same (seed, S, theta, point) gives the same value bit
-    for bit.
+    by the blocks of :func:`_exp_blocks` with that plan, normalised; the
+    form path never reads it.  When the source offers ball tests, the
+    certificate decides the rows and balls that skip the products, and
+    ``forms`` holds the real coefficients of each test on e^(theta x_j) z
+    per ball, feature and stored element, shape (B, (k+1)^2, S): one
+    contiguous slab per ball whose rows run over the stored elements,
+    formed from those blocks when first read (:func:`_forms2` at k = 1) and
+    kept; otherwise it is None and the source is called on the moved
+    points.  Evaluation is deterministic: the same (seed, S, theta, point)
+    gives the same value bit for bit.
     """
 
     source: FunctionOnP
@@ -327,8 +356,8 @@ class RegularizedFunction:
     @cached_property
     def matrices(self) -> np.ndarray:
         mats = np.empty_like(self.draws)
-        for rows, g in _chart_blocks(self.draws, self.theta, self.plan):
-            mats[rows] = g.transpose(2, 0, 1)
+        for rows, e in _exp_blocks(self.draws, self.theta, self.plan):
+            mats[rows] = _normalize_stack(e.transpose(2, 0, 1))
         mats.setflags(write=False)
         return mats
 
@@ -345,8 +374,9 @@ class RegularizedFunction:
     def forms(self) -> Optional[np.ndarray]:
         if self._decisions is None:
             return None
-        blocks = _chart_blocks(self.draws, self.theta, self.plan)
-        forms = _forms(blocks, self.S, *self.source.ball_tests())
+        blocks = _exp_blocks(self.draws, self.theta, self.plan)
+        kernel = _forms2 if self.draws.shape[-1] == 2 else _forms
+        forms = kernel(blocks, self.S, *self.source.ball_tests())
         forms.setflags(write=False)
         return forms
 

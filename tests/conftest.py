@@ -22,8 +22,8 @@ def two_ball_set():
 @pytest.fixture
 def expm_draws(monkeypatch):
     """The number of draws in every block the exponential takes, in order:
-    the blocks of every _expm stack, of the form pass and of
-    RegularizedFunction.matrices alike."""
+    the blocks of every _expm stack, of the form pass at every d (the d = 2
+    kernel's included) and of RegularizedFunction.matrices alike."""
     sizes = []
 
     def spy(block, *plan):

@@ -567,9 +567,9 @@ def test_bundled_verify_never_forms_the_stack(name, tmp_path, monkeypatch, expm_
 @pytest.mark.parametrize("command", ["eval", "scaling"])
 def test_commands_with_band_rows_exponentiate_each_draw_once_per_build(
         command, tmp_path, monkeypatch, expm_draws):
-    # the builds exponentiate nothing; each build's form pass exponentiates
-    # every draw once, block by block; the stack of group elements is
-    # never formed
+    # the builds exponentiate nothing; each build's form pass, the d = 2
+    # kernel, exponentiates every draw once, block by block, unnormalised;
+    # the stack of group elements is never formed
     def refuse(self):
         raise AssertionError(f"{command} formed the group elements")
 

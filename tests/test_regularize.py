@@ -14,7 +14,7 @@ from projcut.lie import _expm, _expm_plan, _frob, _normalize_stack, block_sample
 from projcut.measure import sample_matrices
 from projcut.regularize import (DECISION_ANGLE, DECISION_VALUE, FORM_GEMM_OUTPUT, MAX_S,
                                 ROW_BLOCK, RegularizedFunction, Sample, _decision_levels,
-                                _features, _form_coefficients, _forms, displacement_bound)
+                                _features, _form_coefficients, _forms2, displacement_bound)
 from projcut.rng import make_rng
 
 from conftest import random_traceless
@@ -314,7 +314,8 @@ def test_form_kernel_matches_generic_path(k):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_form_coefficients_are_the_ball_tests(k):
     # each coefficient row applied to the features of z is the value
-    # |c^H g z|^2 - l |g z|^2 of its ball's test, the covering ball included
+    # |c^H g z|^2 - l |g z|^2 of its ball's test on g = e^(theta x),
+    # unnormalised, the covering ball included
     rng = make_rng(33, k)
     set_spec = pc.CompactSetSpec(tuple(pc.Ball(pc.ProjectivePoint(c), r)
                                        for c, r in zip(uniform_rows(k, 3, rng), (0.0, 0.2, 1.5))))
@@ -323,7 +324,7 @@ def test_form_coefficients_are_the_ball_tests(k):
     assert levels[2] == -1.0  # 1.5 + 0.1 >= pi/2
     rf = pc.regularize(f, theta=0.3, S=50, seed=17, mollifier=pc.get_mollifier(k, 0.1))
     Z = uniform_rows(k, 40, rng) * rng.uniform(0.5, 2.0, (40, 1))
-    images = np.einsum("sij,mj->smi", rf.matrices, Z)  # g z, shape (S, m, k+1)
+    images = np.einsum("sij,mj->smi", _expm(rf.theta * rf.draws), Z)  # g z, shape (S, m, k+1)
     direct = (np.abs(images @ np.conj(centres).T) ** 2
               - levels * np.linalg.norm(images, axis=2, keepdims=True) ** 2)
     values = _features(Z) @ rf.forms  # shape (B, m, S)
@@ -404,17 +405,17 @@ def test_forms_are_formed_once_at_the_first_band_row(two_ball_set, monkeypatch, 
     # row forms the coefficients straight from the draws, exponentiating
     # each draw once, block by block, with no stack of group elements;
     # later band rows reuse them, bit for bit those of the direct call on
-    # that stack
+    # the unnormalised stack e^(theta x)
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return _forms(*args)
+        return _forms2(*args)
 
     def refuse(self):
         raise AssertionError("the form path formed the group elements")
 
-    monkeypatch.setattr(importlib.import_module("projcut.regularize"), "_forms", counted)
+    monkeypatch.setattr(importlib.import_module("projcut.regularize"), "_forms2", counted)
     rho, S = 0.1, S_BLOCKS
     f = pc.indicator_fattened(two_ball_set, rho)
     rf = pc.regularize(f, theta=0.3, S=S, seed=19, mollifier=pc.get_mollifier(1, 0.1))
@@ -436,7 +437,7 @@ def test_forms_are_formed_once_at_the_first_band_row(two_ball_set, monkeypatch, 
     mats = rf.matrices  # formed on demand, from the draws alone, by the same blocks
     assert expm_draws == [block_samples(2), 301] * 2
     assert np.array_equal(mats, _normalize_stack(_expm(0.3 * draws)))
-    assert np.array_equal(forms, _form_coefficients(mats, *f.ball_tests()))
+    assert np.array_equal(forms, _form_coefficients(_expm(0.3 * draws), *f.ball_tests()))
     assert not mats.flags.writeable and not forms.flags.writeable
     # the certificate bounds every element from above
     assert float(_frob(mats - np.eye(2)).max()) <= rf.eps
@@ -447,10 +448,11 @@ def test_forms_are_formed_once_at_the_first_band_row(two_ball_set, monkeypatch, 
 @pytest.mark.parametrize("sigma", [0.1, 3.0])
 def test_form_pass_has_the_bits_of_the_stack(k, theta, sigma):
     # the forms taken block by block from the draws equal, bit for bit, those
-    # of the stack of group elements, over several sample blocks, a covering
-    # ball among the balls, and up to 4 squarings of the exponential; a
-    # first block of small draws, which alone would take fewer squarings,
-    # takes those of the whole stack, the plan the build found
+    # of the unnormalised stack e^(theta x), over several sample blocks, a
+    # covering ball among the balls, and up to 4 squarings of the
+    # exponential; a first block of small draws, which alone would take
+    # fewer squarings, takes those of the whole stack, the plan the build
+    # found
     rng = make_rng(39, k)
     set_spec = pc.CompactSetSpec(tuple(pc.Ball(pc.ProjectivePoint(c), r)
                                        for c, r in zip(uniform_rows(k, 3, rng), (0.0, 0.2, 1.5))))
@@ -463,7 +465,40 @@ def test_form_pass_has_the_bits_of_the_stack(k, theta, sigma):
         squarings = [_stack_plan(theta * x)[0] for x in (rf.draws, draws[:n])]
         assert squarings[0] >= 3 > squarings[1]
     for g in (rf, RegularizedFunction(f, theta, draws, rf.S, rf.plan)):
-        assert np.array_equal(g.forms, _form_coefficients(g.matrices, *f.ball_tests()))
+        assert _stack_plan(theta * g.draws) == rf.plan
+        assert np.array_equal(g.forms, _form_coefficients(_expm(theta * g.draws), *f.ball_tests()))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_forms_are_those_of_the_group_elements_times_the_corner(k):
+    # the test is homogeneous in g: the forms on e^(theta x) are those on
+    # exp_chart(theta x) = e^(theta x) / g_00 times |g_00|^2 > 0, per sample
+    rng = make_rng(43, k)
+    set_spec = pc.CompactSetSpec(tuple(pc.Ball(pc.ProjectivePoint(c), r)
+                                       for c, r in zip(uniform_rows(k, 3, rng), (0.0, 0.2, 1.5))))
+    f = pc.indicator_fattened(set_spec, 0.1)
+    rf = pc.regularize(f, 0.3, S_BLOCKS, 5, pc.get_mollifier(k, 0.1))
+    corner = np.abs(_expm(rf.theta * rf.draws)[:, 0, 0]) ** 2
+    chart = _form_coefficients(rf.matrices, *f.ball_tests())
+    assert np.all(np.abs(rf.forms - chart * corner) <= 1e-12)
+    assert np.abs(rf.forms).max() <= 4.0  # O(1): g is near Id
+
+
+def test_form_pass_at_k1_forms_no_stack_sized_temporary():
+    # at k = 1, S = 20000 an (S, 2, 2) complex temporary takes 1.22 MiB; the
+    # form pass holds the forms of two balls and one block's temporaries
+    rng = make_rng(44, 1)
+    set_spec = pc.CompactSetSpec(tuple(pc.Ball(pc.ProjectivePoint(c), 0.05)
+                                       for c in uniform_rows(1, 2, rng)))
+    rf = Sample.draw(pc.get_mollifier(1, 0.1), 20000, 7).smooth(
+        pc.indicator_fattened(set_spec, 0.1), 0.3)
+    tracemalloc.start()
+    try:
+        forms = rf.forms
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= forms.nbytes + 2 ** 20 < forms.nbytes + rf.draws.nbytes
 
 
 def test_build_and_forms_hold_draws_forms_and_one_block():
