@@ -50,8 +50,7 @@ import numpy as np
 
 from .errors import ConfigError, StepTooSmall
 from .geometry import ChartCoordinates, ProjectivePoint, scaled_rows
-from .lie import (BLOCK_ENTRIES, _exp_blocks, _expm_plan, _normalize_stack, _sample_blocks,
-                  block_samples)
+from .lie import _exp_blocks, _expm_plan, _normalize_stack, _sample_blocks, block_samples
 from .measure import MollifierSpec, ScaledMeasure, sample_matrices
 
 FunctionOnP = Callable[[np.ndarray], np.ndarray]
@@ -63,10 +62,6 @@ ROW_BLOCK = 128  # rows per evaluation block; bounds the working set for large m
 # then stays below the size at which OpenBLAS starts its threads, whose
 # start-up can stall a thin GEMM for milliseconds on a shared host.
 FORM_GEMM_OUTPUT = 2 ** 15
-# Coefficient values per chunk of balls and sample block as the forms are
-# built: a chunk's temporaries (about 0.5 MB) are then reused, not mapped
-# afresh, which takes a third off the forms of the 128-ball net.
-_FORM_CHUNK = 2 ** 16
 # Margins of the row decisions.  DECISION_ANGLE (radians) covers the
 # roundoff of the ratio |c^H z|^2 / |z|^2 and of its levels, which is below
 # 5e-8 rad even where cos^2 is flattest.  DECISION_VALUE narrows the reach
@@ -172,7 +167,10 @@ class Sample:
         some q >= 1, where nothing is bounded.  ||x - x_00 Id||^2 =
         ||x||^2 + d |x_00|^2 - 2 Re(conj(x_00) tr x) is taken without its last
         term: the draws are traceless, so that term is roundoff, below 1e-15
-        of the rest.  Four S-vectors are formed, each once, worked in place."""
+        of the rest.  Four S-vectors are formed, each once, worked in place.
+        theta outside (0, 1], NaN included, raises ValueError."""
+        if not 0.0 < theta <= 1.0:
+            raise ValueError("theta must lie in (0, 1]")
         norm2, corner, d = self.norm2, self.corner, self.draws.shape[1]
         a = corner * corner  # ||x - x_00 Id||^2 = ||x||^2 + d |x_00|^2, then a
         a *= d
@@ -212,50 +210,44 @@ def _form_coefficients(matrices, centres, levels):
 
 def _forms(blocks, S, centres, levels):
     """:func:`_form_coefficients` from the (rows, g) blocks of the S
-    elements, laid out (d, d, n).  Each ball's forms are one contiguous
-    (d*d, S) slab, feature-major, so that a block writes d*d runs of n
-    contiguous values; the row sum is kept once per element, not per ball,
-    and the balls are taken a few at a time, _FORM_CHUNK values per block."""
+    elements, laid out (d, d, n), a ball at a time.  Each ball's forms are
+    one contiguous (d*d, S) slab, feature-major, so that a block writes d*d
+    runs of n contiguous values.  Per block the row sum sum_r P(g_r) is
+    taken once, in row order, and l_b times it once per run of equal levels;
+    each entry of c_b^H g is d products with scalars, and a ball's rows are
+    formed in reused buffers, then copied into its slab."""
     levels = np.asarray(levels, dtype=np.float64)
     d = centres.shape[1]
+    i, j = _pairs(d)
+    p = i.size
     forms = np.empty((levels.size, d * d, S))
-    weights = np.conj(centres).T[:, :, None]  # (d, B, 1)
-    step = _FORM_CHUNK // BLOCK_ENTRIES
-    for rows, g in blocks:
-        row_sum = _rank_one(g, axis=1).sum(axis=0)[:, None]  # P(g_r) summed in row order
-        for b in range(0, levels.size, step):
-            balls = slice(b, b + step)
-            u = g[0][:, None] * weights[0, balls]  # (d, balls, n): entry j of c_b^H g
-            for i in range(1, d):
-                u += g[i][:, None] * weights[i, balls]
-            forms[balls, :, rows] = (_rank_one(u)
-                                     - levels[balls, None] * row_sum).transpose(1, 0, 2)
-    return forms
-
-
-def _forms2(blocks, S, centres, levels):
-    """:func:`_forms` at d = 2, bit for bit, a ball at a time: each entry of
-    c_b^H g is two products with scalars, and a ball's four rows are formed
-    in one contiguous buffer, then copied into its slab."""
-    levels = np.asarray(levels, dtype=np.float64)
-    forms = np.empty((levels.size, 4, S))
     weights = np.conj(centres)
-    u, t = np.empty((2, 2, min(block_samples(2), S)), dtype=np.complex128)
-    row_sum, terms, level_terms = np.empty((3, 4, u.shape[-1]))
+    u, t = np.empty((2, d, min(block_samples(d), S)), dtype=np.complex128)
+    row_sum, terms, level_terms = np.empty((3, d * d, u.shape[-1]))
     for rows, g in blocks:
         uu, tt, rs, out, lt = (a[..., :g.shape[-1]] for a in (u, t, row_sum, terms, level_terms))
         sq = np.square(g.real) + np.square(g.imag)
-        np.add(sq[0], sq[1], out=rs[:2])  # P(g_r) summed in row order
-        cross = 2.0 * g[:, 0] * np.conj(g[:, 1])
-        rs[2:] = np.add(cross[0], cross[1], out=cross[0]).view(np.float64).reshape(-1, 2).T
-        for b, (w0, w1) in enumerate(weights):
+        cross = 2.0 * g[0][i] * np.conj(g[0][j])
+        rs[:d] = sq[0]
+        for r in range(1, d):
+            rs[:d] += sq[r]
+            cross += 2.0 * g[r][i] * np.conj(g[r][j])
+        rs[d:d + p], rs[d + p:] = cross.real, cross.imag
+        del sq, cross  # freed before the next block is exponentiated
+        for b, w in enumerate(weights):
             if b == 0 or levels[b] != levels[b - 1]:  # balls of one radius share it
                 np.multiply(levels[b], rs, out=lt)
-            np.multiply(g[0], w0, out=uu)
-            uu += np.multiply(g[1], w1, out=tt)
-            np.square(uu.real, out=out[:2])
-            out[:2] += np.square(uu.imag)
-            out[2:] = (2.0 * uu[0] * np.conj(uu[1])).view(np.float64).reshape(-1, 2).T
+            np.multiply(g[0], w[0], out=uu)
+            for r in range(1, d):
+                uu += np.multiply(g[r], w[r], out=tt)
+            np.square(uu.real, out=out[:d])
+            out[:d] += np.square(uu.imag)
+            lo = d  # the pairs (a, a+1..d-1) in triu_indices order
+            for a in range(d - 1):
+                # uu[a:a + 1], not uu[a]: numpy 2.4 rounds a product broadcast from (n,) otherwise
+                c = 2.0 * uu[a:a + 1] * np.conj(uu[a + 1:])
+                out[lo:lo + c.shape[0]], out[lo + p:lo + p + c.shape[0]] = c.real, c.imag
+                lo += c.shape[0]
             forms[b, :, rows] = np.subtract(out, lt, out=out)
     return forms
 
@@ -306,14 +298,6 @@ def _pairs(d: int):
     return pairs
 
 
-def _rank_one(U: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Coefficients P(u) of |u . z|^2 against :func:`_features` of z, for
-    vectors u laid out along an axis of U, in place of that axis."""
-    i, j = _pairs(U.shape[axis])
-    cross = 2.0 * U.take(i, axis) * np.conj(U.take(j, axis))
-    return np.concatenate([U.real ** 2 + U.imag ** 2, cross.real, cross.imag], axis=axis)
-
-
 def _features(Z: np.ndarray) -> np.ndarray:
     """Real features (m, d*d) of rows, one feature row each: |z_i|^2, then Re
     and Im of conj(z_i) z_j for i < j."""
@@ -340,7 +324,7 @@ class RegularizedFunction:
     ``forms`` holds the real coefficients of each test on e^(theta x_j) z
     per ball, feature and stored element, shape (B, (k+1)^2, S): one
     contiguous slab per ball whose rows run over the stored elements,
-    formed from those blocks when first read (:func:`_forms2` at k = 1) and
+    formed from those blocks when first read (:func:`_forms`) and
     kept; otherwise it is None and the source is called on the moved
     points.  Evaluation is deterministic: the same (seed, S, theta, point)
     gives the same value bit for bit.
@@ -375,8 +359,7 @@ class RegularizedFunction:
         if self._decisions is None:
             return None
         blocks = _exp_blocks(self.draws, self.theta, self.plan)
-        kernel = _forms2 if self.draws.shape[-1] == 2 else _forms
-        forms = kernel(blocks, self.S, *self.source.ball_tests())
+        forms = _forms(blocks, self.S, *self.source.ball_tests())
         forms.setflags(write=False)
         return forms
 

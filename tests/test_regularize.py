@@ -14,7 +14,7 @@ from projcut.lie import _expm, _expm_plan, _frob, _normalize_stack, block_sample
 from projcut.measure import sample_matrices
 from projcut.regularize import (DECISION_ANGLE, DECISION_VALUE, FORM_GEMM_OUTPUT, MAX_S,
                                 ROW_BLOCK, RegularizedFunction, Sample, _decision_levels,
-                                _features, _form_coefficients, _forms2, displacement_bound)
+                                _features, _form_coefficients, _forms, displacement_bound)
 from projcut.rng import make_rng
 
 from conftest import random_traceless
@@ -335,16 +335,17 @@ def test_form_coefficients_are_the_ball_tests(k):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_form_coefficient_rows_do_not_depend_on_block(k):
     # over several sample blocks each row is the ball tests' value, and bit
-    # for bit the row of the one-element call
+    # for bit the row of the one-element call; the first two balls share
+    # their level, so the second reuses the first's level term
     rng = make_rng(34, k)
     d = k + 1
     S = 2 * block_samples(d) + 37
     noise = rng.standard_normal((S, d, d)) + 1j * rng.standard_normal((S, d, d))
     g = _normalize_stack(np.eye(d) + 0.05 * noise)
-    centres = uniform_rows(k, 3, rng)
-    levels = np.array([0.9, 0.5, -1.0])
+    centres = uniform_rows(k, 4, rng)
+    levels = np.array([0.9, 0.9, 0.5, -1.0])
     forms = _form_coefficients(g, centres, levels)
-    assert forms.shape == (3, d * d, S)
+    assert forms.shape == (4, d * d, S)
     Z = uniform_rows(k, 20, rng)
     images = np.einsum("sij,mj->smi", g, Z)
     direct = (np.abs(images @ np.conj(centres).T) ** 2
@@ -410,12 +411,12 @@ def test_forms_are_formed_once_at_the_first_band_row(two_ball_set, monkeypatch, 
 
     def counted(*args):
         calls.append(args)
-        return _forms2(*args)
+        return _forms(*args)
 
     def refuse(self):
         raise AssertionError("the form path formed the group elements")
 
-    monkeypatch.setattr(importlib.import_module("projcut.regularize"), "_forms2", counted)
+    monkeypatch.setattr(importlib.import_module("projcut.regularize"), "_forms", counted)
     rho, S = 0.1, S_BLOCKS
     f = pc.indicator_fattened(two_ball_set, rho)
     rf = pc.regularize(f, theta=0.3, S=S, seed=19, mollifier=pc.get_mollifier(1, 0.1))
@@ -484,13 +485,15 @@ def test_forms_are_those_of_the_group_elements_times_the_corner(k):
     assert np.abs(rf.forms).max() <= 4.0  # O(1): g is near Id
 
 
-def test_form_pass_at_k1_forms_no_stack_sized_temporary():
-    # at k = 1, S = 20000 an (S, 2, 2) complex temporary takes 1.22 MiB; the
-    # form pass holds the forms of two balls and one block's temporaries
-    rng = make_rng(44, 1)
+@pytest.mark.parametrize("k", [1, 3])
+def test_form_pass_forms_no_stack_sized_temporary(k):
+    # at S = 20000 an (S, k+1, k+1) complex temporary takes 1.22 MiB at
+    # k = 1 and 4.9 MiB at k = 3; the form pass holds the forms of two balls
+    # and one block's temporaries, below 1 MiB at k = 1 and 2 MiB at k = 3
+    rng = make_rng(44, k)
     set_spec = pc.CompactSetSpec(tuple(pc.Ball(pc.ProjectivePoint(c), 0.05)
-                                       for c in uniform_rows(1, 2, rng)))
-    rf = Sample.draw(pc.get_mollifier(1, 0.1), 20000, 7).smooth(
+                                       for c in uniform_rows(k, 2, rng)))
+    rf = Sample.draw(pc.get_mollifier(k, 0.1), 20000, 7).smooth(
         pc.indicator_fattened(set_spec, 0.1), 0.3)
     tracemalloc.start()
     try:
@@ -498,7 +501,7 @@ def test_form_pass_at_k1_forms_no_stack_sized_temporary():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= forms.nbytes + 2 ** 20 < forms.nbytes + rf.draws.nbytes
+    assert peak <= forms.nbytes + {1: 1, 3: 2}[k] * 2 ** 20 < forms.nbytes + rf.draws.nbytes
 
 
 def test_build_and_forms_hold_draws_forms_and_one_block():
@@ -633,6 +636,16 @@ def test_sample_pickle_keeps_the_bits_read_only(protocol):
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
         assert not b.flags.writeable
     assert loaded.certificate(0.3) == sample.certificate(0.3)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -0.3, 0.0, 2.0])
+def test_sample_refuses_theta_outside_the_unit_interval(theta, mollifier_k1):
+    # no silent 0 at nan, no negative certificate below 0, no overflow at inf
+    sample = Sample.draw(mollifier_k1, 2000, 3)
+    with pytest.raises(ValueError, match=r"theta must lie in \(0, 1\]"):
+        sample.certificate(theta)
+    with pytest.raises(ValueError, match=r"theta must lie in \(0, 1\]"):
+        sample.smooth(ones, theta)
 
 
 def test_sample_leaves_the_callers_array_writeable(mollifier_k1):
