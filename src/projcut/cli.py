@@ -30,7 +30,7 @@ from .lie import (DEFAULT_SIGMA, AlgebraElement, ShearParams, _frob, _log_chart_
 from .measure import bump_profile, get_mollifier
 from .rng import make_rng
 
-DEFAULT_BANDS = {1: (-1.5, -0.5), 2: (-2.6, -1.4)}
+DEFAULT_BANDS = {1: (-1.15, -0.85), 2: (-2.6, -1.4)}
 
 # Upper bounds on the integer fields that size allocations; each is at least
 # 10x the largest value any bundled config, test, demo or benchmark uses.

@@ -204,7 +204,9 @@ class VerificationReport:
 
 
 def rows_on_set(set_spec: CompactSetSpec, count: int, rng) -> np.ndarray:
-    """The B ball centres first, then row B + i a random point of ball i mod B."""
+    """The B ball centres first, then row B + i a random point of ball i mod B.
+    A count that is not a nonnegative integer raises ValueError."""
+    _check_count(count)
     centres, radii = set_spec.centres, set_spec.radii
     ball = np.arange(max(count - radii.size, 0)) % radii.size
     t = radii[ball] * np.sqrt(rng.random(ball.size))
@@ -214,10 +216,15 @@ def rows_on_set(set_spec: CompactSetSpec, count: int, rng) -> np.ndarray:
 
 def _check_draw(dist: float, count: int):
     """Refuse a sampler's distance that is not finite and positive, and a
-    count that is not a nonnegative integer (:func:`_is_integer`: True would
-    draw one point), before any draw."""
+    count that is not a nonnegative integer, before any draw."""
     if not 0.0 < dist < math.inf:  # NaN too
         raise ValueError("distance must be finite and positive")
+    _check_count(count)
+
+
+def _check_count(count: int):
+    """Refuse a count that is not a nonnegative integer (:func:`_is_integer`:
+    True would draw one point, and -1 drop the last centre)."""
     if not _is_integer(count):
         raise ValueError("count must be an integer")
     if count < 0:
@@ -282,9 +289,11 @@ def verify_cutoff(cf: CutoffFunction, n_inner: int = 200, n_outer: int = 200,
     ||(g - Id) zeta|| / ||zeta|| for every chart vector zeta, against
     :attr:`CutoffFunction.frob_bound`, the bound the build checked, and (d)
     is :func:`displacement_bound` (eps) against delta / 2.  Whenever (d)
-    holds, (a) and (b) are 0 at every point; the evaluator decides the
-    sampled points by the same certificate, with no matrix product once fs
-    clears delta / 2 by the decision margins, as in every bundled config.
+    holds, (a) and (b) are 0 at every point.  The evaluator decides the
+    sampled points with no matrix product once ``cf.rf.fs`` = theta max
+    ||x||_F clears delta / 2 by the decision margins, as in every bundled
+    config: the curve e^(t y) z moves at Fubini-Study speed <= ||y||_F, so
+    fs bounds every displacement too, and it never exceeds (d).
     The sampled points are drawn from ``seed``, a nonnegative integer
     (:func:`check_seed`).
     """

@@ -3,9 +3,10 @@
 An evaluator is smoothed by drawing S traceless matrices x_j from the unit
 mollifier once, freezing the group elements g_j = exp_chart(theta * x_j), and
 returning the average of f over the moved points.  The frozen sample (common
-random numbers) is the load-bearing choice: it makes the Monte-Carlo average
-a single smooth function of the evaluation point, so finite differences see
-the smooth limit instead of resampling noise.
+random numbers) is the load-bearing choice: the average of an indicator is
+count / S, a step function of the point, but its expectation over the draw
+is the exact smoothed function, so a central difference of it estimates the
+exact difference quotient at its step without bias or resampling noise.
 
 Functions on P^k are represented as vectorised evaluators on stacked
 homogeneous rows:
@@ -28,10 +29,11 @@ group elements, as they come from the draws a block at a time, taken on
 g = e^(theta x) unnormalised: the test is homogeneous in g.
 
 The draws are one :class:`Sample`, a value that every build at any theta
-shares.  A build stores them and certifies how far their group elements
-move points: eps >= ||g - Id||_F for every stored g, so that no g moves any
-point by more than fs = :func:`displacement_bound` (eps), in closed form,
-exponentiating nothing (:meth:`Sample.certificate`).  A test holds on all
+shares.  A build stores them with two closed-form bounds, exponentiating
+nothing: the certificate eps >= ||g - Id||_F of every stored g
+(:meth:`Sample.certificate`), and fs = theta max_j ||x_j||_F: the curve
+w = e^(t y) z, y = theta x, has Fubini-Study speed ||(I - w w^H) y w|| <=
+||y||_F at unit w, so no g moves any point by more than fs.  A test holds on all
 of a ball of reach R about c_b, so every moved point of a row within R - fs
 of c_b passes it, and none of a row at R + fs or beyond does.  Each row is
 first placed against these levels: a row inside some ball is decided 1, a
@@ -118,8 +120,8 @@ def regularize(f: FunctionOnP, theta: float, S: int, seed, mollifier: MollifierS
 @dataclass(frozen=True, eq=False)
 class Sample:
     """The frozen draw of a command: ``draws``, the S unit-scale traceless
-    matrices x_j, shape (S, d, d), and the theta-free vectors of
-    :meth:`certificate`, ``norm2`` = ||x_j||_F^2 and ``corner`` = |(x_j)_00|,
+    matrices x_j, shape (S, d, d), and the theta-free terms ``norm2`` =
+    ||x_j||_F^2, ``corner`` = |(x_j)_00| and ``max_norm`` = max_j ||x_j||_F,
     each read-only and formed once, here, so that the builds of a command at
     several theta share the draw and pass over it once.  A pickle carries
     the draws alone; loading it derives the rest afresh."""
@@ -127,6 +129,7 @@ class Sample:
     draws: np.ndarray
     norm2: np.ndarray = field(init=False, repr=False)
     corner: np.ndarray = field(init=False, repr=False)
+    max_norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
         draws = self.draws.view()  # read-only, whatever the caller's array allows
@@ -136,6 +139,7 @@ class Sample:
                         ("corner", np.abs(draws[:, 0, 0]))):
             v.setflags(write=False)
             object.__setattr__(self, name, v)
+        object.__setattr__(self, "max_norm", math.sqrt(self.norm2.max()))
 
     def __reduce__(self):
         return Sample, (self.draws,)
@@ -146,10 +150,12 @@ class Sample:
         return cls(sample_matrices(ScaledMeasure(mollifier, 1.0), check_S(S), check_seed(seed)))
 
     def smooth(self, f: FunctionOnP, theta: float) -> "RegularizedFunction":
-        """The evaluator of :func:`regularize` over these draws, theta in (0, 1]."""
+        """The evaluator of :func:`regularize` over these draws, theta in
+        (0, 1]; its fs is theta max_j ||x_j||_F times 1 + 1e-12."""
         eps, plan = self.certificate(float(theta))
         return RegularizedFunction(source=f, theta=float(theta), draws=self.draws,
-                                   S=self.draws.shape[0], plan=plan, eps=eps)
+                                   S=self.draws.shape[0], plan=plan, eps=eps,
+                                   fs=float(theta) * self.max_norm * (1.0 + 1e-12))
 
     def certificate(self, theta: float) -> tuple:
         """(eps, plan): eps, an upper bound on ||exp_chart(theta x) - Id||_F
@@ -179,7 +185,7 @@ class Sample:
         a *= theta
         s = np.sqrt(norm2)
         s *= theta
-        plan = _expm_plan(float(s.max()))
+        plan = _expm_plan(theta * self.max_norm)  # the bits of s.max(): rounding is monotone
         rho = np.expm1(s)
         rho -= s
         q = corner * theta  # q = theta |x_00| + rho
@@ -255,27 +261,27 @@ def _forms(blocks, S, centres, levels):
 def displacement_bound(eps: float) -> float:
     """The Fubini-Study distance by which no g with ||g - Id||_F <= eps moves any
     point, as sin fs_distance(z, g z) <= ||(g - Id) z|| / ||g z|| <= eps / (1 - eps)
-    for unit z; from eps = 1/2 on that bounds nothing, and it is pi/2, the diameter."""
+    for unit z; from eps = 1/2 on that bounds nothing, and it is pi/2, the diameter.
+    Verify reports it; the row decisions take the fs of :meth:`Sample.smooth`."""
     return math.asin(eps / (1.0 - eps)) if eps < 0.5 else 0.5 * math.pi
 
 
-def _decision_levels(levels, eps):
+def _decision_levels(levels, fs):
     """Levels (inner, outer), shape (B,), on the ratio |c_b^H z|^2 / |z|^2
-    of a row z, for unit centres c_b: above inner_b every moved point g z
-    passes test b, and at or below outer_b none does.  Nothing is decided
-    when eps >= 1/2.
+    of a row z, for unit centres c_b, when no stored g moves any point by
+    more than fs: above inner_b every moved point g z passes test b, and at
+    or below outer_b none does.  Nothing is decided when fs >= pi/2, the
+    diameter.
 
     A moved point clears test b by the value margin when
     cos^2 dist(g z, c_b) >= l_b + DECISION_VALUE, and fails it by that
     margin when cos^2 dist(g z, c_b) <= l_b - DECISION_VALUE.  Those are
     the balls of reach R = acos(sqrt(l_b +- DECISION_VALUE)) about c_b,
     and a level at or below 0 holds everywhere.  Since g moves z by at most
-    fs = :func:`displacement_bound` (eps), the row decides the test when it
-    lies within R - fs - DECISION_ANGLE, or at R + fs + DECISION_ANGLE or
-    beyond."""
+    fs, the row decides the test when it lies within R - fs - DECISION_ANGLE,
+    or at R + fs + DECISION_ANGLE or beyond."""
     inner, outer = np.full(levels.size, np.inf), np.full(levels.size, -1.0)
-    fs = displacement_bound(eps)
-    if fs >= 0.5 * math.pi:  # eps >= 1/2 bounds no displacement
+    if fs >= 0.5 * math.pi:
         return inner, outer
     shift = fs + DECISION_ANGLE
     passes, fails = levels + DECISION_VALUE, levels - DECISION_VALUE
@@ -312,15 +318,17 @@ class RegularizedFunction:
 
     ``draws`` holds the S stored unit-scale draws x_j, shape (S, k+1, k+1),
     read-only (empty for the pass-through case theta = 0).  ``eps`` is the
-    displacement certificate, an upper bound on ||g - Id||_F for every
-    stored g (0 when none is stored, inf when it bounds nothing), and
-    ``plan`` the exponential's squarings and degree for theta times the
-    largest ||x_j||_F, both found at the build in closed form
-    (:meth:`Sample.certificate`).  ``matrices`` holds the group elements g_j =
+    certificate, an upper bound on ||g - Id||_F for every stored g (0 when
+    none is stored, inf when it bounds nothing), and ``plan`` the
+    exponential's squarings and degree for theta times the largest
+    ||x_j||_F, both found at the build in closed form
+    (:meth:`Sample.certificate`).  ``fs`` >= d_FS(z, g z) for every z and
+    stored g: theta max_j ||x_j||_F, finite where eps is inf (0 when none is
+    stored).  ``matrices`` holds the group elements g_j =
     exp_chart(theta * x_j), formed from the draws when first read and kept,
     by the blocks of :func:`_exp_blocks` with that plan, normalised; the
-    form path never reads it.  When the source offers ball tests, the
-    certificate decides the rows and balls that skip the products, and
+    form path never reads it.  When the source offers ball tests, fs
+    decides the rows and balls that skip the products, and
     ``forms`` holds the real coefficients of each test on e^(theta x_j) z
     per ball, feature and stored element, shape (B, (k+1)^2, S): one
     contiguous slab per ball whose rows run over the stored elements,
@@ -336,6 +344,7 @@ class RegularizedFunction:
     S: int
     plan: tuple
     eps: float = 0.0
+    fs: float = 0.0
 
     @cached_property
     def matrices(self) -> np.ndarray:
@@ -347,12 +356,12 @@ class RegularizedFunction:
 
     @cached_property
     def _decisions(self) -> Optional[tuple]:
-        """(conj(centres).T, inner, outer) of the source's ball tests, see
+        """(conj(centres).T, inner, outer) of the source's ball tests at fs, see
         :func:`_decision_levels`; None without ball tests or stored elements."""
         if self.theta == 0.0 or not hasattr(self.source, "ball_tests"):
             return None
         centres, levels = self.source.ball_tests()
-        return (np.conj(centres).T, *_decision_levels(levels, self.eps))
+        return (np.conj(centres).T, *_decision_levels(levels, self.fs))
 
     @cached_property
     def forms(self) -> Optional[np.ndarray]:
@@ -373,7 +382,7 @@ class RegularizedFunction:
         stays bounded for any number of rows, up to a few values per row
         and ball on the form path.
 
-        On the form path every row is first placed by the certificate (see
+        On the form path every row is first placed by the bound ``fs`` (see
         :func:`_decision_levels`).  A row inside some ball counts every
         stored element, a row with no candidate ball counts none, and the
         products run on the band rows, for their candidate balls only; the
@@ -527,11 +536,12 @@ def finite_diff(rf: RegularizedFunction, c: ChartCoordinates, order: int, step: 
 
     Order 1 returns the Euclidean norm of the gradient; order 2 the largest
     absolute Hessian entry.  Every stencil point is evaluated with the same
-    stored sample matrices, so the differenced function is the smooth frozen
-    average.  Differences that are nonzero yet smaller than 8 units of
-    roundoff raise :class:`StepTooSmall`; exactly-zero differences (plateaus)
-    are genuine zero derivatives.  This is :func:`c_alpha_estimate` on the
-    one-point grid.
+    stored sample matrices.  The average is then a step function of the
+    point, but unbiased for the exact smoothed function, and so is each
+    difference quotient for the exact one at the step.  Differences that
+    are nonzero yet smaller than 8 units of roundoff raise
+    :class:`StepTooSmall`; exactly-zero differences (plateaus) are genuine
+    zero derivatives.  This is :func:`c_alpha_estimate` on the one-point grid.
     """
     return c_alpha_estimate(rf, [c], order, step)
 

@@ -93,7 +93,7 @@ def scaling_runs(config_k1):
 
 def test_criterion_03_derivative_scaling_slopes(scaling_runs):
     rep1, rep2, elapsed = scaling_runs
-    ok1 = -1.5 <= rep1.slope <= -0.5 and rep1.slope_stderr < 0.2
+    ok1 = -1.15 <= rep1.slope <= -0.85 and rep1.slope_stderr < 0.2
     ok2 = -2.6 <= rep2.slope <= -1.4 and rep2.slope_stderr < 0.2
     ok = ok1 and ok2 and elapsed < 600.0
     report(3, "derivative growth slopes", ok,

@@ -117,6 +117,22 @@ def test_scaling_writes_csv_and_summary(scaling_config, tmp_path):
     assert lo <= summary["slope"] <= hi
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_alpha1_band_holds_the_bundled_config_at_other_seeds(seed, tmp_path):
+    # the alpha = 1 band is the measured spread, about +-0.02 at grid 400
+    # over 30 seeds, with room for a grid of 100: the bundled k = 1 config
+    # exits 0 at other seeds
+    assert DEFAULT_BANDS[1] == (-1.15, -0.85)
+    cfg = json.loads((Path(__file__).resolve().parent.parent / "configs"
+                      / "scaling_alpha1.json").read_text())
+    path = tmp_path / "scaling.json"
+    path.write_text(json.dumps(dict(cfg, seed=seed, grid=100)))
+    assert main(["scaling", "--config", str(path), "--out", str(tmp_path / "out"),
+                 "--threads", "1"]) == 0
+    slope = json.loads((tmp_path / "out" / "scaling_alpha1_summary.json").read_text())["slope"]
+    assert -1.15 <= slope <= -0.85
+
+
 def test_scaling_band_violation_exits_1(scaling_config, tmp_path, monkeypatch, capsys):
     # a claim failure is a result: both files are still written
     monkeypatch.setitem(DEFAULT_BANDS, 1, (-0.05, -0.01))

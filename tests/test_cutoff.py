@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import importlib
 import math
@@ -9,13 +10,14 @@ import numpy as np
 import pytest
 
 import projcut as pc
-from projcut.cutoff import (annulus_grid, max_euclid_ratio, max_fs_displacement, rows_off_set,
-                            rows_on_set)
+from projcut.cutoff import (STEPS_PER_DELTA, annulus_grid, max_euclid_ratio, max_fs_displacement,
+                            rows_off_set, rows_on_set)
 from projcut.errors import ConfigError, DeltaOutOfRange
 from projcut.geometry import rows_dist_to_set, uniform_rows
 from projcut.cli import DEFAULT_BANDS, load_config
 from projcut.lie import _frob
-from projcut.regularize import MAX_S, RegularizedFunction, _features, displacement_bound
+from projcut.regularize import (MAX_S, RegularizedFunction, _features, _stencil_rows,
+                                displacement_bound)
 from projcut.rng import make_rng
 
 
@@ -407,6 +409,32 @@ def test_rp1_net_covers_the_real_line_and_passes_verify():
     chi = cf.eval_homog(rows)
     assert np.array_equal(chi, generic.eval_homog(rows))
     assert np.any((chi > 0.0) & (chi < 1.0))
+
+
+@pytest.mark.parametrize("count", [-1, True, np.True_, 2.5, "3"])
+def test_rows_on_set_refuses_counts_that_are_not_nonnegative_integers(count, two_ball_set):
+    # -1 returned the first B - 1 centres, True one row, 2.5 ended in an
+    # IndexError and "3" in a TypeError
+    with pytest.raises(ValueError, match="^count must be (an integer|nonnegative)$"):
+        rows_on_set(two_ball_set, count, make_rng(40, 6))
+
+
+def test_scaling_stencils_have_fewer_band_rows_than_under_the_certificate():
+    # the bundled k = 1 alpha = 2 scaling config's annulus stencils: the
+    # decisions at fs = theta max ||x||_F leave 5888 band rows over the
+    # four deltas, against 8241 at displacement_bound(eps), with equal chi
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "scaling_alpha2.json")
+    config = pc.CutoffConfig(cfg.k, cfg.sigma, cfg.delta0, cfg.S, cfg.seed)
+    band = np.zeros(2, dtype=int)
+    for tag, delta in enumerate(sorted(cfg.deltas, reverse=True)):  # as scaling_experiment
+        cf = pc.build_cutoff(cfg.set_spec, delta, config)
+        grid = annulus_grid(cfg.set_spec, delta, cfg.grid, cfg.seed, tag)
+        rows = _stencil_rows(grid, cfg.alpha, delta / STEPS_PER_DELTA).reshape(-1, cfg.k + 1)
+        old = dataclasses.replace(cf.rf, fs=displacement_bound(cf.rf.eps))
+        assert cf.rf.fs < old.fs
+        band += [sum(b.size for _, b in rf._decide(rows)[1]) for rf in (cf.rf, old)]
+        assert np.array_equal(cf.eval_homog(rows), old.eval_homog(rows))
+    assert band.tolist() == [5888, 8241]
 
 
 def test_rows_on_set_centres_first_then_ball_i_mod_B():

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 import pickle
@@ -698,9 +699,10 @@ def test_certificate_meets_the_distortion_bound_at_its_worst_case(k):
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("sigma", [2.0, 3.0])
 def test_certificate_past_the_series_decides_nothing(k, sigma, two_ball_set):
-    # some q >= 1: eps is inf, no row is decided, every band row takes the
-    # products for every ball, and the form path equals the indicator
-    # called on every moved point, bit for bit
+    # some q >= 1: eps is inf; the displacement bound fs = theta max ||x||_F
+    # still holds there, but it is past pi/2 at theta = 1, so no row is
+    # decided, every band row takes the products for every ball, and the
+    # form path equals the indicator called on every moved point, bit for bit
     rng = make_rng(34, k)
     set_spec = pc.CompactSetSpec(tuple(pc.Ball(pc.ProjectivePoint(c), r)
                                        for c, r in zip(uniform_rows(k, 2, rng), (0.05, 0.2))))
@@ -708,12 +710,57 @@ def test_certificate_past_the_series_decides_nothing(k, sigma, two_ball_set):
     kwargs = dict(theta=1.0, S=400, seed=5, mollifier=pc.get_mollifier(k, sigma))
     kernel = pc.regularize(f, **kwargs)
     assert kernel.eps == math.inf and displacement_bound(kernel.eps) == 0.5 * math.pi
+    assert kernel.fs >= 0.5 * math.pi
     rows = np.concatenate([set_spec.centres, _band_heavy_rows(set_spec, 0.1, 40, rng),
                            uniform_rows(k, 20, rng)])
     assert _decided(kernel, rows) == (0, [[0, 1]])
     chi = kernel.eval_homog(rows)
     assert np.array_equal(chi, pc.regularize(lambda z: f(z), **kwargs).eval_homog(rows))
     assert np.any((chi > 0.0) & (chi < 1.0))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_displacement_bound_holds_for_every_stored_element(k):
+    # d_FS(z, e^y z) <= ||y||_F for every z: on random rows, over all stored
+    # g and per draw, also where the certificate's series bounds nothing
+    # (theta = 0.6, sigma = 2: eps is inf).  fs is theta max ||x||_F to
+    # 1 + 1e-12, never above displacement_bound(eps), and near tight
+    from projcut.cutoff import max_fs_displacement
+    rng = make_rng(46, k)
+    rows = uniform_rows(k, 200, rng)
+    for theta, sigma in ((0.3, 0.1), (1.0, 0.5), (0.6, 2.0)):
+        rf = pc.regularize(ones, theta, 300, 7, pc.get_mollifier(k, sigma))
+        norms = theta * _frob(rf.draws)
+        assert norms.max() < rf.fs <= norms.max() * (1.0 + 2e-12)
+        assert rf.fs <= displacement_bound(rf.eps)
+        assert 0.5 * rf.fs < max_fs_displacement(rf.matrices, rows) <= rf.fs
+        for j in [int(np.argmax(norms))] + list(rng.integers(0, rf.S, 4)):
+            assert max_fs_displacement(rf.matrices[j:j + 1], rows) <= norms[j]
+    assert math.isinf(rf.eps)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_displacement_bound_decides_rows_past_the_series(k):
+    # theta = 0.6, sigma = 2: eps is inf, so displacement_bound(eps) decides
+    # nothing, but fs < pi/2 decides the rows deep inside a wide ball and
+    # far from a small one, with the bits of the indicator called on every
+    # moved point
+    rng = make_rng(47, k)
+    kwargs = dict(theta=0.6, S=400, seed=5, mollifier=pc.get_mollifier(k, 2.0))
+    for c, radius in zip(uniform_rows(k, 2, rng), (1.2, 0.05)):
+        f = pc.indicator_fattened(pc.CompactSetSpec((pc.Ball(pc.ProjectivePoint(c), radius),)), 0.1)
+        kernel = pc.regularize(f, **kwargs)
+        assert kernel.eps == math.inf and kernel.fs < 0.5 * math.pi
+        t = np.linspace(0.0, 0.5 * math.pi, 60)
+        rows = _scaled(geodesic_row(np.tile(c, (60, 1)), tangent_row(np.tile(c, (60, 1)), rng), t),
+                       rng)
+        decided = _decided(kernel, rows)[0]
+        assert 0 < decided < rows.shape[0]
+        assert _decided(dataclasses.replace(kernel, fs=displacement_bound(kernel.eps)), rows)[0] == 0
+        chi = kernel.eval_homog(rows)
+        assert np.array_equal(chi, pc.regularize(lambda z: f(z), **kwargs).eval_homog(rows))
+        assert np.all(chi[t < radius + 0.1 - kernel.fs - 1e-6] == 1.0)
+        assert np.all(chi[t > radius + 0.1 + kernel.fs + 1e-6] == 0.0)
 
 
 @pytest.mark.parametrize("seed", [1.5, True, np.True_, -1, math.nan, "3", None])
@@ -764,7 +811,7 @@ def test_decision_levels_match_per_ball_loop(eps):
                       + [1.0 + x for x in near[1:]] + [0.5, 2.0]
                       + list(np.cos(make_rng(39, 0).uniform(0.0, 0.5 * math.pi, 40)) ** 2))
     centres = np.eye(2)[np.arange(levels.size) % 2]
-    inner, outer = _decision_levels(levels, eps)
+    inner, outer = _decision_levels(levels, displacement_bound(eps))
     ref_inner, ref_outer = _decision_levels_per_ball(centres, levels, eps)
     # the sentinels -1 and inf exactly, the levels to roundoff
     assert np.allclose(inner, ref_inner, rtol=0.0, atol=1e-15)
@@ -785,7 +832,7 @@ def test_displacement_bound_matches_the_formulas_it_replaced(eps):
     fs = displacement_bound(eps)
     assert fs == (math.asin(eps / (1.0 - eps)) if eps < 0.5 else 0.5 * math.pi)
     levels = np.array([-1.0, 0.5, 0.9])
-    inner, outer = _decision_levels(levels, eps)
+    inner, outer = _decision_levels(levels, fs)
     if eps >= 0.5:
         assert fs == 0.5 * math.pi
         assert np.all(inner == np.inf) and np.all(outer == -1.0)
@@ -897,9 +944,9 @@ def _scaled(rows, rng):
 
 def _boundary_rows(rf, set_spec, rho, rng, directions=3):
     """Rows at R_b +- fs +- {0, mu, 10 mu} and at R_b + {-1/2, 0, 1/2} fs
-    from each ball's centre, R_b = radius + rho the reach, fs the certified
-    displacement, mu the decision angle; several random directions each."""
-    fs = math.asin(rf.eps / (1.0 - rf.eps))
+    from each ball's centre, R_b = radius + rho the reach, fs the decisions'
+    displacement bound, mu the decision angle; several random directions each."""
+    fs = rf.fs
     offsets = [s * fs + u * DECISION_ANGLE for s in (-1.0, 1.0) for u in (-10.0, -1.0, 0.0, 1.0, 10.0)]
     rows = []
     for ball in set_spec.balls:
@@ -923,8 +970,9 @@ def test_certificate_decisions_match_generic_path_at_the_boundary(k):
     # indicator called on every moved point, bit for bit
     rng = make_rng(35, k)
     kwargs = dict(theta=0.3, S=S_BLOCKS, seed=18, mollifier=pc.get_mollifier(k, 0.1))
-    eps = pc.regularize(ones, **kwargs).eps  # the certificate does not depend on the source
-    fs = math.asin(eps / (1.0 - eps))
+    rf = pc.regularize(ones, **kwargs)  # eps and fs do not depend on the source
+    eps, fs = rf.eps, rf.fs
+    assert 0.0 < fs < displacement_bound(eps)
     radius, rho = 0.05, 0.1
 
     # two balls whose reaches overlap by fs / 2: the rows between them
@@ -947,6 +995,28 @@ def test_certificate_decisions_match_generic_path_at_the_boundary(k):
     assert np.array_equal(chi, generic.eval_homog(boundary))
     assert np.any(chi == 1.0) and np.any(chi == 0.0) and np.any((chi > 0.0) & (chi < 1.0))
 
+    # rows between the levels of fs and those of the certificate's
+    # displacement_bound(eps), at R -+ x, along the geodesic through both
+    # centres, away from the other ball, and in random directions inside:
+    # fs decides every one, the certificate none, with the same bits
+    old = dataclasses.replace(kernel, fs=displacement_bound(eps))
+    x = 0.5 * (fs + displacement_bound(eps))
+    R = radius + rho
+    t = [-R - x, gap + R + x, -R + x, gap + R - x]
+    between = np.concatenate([geodesic_row(c0, v, np.array(t)),
+                              geodesic_row(c0, tangent_row(c0, rng), R - x)[None, :],
+                              geodesic_row(pair.centres[1], tangent_row(pair.centres[1], rng),
+                                           R - x)[None, :]])
+    between = _scaled(between, rng)
+    assert _decided(kernel, between) == (between.shape[0], [])
+    assert _decided(old, between)[0] == 0
+    chi = kernel.eval_homog(between)
+    assert np.array_equal(chi, [0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
+    assert np.array_equal(chi, old.eval_homog(between))
+    assert np.array_equal(chi, generic.eval_homog(between))
+    assert _decided(kernel, boundary)[0] > _decided(old, boundary)[0]
+    assert np.array_equal(old.eval_homog(boundary), kernel.eval_homog(boundary))
+
     # a covering ball (level -1) decides every row 1, rho = 0 every row 0
     cover = pc.CompactSetSpec((pc.Ball(pc.ProjectivePoint(c0), 1.5),) + pair.balls[1:])
     for set_spec, r, value in ((cover, rho, 1.0), (pair, 0.0, 0.0)):
@@ -963,10 +1033,11 @@ def test_certificate_decisions_match_generic_path_at_the_boundary(k):
     assert kernel.eps == 0.0 and kernel.forms is None
     assert np.array_equal(kernel.eval_homog(boundary), f(boundary))
 
-    # stored elements far from the identity (eps >= 1/2): nothing is decided
+    # stored elements far from the identity (eps >= 1/2, fs >= pi/2):
+    # nothing is decided
     wide = dict(kwargs, theta=1.0, S=400, mollifier=pc.get_mollifier(k, 2.0))
     kernel = pc.regularize(f, **wide)
-    assert kernel.eps >= 0.5
+    assert kernel.eps >= 0.5 and kernel.fs >= 0.5 * math.pi
     assert _decided(kernel, boundary) == (0, [[0, 1]])
     assert np.array_equal(kernel.eval_homog(boundary),
                           pc.regularize(lambda z: f(z), **wide).eval_homog(boundary))
