@@ -23,10 +23,10 @@ evaluated as a sign test on real matrix products: the test on g_s z is
 |c_b^H g_s z|^2 - l_b |g_s z|^2 > 0, a quadratic form in z that is linear
 in the (k+1)^2 real features |z_i|^2, Re(conj(z_i) z_j) and
 Im(conj(z_i) z_j), i < j.  Its coefficients are built per stored element
-from rank-one terms, once, when the first row needs them, so neither the
-moved points nor their distances are ever formed; nor is the stack of
-group elements, as they come from the draws a block at a time, taken on
-g = e^(theta x) unnormalised: the test is homogeneous in g.
+from rank-one terms by each call with band rows, a chunk at a time, so
+neither the moved points nor their distances are ever formed; nor is the
+stack of group elements, as they come from the draws a block at a time,
+taken on g = e^(theta x) unnormalised: the test is homogeneous in g.
 
 The draws are one :class:`Sample`, a value that every build at any theta
 shares.  A build stores them with two closed-form bounds, exponentiating
@@ -64,6 +64,9 @@ ROW_BLOCK = 128  # rows per evaluation block; bounds the working set for large m
 # then stays below the size at which OpenBLAS starts its threads, whose
 # start-up can stall a thin GEMM for milliseconds on a shared host.
 FORM_GEMM_OUTPUT = 2 ** 15
+# Bytes of forms per chunk of samples: the band rows are counted against one
+# chunk at a time, formed into one buffer, so this bounds the forms at any S.
+FORM_CHUNK_BYTES = 2 ** 20
 # Margins of the row decisions.  DECISION_ANGLE (radians) covers the
 # roundoff of the ratio |c^H z|^2 / |z|^2 and of its levels, which is below
 # 5e-8 rad even where cos^2 is flattest.  DECISION_VALUE narrows the reach
@@ -214,19 +217,19 @@ def _form_coefficients(matrices, centres, levels):
     return _forms(_sample_blocks(matrices), matrices.shape[0], centres, levels)
 
 
-def _forms(blocks, S, centres, levels):
+def _forms(blocks, S, centres, levels, out=None):
     """:func:`_form_coefficients` from the (rows, g) blocks of the S
-    elements, laid out (d, d, n), a ball at a time.  Each ball's forms are
-    one contiguous (d*d, S) slab, feature-major, so that a block writes d*d
-    runs of n contiguous values.  Per block the row sum sum_r P(g_r) is
-    taken once, in row order, and l_b times it once per run of equal levels;
-    each entry of c_b^H g is d products with scalars, and a ball's rows are
-    formed in reused buffers, then copied into its slab."""
+    elements, laid out (d, d, n), a ball at a time, into ``out`` if given.
+    Each ball's forms are one (d*d, S) slab, feature-major, so that a block
+    writes d*d runs of n contiguous values.  Per block the row sum sum_r
+    P(g_r) is taken once, in row order, and l_b times it once per run of
+    equal levels; each entry of c_b^H g is d products with scalars, and a
+    ball's rows are formed in reused buffers, then copied into its slab."""
     levels = np.asarray(levels, dtype=np.float64)
     d = centres.shape[1]
     i, j = _pairs(d)
     p = i.size
-    forms = np.empty((levels.size, d * d, S))
+    forms = np.empty((levels.size, d * d, S)) if out is None else out
     weights = np.conj(centres)
     u, t = np.empty((2, d, min(block_samples(d), S)), dtype=np.complex128)
     row_sum, terms, level_terms = np.empty((3, d * d, u.shape[-1]))
@@ -256,6 +259,12 @@ def _forms(blocks, S, centres, levels):
                 lo += c.shape[0]
             forms[b, :, rows] = np.subtract(out, lt, out=out)
     return forms
+
+
+def _chunk_samples(balls: int, d: int) -> int:
+    """Samples per chunk: the whole blocks whose forms fit FORM_CHUNK_BYTES, one at least."""
+    n = block_samples(d)
+    return max(1, FORM_CHUNK_BYTES // (8 * balls * d * d * n)) * n
 
 
 def displacement_bound(eps: float) -> float:
@@ -312,6 +321,34 @@ def _features(Z: np.ndarray) -> np.ndarray:
     return np.concatenate([Z.real ** 2 + Z.imag ** 2, cross.real, cross.imag], axis=1)
 
 
+def _chunk_hits(slab, tasks, totals):
+    """Add each (features, balls) task's counts over the forms (B, d*d, width)
+    of one chunk to its totals, by GEMMs of at most FORM_GEMM_OUTPUT values
+    on steps of samples into contiguous buffers, allocated here, after the
+    forms: held across the form pass, they would raise its peak.  A chunk is
+    at most 32768 samples, in steps of at least FORM_GEMM_OUTPUT // ROW_BLOCK
+    = 256: no uint8 count wraps, and a row's sum fits uint16."""
+    width = slab.shape[2]
+    size = max(f.shape[0] * min(FORM_GEMM_OUTPUT // f.shape[0], width) for f, _ in tasks)
+    product, hit, counter = np.empty(size), np.empty(size, dtype=bool), np.empty(size, dtype=np.uint8)
+    for (features, balls), total in zip(tasks, totals):
+        m = features.shape[0]
+        step = min(FORM_GEMM_OUTPUT // m, width)
+        count = counter[:m * step].reshape(m, step)
+        count.fill(0)
+        p, h, c = product[:m * step].reshape(m, step), hit[:m * step].reshape(m, step), count
+        for a in range(0, width, step):
+            if width - a < step:  # the last step is short: a contiguous product of its width
+                w = width - a
+                p, h, c = product[:m * w].reshape(m, w), hit[:m * w].reshape(m, w), count[:, :w]
+            np.matmul(features, slab[balls[0], :, a:a + step], out=p)
+            np.greater(p, 0.0, out=h)
+            for b in balls[1:]:
+                h |= np.matmul(features, slab[b, :, a:a + step], out=p) > 0.0
+            np.add(c, h.view(np.uint8), out=c)  # uint8 + uint8: no cast per step
+        total += count.sum(axis=1, dtype=np.uint16)
+
+
 @dataclass(frozen=True, eq=False)
 class RegularizedFunction:
     """Frozen-sample smoothing of a bounded evaluator.
@@ -323,19 +360,18 @@ class RegularizedFunction:
     exponential's squarings and degree for theta times the largest
     ||x_j||_F, both found at the build in closed form
     (:meth:`Sample.certificate`).  ``fs`` >= d_FS(z, g z) for every z and
-    stored g: theta max_j ||x_j||_F, finite where eps is inf (0 when none is
-    stored).  ``matrices`` holds the group elements g_j =
-    exp_chart(theta * x_j), formed from the draws when first read and kept,
-    by the blocks of :func:`_exp_blocks` with that plan, normalised; the
-    form path never reads it.  When the source offers ball tests, fs
-    decides the rows and balls that skip the products, and
-    ``forms`` holds the real coefficients of each test on e^(theta x_j) z
-    per ball, feature and stored element, shape (B, (k+1)^2, S): one
-    contiguous slab per ball whose rows run over the stored elements,
-    formed from those blocks when first read (:func:`_forms`) and
-    kept; otherwise it is None and the source is called on the moved
-    points.  Evaluation is deterministic: the same (seed, S, theta, point)
-    gives the same value bit for bit.
+    stored g: theta max_j ||x_j||_F times 1 + 1e-12, finite where eps is
+    inf; left out, it is taken from the draws as :meth:`Sample.smooth`
+    takes it (0 when none is stored).  ``matrices`` holds the group
+    elements g_j = exp_chart(theta * x_j), formed from the draws when first
+    read and kept, by the blocks of :func:`_exp_blocks` with that plan,
+    normalised; the form path never reads it.  When the source offers ball
+    tests, fs decides the rows and balls that skip the products, and each
+    call with band rows forms the real coefficients of each test on
+    e^(theta x_j) z from those blocks, one chunk of FORM_CHUNK_BYTES at a
+    time (:meth:`_form_hits`), and keeps none; otherwise the source is
+    called on the moved points.  Evaluation is deterministic: the same
+    (seed, S, theta, point) gives the same value bit for bit.
     """
 
     source: FunctionOnP
@@ -344,7 +380,12 @@ class RegularizedFunction:
     S: int
     plan: tuple
     eps: float = 0.0
-    fs: float = 0.0
+    fs: Optional[float] = None
+
+    def __post_init__(self):
+        if self.fs is None:
+            fs = float(self.theta) * Sample(self.draws).max_norm * (1.0 + 1e-12) if self.draws.size else 0.0
+            object.__setattr__(self, "fs", fs)
 
     @cached_property
     def matrices(self) -> np.ndarray:
@@ -363,15 +404,6 @@ class RegularizedFunction:
         centres, levels = self.source.ball_tests()
         return (np.conj(centres).T, *_decision_levels(levels, self.fs))
 
-    @cached_property
-    def forms(self) -> Optional[np.ndarray]:
-        if self._decisions is None:
-            return None
-        blocks = _exp_blocks(self.draws, self.theta, self.plan)
-        forms = _forms(blocks, self.S, *self.source.ball_tests())
-        forms.setflags(write=False)
-        return forms
-
     def eval_homog(self, rows) -> np.ndarray:
         """Average of f over the moved points, for stacked homogeneous rows.
 
@@ -385,8 +417,10 @@ class RegularizedFunction:
         On the form path every row is first placed by the bound ``fs`` (see
         :func:`_decision_levels`).  A row inside some ball counts every
         stored element, a row with no candidate ball counts none, and the
-        products run on the band rows, for their candidate balls only; the
-        first band row forms :attr:`forms`.  A decided
+        products run on the band rows, for their candidate balls only, each
+        call forming the coefficients afresh, a chunk at a time
+        (:meth:`_form_hits`): batch the rows, as a call per point pays a
+        form pass each.  A decided
         count equals the products' count bit for bit: each moved point of a
         decided row clears its test by a margin far above the products'
         roundoff."""
@@ -402,10 +436,12 @@ class RegularizedFunction:
                 total[r:r + ROW_BLOCK] = self._source_sum(Z[r:r + ROW_BLOCK])
             return total / self.S
         total, groups = self._decide(Z)
-        for balls, band in groups:
-            for r in range(0, band.size, ROW_BLOCK):
-                block = band[r:r + ROW_BLOCK]
-                total[block] = self._form_hits(_features(Z[block]), balls)
+        row_blocks = [(balls, band[r:r + ROW_BLOCK]) for balls, band in groups
+                      for r in range(0, band.size, ROW_BLOCK)]
+        if row_blocks:
+            hits = self._form_hits([(_features(Z[rows]), balls) for balls, rows in row_blocks])
+            for (_, rows), h in zip(row_blocks, hits):
+                total[rows] = h
         return total / self.S
 
     def _source_sum(self, Z: np.ndarray) -> np.ndarray:
@@ -437,33 +473,21 @@ class RegularizedFunction:
         return total, [(np.flatnonzero(candidates[band[f]]), band[group == i])
                        for i, f in enumerate(first)]
 
-    def _form_hits(self, features: np.ndarray, balls: np.ndarray) -> np.ndarray:
-        """Count of stored elements with a positive form among the given
-        balls, per row of features (m, d*d), m <= ROW_BLOCK, OR-ed over the
-        balls, from GEMMs of at most FORM_GEMM_OUTPUT values each on steps
-        of contiguous samples of the slabs.  The steps reuse one product,
-        one hit and one uint8 counter buffer; the counter is flushed into
-        the totals every 255 steps, before any entry can wrap."""
-        forms = self.forms  # the first call forms the slabs: before the buffers
-        m = features.shape[0]
-        step = max(1, FORM_GEMM_OUTPUT // m)
-        product = np.empty((m, min(step, self.S)))
-        hit = np.empty(product.shape, dtype=bool)
-        count = np.zeros(product.shape, dtype=np.uint8)
-        total = np.zeros(m, dtype=np.int64)
-        p, h, c = product, hit, count
-        for lo in range(0, self.S, step):
-            if self.S - lo < step:  # the last step is short: the buffers' first columns
-                p, h, c = (buf[:, :self.S - lo] for buf in (product, hit, count))
-            np.matmul(features, forms[balls[0], :, lo:lo + step], out=p)
-            np.greater(p, 0.0, out=h)
-            for b in balls[1:]:
-                h |= np.matmul(features, forms[b, :, lo:lo + step], out=p) > 0.0
-            np.add(c, h.view(np.uint8), out=c)  # uint8 + uint8: no cast per step
-            if lo // step % 255 == 254:  # each entry has taken at most 255 increments
-                total += count.sum(axis=1, dtype=np.int64)
-                count.fill(0)
-        return total + count.sum(axis=1, dtype=np.int64)
+    def _form_hits(self, tasks) -> list:
+        """Counts (int64) of stored elements with a positive form among a
+        task's balls, per row of its features (m, d*d), m <= ROW_BLOCK, for
+        the (features, balls) tasks, one :func:`_chunk_samples` chunk of
+        forms at a time, formed into one buffer (:func:`_chunk_hits`)."""
+        centres, levels = self.source.ball_tests()
+        d = self.draws.shape[1]
+        chunk = min(_chunk_samples(levels.size, d), self.S)
+        forms = np.empty((levels.size, d * d, chunk + 8))  # + a cache line: rows 2^j B apart share sets
+        totals = [np.zeros(f.shape[0], dtype=np.int64) for f, _ in tasks]
+        for lo in range(0, self.S, chunk):
+            width = min(chunk, self.S - lo)
+            _chunk_hits(_forms(_exp_blocks(self.draws[lo:lo + width], self.theta, self.plan), width,
+                               centres, levels, out=forms[:, :, :width]), tasks, totals)
+        return totals
 
     def __call__(self, p: ProjectivePoint) -> float:
         return float(self.eval_homog(p.homog[None, :])[0])

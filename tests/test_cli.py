@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import math
 import pickle
@@ -131,6 +132,21 @@ def test_alpha1_band_holds_the_bundled_config_at_other_seeds(seed, tmp_path):
                  "--threads", "1"]) == 0
     slope = json.loads((tmp_path / "out" / "scaling_alpha1_summary.json").read_text())["slope"]
     assert -1.15 <= slope <= -0.85
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_alpha2_band_holds_the_bundled_config_at_other_seeds(seed, tmp_path):
+    # the alpha = 2 band, at grid 100: the bundled k = 1 config exits 0 at
+    # other seeds
+    cfg = json.loads((Path(__file__).resolve().parent.parent / "configs"
+                      / "scaling_alpha2.json").read_text())
+    path = tmp_path / "scaling.json"
+    path.write_text(json.dumps(dict(cfg, seed=seed, grid=100)))
+    assert main(["scaling", "--config", str(path), "--out", str(tmp_path / "out"),
+                 "--threads", "1"]) == 0
+    slope = json.loads((tmp_path / "out" / "scaling_alpha2_summary.json").read_text())["slope"]
+    low, high = DEFAULT_BANDS[2]
+    assert low <= slope <= high
 
 
 def test_scaling_band_violation_exits_1(scaling_config, tmp_path, monkeypatch, capsys):
@@ -571,11 +587,11 @@ def test_bundled_verify_never_forms_the_stack(name, tmp_path, monkeypatch, expm_
     # every row verify evaluates is decided by the certificate, which
     # exponentiates nothing: neither the group elements nor the forms
     # are formed
-    def refuse(self):
+    def refuse(*args):
         raise AssertionError("verify formed the group elements or the forms")
 
     monkeypatch.setattr(RegularizedFunction, "matrices", property(refuse))
-    monkeypatch.setattr(RegularizedFunction, "forms", property(refuse))
+    monkeypatch.setattr(importlib.import_module("projcut.regularize"), "_forms", refuse)
     assert main(["verify", "--config", str(CONFIG_DIR / name), "--out", str(tmp_path)]) == 0
     assert expm_draws == []
 

@@ -16,7 +16,7 @@ from projcut.errors import ConfigError, DeltaOutOfRange
 from projcut.geometry import rows_dist_to_set, uniform_rows
 from projcut.cli import DEFAULT_BANDS, load_config
 from projcut.lie import _frob
-from projcut.regularize import (MAX_S, RegularizedFunction, _features, _stencil_rows,
+from projcut.regularize import (MAX_S, ROW_BLOCK, RegularizedFunction, _features, _stencil_rows,
                                 displacement_bound)
 from projcut.rng import make_rng
 
@@ -312,8 +312,10 @@ def test_verify_rows_skip_the_products(monkeypatch):
             report = pc.verify_cutoff(cf, cfg.n_inner, cfg.n_outer, cfg.seed)
         assert report.passed
         assert report.max_dev_on_K == 0.0 and report.max_val_off_Kdelta == 0.0
-        assert np.all(cf.rf._form_hits(_features(inner), balls) == cf.rf.S)
-        assert np.all(cf.rf._form_hits(_features(outer), balls) == 0)
+        tasks = [(_features(rows[r:r + ROW_BLOCK]), balls) for rows in (inner, outer)
+                 for r in range(0, rows.shape[0], ROW_BLOCK)]
+        hits = np.concatenate(cf.rf._form_hits(tasks))
+        assert np.all(hits[:cfg.n_inner] == cf.rf.S) and np.all(hits[cfg.n_inner:] == 0)
 
 
 @pytest.mark.parametrize("name", ["verify_two_balls.json", "verify_rp1_net.json"])

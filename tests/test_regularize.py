@@ -13,9 +13,10 @@ from projcut.errors import ConfigError, StepTooSmall
 from projcut.geometry import geodesic_row, rows_dist_to_set, tangent_row, uniform_rows
 from projcut.lie import _expm, _expm_plan, _frob, _normalize_stack, block_samples
 from projcut.measure import sample_matrices
-from projcut.regularize import (DECISION_ANGLE, DECISION_VALUE, FORM_GEMM_OUTPUT, MAX_S,
-                                ROW_BLOCK, RegularizedFunction, Sample, _decision_levels,
-                                _features, _form_coefficients, _forms, displacement_bound)
+from projcut.regularize import (DECISION_ANGLE, DECISION_VALUE, FORM_CHUNK_BYTES, FORM_GEMM_OUTPUT,
+                                MAX_S, ROW_BLOCK, RegularizedFunction, Sample, _chunk_samples,
+                                _decision_levels, _features, _form_coefficients, _forms,
+                                displacement_bound)
 from projcut.rng import make_rng
 
 from conftest import random_traceless
@@ -301,8 +302,7 @@ def test_form_kernel_matches_generic_path(k):
     kwargs = dict(theta=0.3, S=S_BLOCKS, seed=14, mollifier=pc.get_mollifier(k, 0.1))
     kernel = pc.regularize(f, **kwargs)
     generic = pc.regularize(lambda rows: f(rows), **kwargs)
-    assert kernel.forms.shape == (3, (k + 1) ** 2, kwargs["S"])
-    assert generic.forms is None
+    assert kernel._decisions is not None and generic._decisions is None
 
     rows = np.concatenate([_band_heavy_rows(set_spec, rho, 260, rng),
                            uniform_rows(k, 40, rng)])
@@ -313,7 +313,7 @@ def test_form_kernel_matches_generic_path(k):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_form_coefficients_are_the_ball_tests(k):
+def test_form_coefficients_are_the_ball_tests(k, monkeypatch):
     # each coefficient row applied to the features of z is the value
     # |c^H g z|^2 - l |g z|^2 of its ball's test on g = e^(theta x),
     # unnormalised, the covering ball included
@@ -328,7 +328,7 @@ def test_form_coefficients_are_the_ball_tests(k):
     images = np.einsum("sij,mj->smi", _expm(rf.theta * rf.draws), Z)  # g z, shape (S, m, k+1)
     direct = (np.abs(images @ np.conj(centres).T) ** 2
               - levels * np.linalg.norm(images, axis=2, keepdims=True) ** 2)
-    values = _features(Z) @ rf.forms  # shape (B, m, S)
+    values = _features(Z) @ _chunk_forms(rf, monkeypatch)  # shape (B, m, S)
     norms = np.linalg.norm(Z, axis=1) ** 2
     assert np.all(np.abs(values - direct.transpose(2, 1, 0)) <= 1e-12 * norms[:, None])
 
@@ -369,6 +369,27 @@ def _counted_hits(features, forms, balls):
     return hits
 
 
+def _chunk_forms(rf, monkeypatch):
+    """The forms of every chunk that one band call of rf forms, copied and
+    concatenated over the samples: shape (B, d*d, S)."""
+    chunks = []
+
+    def recorded(*args, **kwargs):
+        out = _forms(*args, **kwargs)
+        chunks.append(out.copy())
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(importlib.import_module("projcut.regularize"), "_forms", recorded)
+        rf._form_hits([(np.zeros((1, rf.draws.shape[1] ** 2)), np.array([0]))])
+    return np.concatenate(chunks, axis=2)
+
+
+def _stack_forms(rf):
+    """The reference forms of rf's ball tests on the stack e^(theta x)."""
+    return _form_coefficients(_expm(rf.theta * rf.draws), *rf.source.ball_tests())
+
+
 @pytest.mark.parametrize("k, S, m, balls", [
     (1, S_BLOCKS, 1, [0]),
     (1, S_BLOCKS, ROW_BLOCK, [1]),
@@ -377,42 +398,106 @@ def _counted_hits(features, forms, balls):
     (1, 65837, ROW_BLOCK, [0, 1, 2]),
 ])
 def test_form_hits_count_the_positive_forms(k, S, m, balls):
-    # the counter reused over the steps of samples, the last step short,
-    # counts what the whole products count; at S = 65837 and m = ROW_BLOCK
-    # a row inside a ball takes 258 increments of 1, so the uint8 counter is
-    # flushed once, after 255 steps
+    # the buffers reused over the chunks, the tasks and the steps of
+    # samples, the last chunk and the last step short, count what the
+    # products of the stack's forms count; at S = 65837 a row inside a ball
+    # takes seven chunks, each flushed from the uint8 counter; a second task
+    # of fewer rows and another step width shares the buffers
     rng = make_rng(41, k)
     set_spec = pc.CompactSetSpec(tuple(pc.Ball(pc.ProjectivePoint(c), r)
                                        for c, r in zip(uniform_rows(k, 3, rng), (0.0, 0.05, 0.2))))
     rho = 0.1
     rf = pc.regularize(pc.indicator_fattened(set_spec, rho), theta=0.3, S=S, seed=21,
                        mollifier=pc.get_mollifier(k, 0.1))
+    forms = _stack_forms(rf)
     rows = _band_heavy_rows(set_spec, rho, m + 40, rng)
-    counts = _counted_hits(_features(rows), rf.forms, balls)
+    counts = _counted_hits(_features(rows), forms, balls)
     rows = rows[np.argsort((counts == 0) | (counts == S), kind="stable")[:m]]  # band rows first
     rows[1:4] = set_spec.centres[:m - 1]  # rows 1-3 are the centres when m > 1
     features = _features(rows)
-    hits = rf._form_hits(features, np.array(balls))
-    assert S % (FORM_GEMM_OUTPUT // m) != 0
-    assert np.array_equal(hits, _counted_hits(features, rf.forms, balls))
+    hits, few = rf._form_hits([(features, np.array(balls)), (features[:7], np.array(balls[:1]))])
+    assert S % (FORM_GEMM_OUTPUT // m) != 0 and S % _chunk_samples(3, k + 1) != 0
+    assert np.array_equal(hits, _counted_hits(features, forms, balls))
+    assert np.array_equal(few, _counted_hits(features[:7], forms, balls[:1]))
     assert np.any((hits > 0) & (hits < S))  # the band is exercised
     if m > 1:  # each candidate's centre counts every sample, OR-ed over the balls
         assert np.all(hits[1:4][balls] == S)
-        assert len(balls) == 1 or all(np.any(hits > _counted_hits(features, rf.forms, [b]))
+        assert len(balls) == 1 or all(np.any(hits > _counted_hits(features, forms, [b]))
                                       for b in balls)
 
 
-def test_forms_are_formed_once_at_the_first_band_row(two_ball_set, monkeypatch, expm_draws):
-    # the build and the decided rows exponentiate nothing; the first band
-    # row forms the coefficients straight from the draws, exponentiating
-    # each draw once, block by block, with no stack of group elements;
-    # later band rows reuse them, bit for bit those of the direct call on
-    # the unnormalised stack e^(theta x)
+def test_chunks_fit_the_counter_and_the_row_sums():
+    # a chunk is whole sample blocks within FORM_CHUNK_BYTES, one block at
+    # least; it takes at most 255 steps of FORM_GEMM_OUTPUT // ROW_BLOCK
+    # samples, so no entry of the uint8 counter wraps, and a row's count
+    # over it, at most its samples, fits uint16
+    for d in range(2, 6):
+        for balls in (1, 2, 3, 128):
+            chunk = _chunk_samples(balls, d)
+            assert chunk % block_samples(d) == 0 and chunk >= block_samples(d)
+            assert 8 * balls * d * d * chunk <= FORM_CHUNK_BYTES or chunk == block_samples(d)
+            assert chunk <= 255 * (FORM_GEMM_OUTPUT // ROW_BLOCK) and chunk < 2 ** 16
+
+
+def _net(rng, count):
+    """count balls of radius 0.003 along a geodesic, 0.011 apart, with
+    the geodesic's start and direction."""
+    c0 = uniform_rows(1, 1, rng)[0]
+    v = tangent_row(c0, rng)
+    return pc.CompactSetSpec(tuple(pc.Ball(pc.ProjectivePoint(geodesic_row(c0, v, 0.011 * i)), 0.003)
+                                   for i in range(count))), c0, v
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, "net"])
+def test_band_counts_are_the_products_of_the_stack(k, monkeypatch):
+    # each band call counts against one chunk of forms at a time; its counts
+    # equal, bit for bit, those of the features times the forms of the
+    # whole stack e^(theta x), OR-ed over every ball, at an S that is a
+    # multiple of neither the chunk nor the block, over band rows that span
+    # several ROW_BLOCKs, rows with two candidate balls and the 130-ball set
+    # of one block per chunk; the chunks it forms are the stack's forms
+    rng = make_rng(45, 0 if k == "net" else k)
+    if k == "net":
+        k, rho = 1, 0.003
+        set_spec, c0, v = _net(rng, 130)
+        extra = _scaled(geodesic_row(c0, v, rng.uniform(-0.01, 1.44, 300)), rng)
+    else:
+        radius, rho = 0.05, 0.1
+        c0 = uniform_rows(k, 1, rng)[0]
+        v = tangent_row(c0, rng)
+        gap = 2.0 * (radius + rho) - 0.01  # the reaches overlap: rows between are candidates for both
+        set_spec = pc.CompactSetSpec((pc.Ball(pc.ProjectivePoint(c0), radius),
+                                      pc.Ball(pc.ProjectivePoint(geodesic_row(c0, v, gap)), radius)))
+        extra = _scaled(geodesic_row(c0, v, 0.5 * gap + rng.uniform(-0.01, 0.01, 40)), rng)
+    B, d = len(set_spec.balls), k + 1
+    chunk, n = _chunk_samples(B, d), block_samples(d)
+    S = chunk + n + 301
+    assert S % chunk and S % n and (B < 100 or chunk == n)
+    rf = pc.regularize(pc.indicator_fattened(set_spec, rho), theta=0.3 if B < 100 else 0.05, S=S,
+                       seed=22, mollifier=pc.get_mollifier(k, 0.1))
+    rows = np.concatenate([_band_heavy_rows(set_spec, rho, 500, rng), extra])
+    _, groups = rf._decide(rows)
+    assert sum(band.size for _, band in groups) > 2 * ROW_BLOCK
+    assert any(balls.size > 1 for balls, _ in groups)
+    assert max(band.size for _, band in groups) > ROW_BLOCK or B > 100
+    forms = _stack_forms(rf)
+    chi = rf.eval_homog(rows)
+    assert np.array_equal(chi, _counted_hits(_features(rows), forms, range(B)) / S)
+    assert np.any((chi > 0.0) & (chi < 1.0))
+    assert np.array_equal(_chunk_forms(rf, monkeypatch), forms)
+
+
+def test_each_band_call_exponentiates_every_draw_once(two_ball_set, monkeypatch, expm_draws):
+    # the build and the decided rows exponentiate nothing; each call with
+    # band rows forms the coefficients straight from the draws, a chunk at
+    # a time, exponentiating each draw once, block by block, and never
+    # forms the group elements; a later call forms them again, with the
+    # same counts, bit for bit those of the stack e^(theta x)
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return _forms(*args)
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return _forms(*args, **kwargs)
 
     def refuse(self):
         raise AssertionError("the form path formed the group elements")
@@ -430,17 +515,17 @@ def test_forms_are_formed_once_at_the_first_band_row(two_ball_set, monkeypatch, 
         m.setattr(RegularizedFunction, "matrices", property(refuse))
         chi = rf.eval_homog(band)
         assert np.any((chi > 0.0) & (chi < 1.0))
-        forms = rf.forms
+        assert calls == [S] and expm_draws == [block_samples(2), 301]
         assert np.array_equal(rf.eval_homog(band[::-1]), chi[::-1])
-        assert rf.forms is forms
-    assert len(calls) == 1 and expm_draws == [block_samples(2), 301]
+    assert calls == [S] * 2 and expm_draws == [block_samples(2), 301] * 2
     draws = Sample.draw(pc.get_mollifier(1, 0.1), S, 19).draws
     assert np.array_equal(rf.draws, draws)
     mats = rf.matrices  # formed on demand, from the draws alone, by the same blocks
-    assert expm_draws == [block_samples(2), 301] * 2
+    assert expm_draws == [block_samples(2), 301] * 3
     assert np.array_equal(mats, _normalize_stack(_expm(0.3 * draws)))
-    assert np.array_equal(forms, _form_coefficients(_expm(0.3 * draws), *f.ball_tests()))
-    assert not mats.flags.writeable and not forms.flags.writeable
+    forms = _form_coefficients(_expm(0.3 * draws), *f.ball_tests())
+    assert np.array_equal(chi, _counted_hits(_features(band), forms, [0, 1]) / S)
+    assert not mats.flags.writeable
     # the certificate bounds every element from above
     assert float(_frob(mats - np.eye(2)).max()) <= rf.eps
 
@@ -448,19 +533,19 @@ def test_forms_are_formed_once_at_the_first_band_row(two_ball_set, monkeypatch, 
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("theta", [0.05, 1.0])
 @pytest.mark.parametrize("sigma", [0.1, 3.0])
-def test_form_pass_has_the_bits_of_the_stack(k, theta, sigma):
-    # the forms taken block by block from the draws equal, bit for bit, those
-    # of the unnormalised stack e^(theta x), over several sample blocks, a
-    # covering ball among the balls, and up to 4 squarings of the
-    # exponential; a first block of small draws, which alone would take
-    # fewer squarings, takes those of the whole stack, the plan the build
-    # found
+def test_form_pass_has_the_bits_of_the_stack(k, theta, sigma, monkeypatch):
+    # the forms taken chunk by chunk and block by block from the draws
+    # equal, bit for bit, those of the unnormalised stack e^(theta x), over
+    # two chunks of several sample blocks, a covering ball among the balls,
+    # and up to 4 squarings of the exponential; a first block of small
+    # draws, which alone would take fewer squarings, takes those of the
+    # whole stack, the plan the build found, and so does a direct build
     rng = make_rng(39, k)
     set_spec = pc.CompactSetSpec(tuple(pc.Ball(pc.ProjectivePoint(c), r)
                                        for c, r in zip(uniform_rows(k, 3, rng), (0.0, 0.2, 1.5))))
     f = pc.indicator_fattened(set_spec, 0.1)
     n = block_samples(k + 1)
-    rf = pc.regularize(f, theta, 2 * n + 301, 3, pc.get_mollifier(k, sigma))
+    rf = pc.regularize(f, theta, _chunk_samples(3, k + 1) + n + 301, 3, pc.get_mollifier(k, sigma))
     draws = rf.draws.copy()
     draws[:n] *= 0.05
     if theta * sigma > 1.0:
@@ -468,11 +553,30 @@ def test_form_pass_has_the_bits_of_the_stack(k, theta, sigma):
         assert squarings[0] >= 3 > squarings[1]
     for g in (rf, RegularizedFunction(f, theta, draws, rf.S, rf.plan)):
         assert _stack_plan(theta * g.draws) == rf.plan
-        assert np.array_equal(g.forms, _form_coefficients(_expm(theta * g.draws), *f.ball_tests()))
+        assert np.array_equal(_chunk_forms(g, monkeypatch), _stack_forms(g))
+
+
+def test_direct_build_takes_the_displacement_bound_of_its_draws(mollifier_k1):
+    # a RegularizedFunction built from draws and a plan alone takes fs from
+    # its draws with the bits of Sample.smooth, and decides like it: with
+    # fs = 0 it read 1, 1, 0.494, 0 where the band reads 0.996, 0.879,
+    # 0.494, 0.123 (k = 1, one ball of radius 0.05 fattened by 0.1)
+    rng = make_rng(46, 1)
+    c = uniform_rows(1, 1, rng)[0]
+    f = pc.indicator_fattened(pc.CompactSetSpec((pc.Ball(pc.ProjectivePoint(c), 0.05),)), 0.1)
+    rf = pc.regularize(f, 0.3, 2000, 5, mollifier_k1)
+    direct = RegularizedFunction(f, rf.theta, rf.draws, rf.S, rf.plan)
+    assert direct.fs == rf.fs > 0.0
+    rows = geodesic_row(c, tangent_row(c, rng), np.linspace(0.1, 0.2, 11))
+    chi = rf.eval_homog(rows)
+    assert np.array_equal(direct.eval_homog(rows), chi)
+    assert np.array_equal(chi[3:7], [0.996, 0.879, 0.494, 0.123])
+    assert RegularizedFunction(f, 0.0, rf.draws, rf.S, rf.plan).fs == 0.0
+    assert pc.regularize(f, 0.0, 2000, 5, mollifier_k1).fs == 0.0
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_forms_are_those_of_the_group_elements_times_the_corner(k):
+def test_forms_are_those_of_the_group_elements_times_the_corner(k, monkeypatch):
     # the test is homogeneous in g: the forms on e^(theta x) are those on
     # exp_chart(theta x) = e^(theta x) / g_00 times |g_00|^2 > 0, per sample
     rng = make_rng(43, k)
@@ -482,49 +586,66 @@ def test_forms_are_those_of_the_group_elements_times_the_corner(k):
     rf = pc.regularize(f, 0.3, S_BLOCKS, 5, pc.get_mollifier(k, 0.1))
     corner = np.abs(_expm(rf.theta * rf.draws)[:, 0, 0]) ** 2
     chart = _form_coefficients(rf.matrices, *f.ball_tests())
-    assert np.all(np.abs(rf.forms - chart * corner) <= 1e-12)
-    assert np.abs(rf.forms).max() <= 4.0  # O(1): g is near Id
+    forms = _chunk_forms(rf, monkeypatch)
+    assert np.all(np.abs(forms - chart * corner) <= 1e-12)
+    assert np.abs(forms).max() <= 4.0  # O(1): g is near Id
+
+
+def _two_ball_band(k, rng, count=300):
+    """Two balls of radius 0.05 at k, their indicator fattened by 0.1, and
+    count rows at distance 0.13-0.17 from their centres, in the band."""
+    set_spec = pc.CompactSetSpec(tuple(pc.Ball(pc.ProjectivePoint(c), 0.05)
+                                       for c in uniform_rows(k, 2, rng)))
+    rows = [geodesic_row(c, tangent_row(c, rng), 0.15 + 0.02 * (2.0 * rng.random() - 1.0))
+            for c in set_spec.centres[np.arange(count) % 2]]
+    return pc.indicator_fattened(set_spec, 0.1), np.stack(rows)
+
+
+def _band_peak(rf, rows):
+    """The tracemalloc peak of rf.eval_homog(rows) above what it starts from."""
+    tracemalloc.start()
+    try:
+        rf.eval_homog(rows)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_form_pass_forms_no_stack_sized_temporary(k):
-    # at S = 20000 an (S, k+1, k+1) complex temporary takes 1.22 MiB at
-    # k = 1 and 4.9 MiB at k = 3; the form pass holds the forms of two balls
-    # and one block's temporaries, below 1 MiB at k = 1 and 2 MiB at k = 3
-    rng = make_rng(44, k)
-    set_spec = pc.CompactSetSpec(tuple(pc.Ball(pc.ProjectivePoint(c), 0.05)
-                                       for c in uniform_rows(k, 2, rng)))
-    rf = Sample.draw(pc.get_mollifier(k, 0.1), 20000, 7).smooth(
-        pc.indicator_fattened(set_spec, 0.1), 0.3)
-    tracemalloc.start()
-    try:
-        forms = rf.forms
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= forms.nbytes + {1: 1, 3: 2}[k] * 2 ** 20 < forms.nbytes + rf.draws.nbytes
+    # at S = 20000 a band evaluation holds one chunk's forms of two balls
+    # (1 MiB), one block's temporaries and the product buffers: no
+    # (B, (k+1)^2, S) slab, whose 1.2 MiB at k = 1 and 4.9 MiB at k = 3 the
+    # forms took before, and no stack-sized temporary
+    f, rows = _two_ball_band(k, make_rng(44, k))
+    rf = Sample.draw(pc.get_mollifier(k, 0.1), 20000, 7).smooth(f, 0.3)
+    chunk = 2 * (k + 1) ** 2 * 8 * _chunk_samples(2, k + 1)
+    assert chunk <= FORM_CHUNK_BYTES
+    assert len(rf._decide(rows)[1]) == 2  # every row is a band row
+    assert _band_peak(rf, rows) <= chunk + {1: 1, 3: 2}[k] * 2 ** 20 < chunk + rf.draws.nbytes
 
 
 def test_build_and_forms_hold_draws_forms_and_one_block():
-    # at k = 3, S = 20000 the draws and the forms of two balls take 4.9 MiB
-    # each; the sampler and the form pass add one chunk's or one block's
-    # temporaries, not a stack-sized array
-    k, S = 3, 20000
-    rng = make_rng(42, k)
-    set_spec = pc.CompactSetSpec(tuple(pc.Ball(pc.ProjectivePoint(c), 0.05)
-                                       for c in uniform_rows(k, 2, rng)))
-    f = pc.indicator_fattened(set_spec, 0.1)
+    # at k = 3 a build holds the draws (4.9 MiB at S = 20000) and adds one
+    # chunk's or one block's temporaries of the sampler; a band evaluation
+    # adds one chunk's forms and one block's temporaries, at most 2 MiB
+    # above the forms, and no more at three times the samples
+    k = 3
+    f, rows = _two_ball_band(k, make_rng(42, k))
     mollifier = pc.get_mollifier(k, 0.1)
     Sample.draw(mollifier, 1, 0)  # the radius table, cached
-    tracemalloc.start()
-    try:
-        sample = Sample.draw(mollifier, S, 7)
-        forms = sample.smooth(f, 0.3).forms
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert forms.shape == (2, (k + 1) ** 2, S)
-    assert peak <= sample.draws.nbytes + forms.nbytes + 3 * 2 ** 20
+    chunk = 2 * (k + 1) ** 2 * 8 * _chunk_samples(2, k + 1)
+    peaks = []
+    for S in (20000, 60000):
+        tracemalloc.start()
+        try:
+            rf = Sample.draw(mollifier, S, 7).smooth(f, 0.3)
+            assert tracemalloc.get_traced_memory()[1] <= rf.draws.nbytes + 3 * 2 ** 20
+        finally:
+            tracemalloc.stop()
+        peaks.append(_band_peak(rf, rows))
+        assert peaks[-1] <= chunk + 2 * 2 ** 20
+    assert peaks[1] <= peaks[0] + 1024  # the interpreter's own objects aside
 
 
 def test_generic_path_forms_the_elements_at_its_first_call(mollifier_k1, expm_draws):
@@ -1030,7 +1151,7 @@ def test_certificate_decisions_match_generic_path_at_the_boundary(k):
 
     # theta = 0 passes the indicator through
     kernel = pc.regularize(f, **dict(kwargs, theta=0.0))
-    assert kernel.eps == 0.0 and kernel.forms is None
+    assert kernel.eps == kernel.fs == 0.0 and kernel._decisions is None
     assert np.array_equal(kernel.eval_homog(boundary), f(boundary))
 
     # stored elements far from the identity (eps >= 1/2, fs >= pi/2):
@@ -1049,11 +1170,7 @@ def test_band_groups_on_many_balls_are_the_distinct_patterns():
     # distinct candidate patterns, in order, each band row in one, and the
     # pruned path equals the indicator called on every moved point
     rng = make_rng(39, 1)
-    c0 = uniform_rows(1, 1, rng)[0]
-    v = tangent_row(c0, rng)
-    balls = tuple(pc.Ball(pc.ProjectivePoint(geodesic_row(c0, v, 0.011 * i)), 0.003)
-                  for i in range(130))
-    net = pc.CompactSetSpec(balls)
+    net, c0, v = _net(rng, 130)
     f = pc.indicator_fattened(net, 0.003)
     kwargs = dict(theta=0.05, S=300, seed=20, mollifier=pc.get_mollifier(1, 0.1))
     kernel = pc.regularize(f, **kwargs)
