@@ -160,20 +160,20 @@ class CutoffFunction:
 def build_cutoff(set_spec: CompactSetSpec, delta: float, config: CutoffConfig) -> CutoffFunction:
     """Smooth the indicator of the delta/2-neighbourhood at the matched scale.
 
-    The build stores ``config.sample`` and its certificate ``rf.eps``, a
-    closed-form upper bound on the Frobenius distance of every stored group
-    element from the identity, and refuses it above
-    :attr:`CutoffFunction.frob_bound`; it certifies the displacement bounds
-    of :func:`verify_cutoff`.  Nothing is exponentiated here: the group
-    elements and the ball tests' coefficients are formed by the evaluator
-    at the first row that needs them.
+    The evaluator is the indicator, theta and ``config.sample`` alone.  Its
+    certificate ``rf.eps``, a closed-form upper bound on the Frobenius
+    distance of every stored group element from the identity, is refused
+    above :attr:`CutoffFunction.frob_bound`; it certifies the displacement
+    bounds of :func:`verify_cutoff`.  Nothing is exponentiated here: the
+    group elements and the ball tests' coefficients are formed by the
+    evaluator at the first row that needs them.
     """
     if not DELTA_FLOOR < delta < config.delta0:
         raise DeltaOutOfRange(f"delta must lie in ({DELTA_FLOOR}, {config.delta0})")
     if set_spec.k != config.k:
         raise ConfigError("set: dimension does not match the configuration")
-    rf = config.sample.smooth(indicator_fattened(set_spec, 0.5 * delta),
-                              choose_theta(config, delta))
+    rf = RegularizedFunction(indicator_fattened(set_spec, 0.5 * delta), choose_theta(config, delta),
+                             config.sample)
     cf = CutoffFunction(config, set_spec, delta, rf)
     if rf.eps > cf.frob_bound:
         raise ConfigError(f"distortion: stored sample deviates by {rf.eps:.3e}, "

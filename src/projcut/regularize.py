@@ -29,16 +29,16 @@ stack of group elements, as they come from the draws a block at a time,
 taken on g = e^(theta x) unnormalised: the test is homogeneous in g.
 
 The draws are one :class:`Sample`, a value that every build at any theta
-shares.  A build stores them with two closed-form bounds, exponentiating
-nothing: the certificate eps >= ||g - Id||_F of every stored g
-(:meth:`Sample.certificate`), and fs = theta max_j ||x_j||_F: the curve
-w = e^(t y) z, y = theta x, has Fubini-Study speed ||(I - w w^H) y w|| <=
-||y||_F at unit w, so no g moves any point by more than fs.  A test holds on all
-of a ball of reach R about c_b, so every moved point of a row within R - fs
-of c_b passes it, and none of a row at R + fs or beyond does.  Each row is
-first placed against these levels: a row inside some ball is decided 1, a
-row outside every ball is decided 0, and only the rows left, the band rows,
-go through the products, and only for their candidate balls.
+shares; a build derives from it and theta two closed-form bounds, with
+nothing exponentiated: the certificate eps >= ||g - Id||_F of every
+stored g (:meth:`Sample.certificate`), and fs = theta max_j ||x_j||_F:
+the curve w = e^(t y) z, y = theta x, has Fubini-Study speed
+||(I - w w^H) y w|| <= ||y||_F at unit w, so no g moves any point by more
+than fs.  A test holds on all of a ball of reach R about c_b, so every
+moved point of a row within R - fs of c_b passes it, and none of a row at
+R + fs or beyond does.  Each row is first placed against these levels: a
+row inside some ball is decided 1, a row outside every ball 0, and only
+the band rows left go through the products, for their candidate balls.
 """
 
 from __future__ import annotations
@@ -101,23 +101,20 @@ def check_seed(seed) -> int:
     return seed
 
 
-def regularize(f: FunctionOnP, theta: float, S: int, seed, mollifier: MollifierSpec) -> "RegularizedFunction":
-    """Draw S traceless matrices x_j from the unit-scale mollifier, one
-    :class:`Sample`, and return its averaging evaluator over the group
-    elements exp_chart(theta * x_j) (:meth:`Sample.smooth`).  theta = 0
-    returns the pass-through evaluator (the Dirac case).  The same seed
-    yields the same x_j for every theta, so evaluators at different scales
-    share their randomness; builds that share the draw itself take one
-    :class:`Sample`."""
+def check_theta(theta) -> float:
+    """Return theta as a float if it lies in [0, 1], else raise ValueError (NaN too)."""
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
-    if theta != 0.0:
-        return Sample.draw(mollifier, S, seed).smooth(f, theta)
-    check_S(S)
-    check_seed(seed)
-    draws = np.zeros((0, mollifier.k + 1, mollifier.k + 1), dtype=np.complex128)
-    draws.setflags(write=False)
-    return RegularizedFunction(source=f, theta=0.0, draws=draws, S=int(S), plan=_expm_plan(0.0))
+    return float(theta)
+
+
+def regularize(f: FunctionOnP, theta: float, S: int, seed, mollifier: MollifierSpec) -> "RegularizedFunction":
+    """The averaging evaluator over exp_chart(theta * x_j) of S traceless
+    matrices x_j drawn from the unit-scale mollifier, one :class:`Sample`,
+    theta checked before the draw; theta = 0 passes f through (the Dirac
+    case).  The same seed yields the same x_j for every theta, so evaluators
+    at different scales share their randomness."""
+    return RegularizedFunction(f, check_theta(theta), Sample.draw(mollifier, S, seed))
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,8 +123,9 @@ class Sample:
     matrices x_j, shape (S, d, d), and the theta-free terms ``norm2`` =
     ||x_j||_F^2, ``corner`` = |(x_j)_00| and ``max_norm`` = max_j ||x_j||_F,
     each read-only and formed once, here, so that the builds of a command at
-    several theta share the draw and pass over it once.  A pickle carries
-    the draws alone; loading it derives the rest afresh."""
+    several theta (each a :class:`RegularizedFunction` on this sample)
+    share the draw and pass over it once.  A pickle carries the draws alone;
+    loading it derives the rest afresh."""
 
     draws: np.ndarray
     norm2: np.ndarray = field(init=False, repr=False)
@@ -152,18 +150,9 @@ class Sample:
         """The S draws of seed from the unit-scale mollifier, S and seed checked first."""
         return cls(sample_matrices(ScaledMeasure(mollifier, 1.0), check_S(S), check_seed(seed)))
 
-    def smooth(self, f: FunctionOnP, theta: float) -> "RegularizedFunction":
-        """The evaluator of :func:`regularize` over these draws, theta in
-        (0, 1]; its fs is theta max_j ||x_j||_F times 1 + 1e-12."""
-        eps, plan = self.certificate(float(theta))
-        return RegularizedFunction(source=f, theta=float(theta), draws=self.draws,
-                                   S=self.draws.shape[0], plan=plan, eps=eps,
-                                   fs=float(theta) * self.max_norm * (1.0 + 1e-12))
-
-    def certificate(self, theta: float) -> tuple:
-        """(eps, plan): eps, an upper bound on ||exp_chart(theta x) - Id||_F
-        for every draw x, in closed form, and the exponential's plan
-        ``_expm_plan(theta * max ||x||_F)``.  Nothing is exponentiated.
+    def certificate(self, theta: float) -> float:
+        """eps, an upper bound on ||exp_chart(theta x) - Id||_F for every
+        draw x, in closed form.  Nothing is exponentiated.
 
         With y = theta x, s = ||y||_F, a = ||y - y_00 Id||_F and the series
         remainder R = e^y - Id - y, ||R||_F <= rho = e^s - 1 - s.  Then
@@ -177,9 +166,9 @@ class Sample:
         ||x||^2 + d |x_00|^2 - 2 Re(conj(x_00) tr x) is taken without its last
         term: the draws are traceless, so that term is roundoff, below 1e-15
         of the rest.  Four S-vectors are formed, each once, worked in place.
-        theta outside (0, 1], NaN included, raises ValueError."""
-        if not 0.0 < theta <= 1.0:
-            raise ValueError("theta must lie in (0, 1]")
+        At theta = 0 every term is 0, and so is eps.  theta outside [0, 1],
+        NaN included, raises ValueError (:func:`check_theta`)."""
+        theta = check_theta(theta)
         norm2, corner, d = self.norm2, self.corner, self.draws.shape[1]
         a = corner * corner  # ||x - x_00 Id||^2 = ||x||^2 + d |x_00|^2, then a
         a *= d
@@ -188,18 +177,17 @@ class Sample:
         a *= theta
         s = np.sqrt(norm2)
         s *= theta
-        plan = _expm_plan(theta * self.max_norm)  # the bits of s.max(): rounding is monotone
         rho = np.expm1(s)
         rho -= s
         q = corner * theta  # q = theta |x_00| + rho
         q += rho
         if not q.max() < 1.0:
-            return math.inf, plan
+            return math.inf
         rho *= 1.0 + math.sqrt(d)  # e
         a += rho
         np.subtract(1.0, q, out=q)
         a /= q
-        return float(a.max()) * (1.0 + 1e-12), plan
+        return float(a.max()) * (1.0 + 1e-12)
 
 
 def _stored_images(matrices: np.ndarray, Z: np.ndarray):
@@ -271,7 +259,7 @@ def displacement_bound(eps: float) -> float:
     """The Fubini-Study distance by which no g with ||g - Id||_F <= eps moves any
     point, as sin fs_distance(z, g z) <= ||(g - Id) z|| / ||g z|| <= eps / (1 - eps)
     for unit z; from eps = 1/2 on that bounds nothing, and it is pi/2, the diameter.
-    Verify reports it; the row decisions take the fs of :meth:`Sample.smooth`."""
+    Verify reports it; the row decisions take :attr:`RegularizedFunction.fs`."""
     return math.asin(eps / (1.0 - eps)) if eps < 0.5 else 0.5 * math.pi
 
 
@@ -351,41 +339,53 @@ def _chunk_hits(slab, tasks, totals):
 
 @dataclass(frozen=True, eq=False)
 class RegularizedFunction:
-    """Frozen-sample smoothing of a bounded evaluator.
+    """Frozen-sample smoothing of the evaluator ``source`` at the scale
+    ``theta`` in [0, 1] over the draws of ``sample``, and nothing else: the
+    rest is derived from the draws and theta, so no bound can miss them.
 
-    ``draws`` holds the S stored unit-scale draws x_j, shape (S, k+1, k+1),
-    read-only (empty for the pass-through case theta = 0).  ``eps`` is the
-    certificate, an upper bound on ||g - Id||_F for every stored g (0 when
-    none is stored, inf when it bounds nothing), and ``plan`` the
-    exponential's squarings and degree for theta times the largest
-    ||x_j||_F, both found at the build in closed form
-    (:meth:`Sample.certificate`).  ``fs`` >= d_FS(z, g z) for every z and
-    stored g: theta max_j ||x_j||_F times 1 + 1e-12, finite where eps is
-    inf; left out, it is taken from the draws as :meth:`Sample.smooth`
-    takes it (0 when none is stored).  ``matrices`` holds the group
-    elements g_j = exp_chart(theta * x_j), formed from the draws when first
-    read and kept, by the blocks of :func:`_exp_blocks` with that plan,
-    normalised; the form path never reads it.  When the source offers ball
+    ``draws`` holds the S unit-scale draws x_j, shape (S, k+1, k+1),
+    read-only.  ``eps`` >= ||g - Id||_F for every stored g is the
+    certificate (:meth:`Sample.certificate`: 0 at theta = 0, inf when it
+    bounds nothing) and ``plan`` the exponential's squarings and degree for
+    theta max_j ||x_j||_F.  ``fs`` >= d_FS(z, g z) for every z and stored g
+    is theta max_j ||x_j||_F times 1 + 1e-12, finite where eps is inf.
+    ``matrices`` holds the group elements g_j = exp_chart(theta * x_j),
+    formed by the blocks of :func:`_exp_blocks` with that plan when first
+    read, normalised and kept; the form path never reads it.  At theta = 0
+    the source is called on the rows themselves.  When it offers ball
     tests, fs decides the rows and balls that skip the products, and each
-    call with band rows forms the real coefficients of each test on
-    e^(theta x_j) z from those blocks, one chunk of FORM_CHUNK_BYTES at a
-    time (:meth:`_form_hits`), and keeps none; otherwise the source is
-    called on the moved points.  Evaluation is deterministic: the same
+    call with band rows forms the tests' real coefficients on e^(theta x_j)
+    z, one chunk of FORM_CHUNK_BYTES at a time (:meth:`_form_hits`), keeping
+    none; otherwise the source is called on the moved points.  The same
     (seed, S, theta, point) gives the same value bit for bit.
     """
 
     source: FunctionOnP
     theta: float
-    draws: np.ndarray
-    S: int
-    plan: tuple
-    eps: float = 0.0
-    fs: Optional[float] = None
+    sample: Sample
 
     def __post_init__(self):
-        if self.fs is None:
-            fs = float(self.theta) * Sample(self.draws).max_norm * (1.0 + 1e-12) if self.draws.size else 0.0
-            object.__setattr__(self, "fs", fs)
+        object.__setattr__(self, "theta", check_theta(self.theta))
+
+    @property
+    def draws(self) -> np.ndarray:
+        return self.sample.draws
+
+    @property
+    def S(self) -> int:
+        return self.draws.shape[0]
+
+    @cached_property
+    def eps(self) -> float:
+        return self.sample.certificate(self.theta)
+
+    @cached_property
+    def plan(self) -> tuple:
+        return _expm_plan(self.theta * self.sample.max_norm)  # the bits of max ||theta x||_F
+
+    @cached_property
+    def fs(self) -> float:
+        return self.theta * self.sample.max_norm * (1.0 + 1e-12)
 
     @cached_property
     def matrices(self) -> np.ndarray:
@@ -398,8 +398,8 @@ class RegularizedFunction:
     @cached_property
     def _decisions(self) -> Optional[tuple]:
         """(conj(centres).T, inner, outer) of the source's ball tests at fs, see
-        :func:`_decision_levels`; None without ball tests or stored elements."""
-        if self.theta == 0.0 or not hasattr(self.source, "ball_tests"):
+        :func:`_decision_levels`; None without ball tests."""
+        if not hasattr(self.source, "ball_tests"):
             return None
         centres, levels = self.source.ball_tests()
         return (np.conj(centres).T, *_decision_levels(levels, self.fs))
@@ -420,10 +420,9 @@ class RegularizedFunction:
         products run on the band rows, for their candidate balls only, each
         call forming the coefficients afresh, a chunk at a time
         (:meth:`_form_hits`): batch the rows, as a call per point pays a
-        form pass each.  A decided
-        count equals the products' count bit for bit: each moved point of a
-        decided row clears its test by a margin far above the products'
-        roundoff."""
+        form pass each.  A decided count equals the products' count bit for
+        bit: each moved point of a decided row clears its test by a margin
+        far above the products' roundoff."""
         Z = np.asarray(rows, dtype=np.complex128)
         if Z.ndim != 2 or Z.shape[1] != self.draws.shape[1]:
             raise ValueError("expected stacked homogeneous rows of shape (m, k+1)")

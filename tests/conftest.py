@@ -5,6 +5,7 @@ import pytest
 
 import projcut as pc
 from projcut.lie import _expm_block
+from projcut.regularize import RegularizedFunction, displacement_bound
 
 
 @pytest.fixture(scope="session")
@@ -60,3 +61,12 @@ def random_traceless(rng, d, norm=None):
     if norm is not None:
         m *= norm / np.linalg.norm(m)
     return m
+
+
+class CertificateLevels(RegularizedFunction):
+    """A build that decides its rows by the certificate's displacement_bound(eps),
+    as builds did before fs = theta max ||x||_F."""
+
+    @property
+    def fs(self):
+        return displacement_bound(self.eps)

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import importlib
 import math
@@ -19,6 +18,8 @@ from projcut.lie import _frob
 from projcut.regularize import (MAX_S, ROW_BLOCK, RegularizedFunction, _features, _stencil_rows,
                                 displacement_bound)
 from projcut.rng import make_rng
+
+from conftest import CertificateLevels
 
 
 def test_config_validation():
@@ -432,7 +433,7 @@ def test_scaling_stencils_have_fewer_band_rows_than_under_the_certificate():
         cf = pc.build_cutoff(cfg.set_spec, delta, config)
         grid = annulus_grid(cfg.set_spec, delta, cfg.grid, cfg.seed, tag)
         rows = _stencil_rows(grid, cfg.alpha, delta / STEPS_PER_DELTA).reshape(-1, cfg.k + 1)
-        old = dataclasses.replace(cf.rf, fs=displacement_bound(cf.rf.eps))
+        old = CertificateLevels(cf.rf.source, cf.rf.theta, cf.rf.sample)
         assert cf.rf.fs < old.fs
         band += [sum(b.size for _, b in rf._decide(rows)[1]) for rf in (cf.rf, old)]
         assert np.array_equal(cf.eval_homog(rows), old.eval_homog(rows))

@@ -19,7 +19,7 @@ from projcut.regularize import (DECISION_ANGLE, DECISION_VALUE, FORM_CHUNK_BYTES
                                 displacement_bound)
 from projcut.rng import make_rng
 
-from conftest import random_traceless
+from conftest import CertificateLevels, random_traceless
 
 # one sample block and 301 samples at k = 1; three blocks at k = 2 and five at k = 3
 S_BLOCKS = block_samples(2) + 301
@@ -47,10 +47,11 @@ def ball_indicator(mollifier_k1):
 
 
 def test_theta_zero_is_passthrough(mollifier_k1):
+    # the draw is stored at theta = 0 too, and every element is the identity
     rf = pc.regularize(re_zeta1, 0.0, 100, seed=1, mollifier=mollifier_k1)
     p = pc.ProjectivePoint([1.0, 0.25 + 0.1j])
     assert rf(p) == re_zeta1(p.homog[None, :])[0]
-    assert rf.matrices.shape[0] == 0
+    assert rf.S == 100 and np.array_equal(rf.matrices, np.broadcast_to(np.eye(2), (100, 2, 2)))
 
 
 def test_constant_one_stays_one(mollifier_k1):
@@ -67,7 +68,7 @@ def test_unit_draw_is_shared_across_theta(mollifier_k1):
     fresh = pc.sample_matrices(pc.ScaledMeasure(mollifier_k1, 1.0), 300, 9)
     assert np.array_equal(sample.draws, fresh)
     for theta in (0.2, 0.05):
-        rf = sample.smooth(ones, theta)
+        rf = RegularizedFunction(ones, theta, sample)
         assert rf.draws is sample.draws and rf.S == 300
         assert np.array_equal(rf.matrices, _normalize_stack(_expm(theta * fresh)))
         own = pc.regularize(ones, theta, 300, seed=9, mollifier=mollifier_k1)
@@ -539,7 +540,8 @@ def test_form_pass_has_the_bits_of_the_stack(k, theta, sigma, monkeypatch):
     # two chunks of several sample blocks, a covering ball among the balls,
     # and up to 4 squarings of the exponential; a first block of small
     # draws, which alone would take fewer squarings, takes those of the
-    # whole stack, the plan the build found, and so does a direct build
+    # whole stack, the plan the build found, and so does a build on a
+    # Sample of those draws
     rng = make_rng(39, k)
     set_spec = pc.CompactSetSpec(tuple(pc.Ball(pc.ProjectivePoint(c), r)
                                        for c, r in zip(uniform_rows(k, 3, rng), (0.0, 0.2, 1.5))))
@@ -551,28 +553,60 @@ def test_form_pass_has_the_bits_of_the_stack(k, theta, sigma, monkeypatch):
     if theta * sigma > 1.0:
         squarings = [_stack_plan(theta * x)[0] for x in (rf.draws, draws[:n])]
         assert squarings[0] >= 3 > squarings[1]
-    for g in (rf, RegularizedFunction(f, theta, draws, rf.S, rf.plan)):
-        assert _stack_plan(theta * g.draws) == rf.plan
+    for g in (rf, RegularizedFunction(f, theta, Sample(draws))):
+        assert g.plan == _stack_plan(theta * g.draws) == rf.plan
         assert np.array_equal(_chunk_forms(g, monkeypatch), _stack_forms(g))
 
 
-def test_direct_build_takes_the_displacement_bound_of_its_draws(mollifier_k1):
-    # a RegularizedFunction built from draws and a plan alone takes fs from
-    # its draws with the bits of Sample.smooth, and decides like it: with
-    # fs = 0 it read 1, 1, 0.494, 0 where the band reads 0.996, 0.879,
-    # 0.494, 0.123 (k = 1, one ball of radius 0.05 fattened by 0.1)
+def _one_ball_build(mollifier_k1):
+    """k = 1: one ball of radius 0.05 fattened by 0.1, smoothed at theta =
+    0.3 over S = 2000 draws of seed 5, with the ball's centre and a rng."""
     rng = make_rng(46, 1)
     c = uniform_rows(1, 1, rng)[0]
-    f = pc.indicator_fattened(pc.CompactSetSpec((pc.Ball(pc.ProjectivePoint(c), 0.05),)), 0.1)
-    rf = pc.regularize(f, 0.3, 2000, 5, mollifier_k1)
-    direct = RegularizedFunction(f, rf.theta, rf.draws, rf.S, rf.plan)
+    set_spec = pc.CompactSetSpec((pc.Ball(pc.ProjectivePoint(c), 0.05),))
+    f = pc.indicator_fattened(set_spec, 0.1)
+    return set_spec, f, pc.regularize(f, 0.3, 2000, 5, mollifier_k1), c, rng
+
+
+def test_direct_build_takes_the_displacement_bound_of_its_draws(mollifier_k1):
+    # a RegularizedFunction built on a Sample of the same draws takes fs
+    # from them with the bits of regularize, and decides like it: with
+    # fs = 0 it read 1, 1, 0.494, 0 where the band reads 0.996, 0.879,
+    # 0.494, 0.123
+    _, f, rf, c, rng = _one_ball_build(mollifier_k1)
+    direct = RegularizedFunction(f, rf.theta, Sample(rf.draws))
     assert direct.fs == rf.fs > 0.0
     rows = geodesic_row(c, tangent_row(c, rng), np.linspace(0.1, 0.2, 11))
     chi = rf.eval_homog(rows)
     assert np.array_equal(direct.eval_homog(rows), chi)
     assert np.array_equal(chi[3:7], [0.996, 0.879, 0.494, 0.123])
-    assert RegularizedFunction(f, 0.0, rf.draws, rf.S, rf.plan).fs == 0.0
+    assert RegularizedFunction(f, 0.0, Sample(rf.draws)).fs == 0.0
     assert pc.regularize(f, 0.0, 2000, 5, mollifier_k1).fs == 0.0
+
+
+def test_direct_build_certifies_its_draws(mollifier_k1):
+    # a build on a Sample of the draws takes the certificate of those draws:
+    # eps = 0.0375 above the largest ||g - Id||_F of 0.0364, where a direct
+    # build once took eps = 0, a certificate that nothing moves; a cut-off
+    # that holds it reports that eps in verify
+    set_spec, f, rf, _, _ = _one_ball_build(mollifier_k1)
+    direct = RegularizedFunction(f, 0.3, Sample(rf.draws))
+    largest = float(_frob(direct.matrices - np.eye(2)).max())
+    assert round(direct.eps, 4) == 0.0375 and round(largest, 4) == 0.0364
+    assert direct.eps == rf.eps > largest
+    config = pc.CutoffConfig(1, S=2000, seed=5)
+    cf = pc.CutoffFunction(config, set_spec, 0.2, direct)
+    report = pc.verify_cutoff(cf, 20, 20, seed=2)
+    assert report.euclid_audit_max == direct.eps
+    assert report.fs_audit_max == displacement_bound(direct.eps)
+    assert report.passed
+
+
+def test_build_holds_source_theta_and_sample_alone():
+    # S, eps, plan and fs are derived from the sample and theta: no build
+    # can be given a bound that its draws do not meet
+    fields = [(f.name, f.init) for f in dataclasses.fields(RegularizedFunction)]
+    assert fields == [("source", True), ("theta", True), ("sample", True)]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -618,7 +652,7 @@ def test_form_pass_forms_no_stack_sized_temporary(k):
     # (B, (k+1)^2, S) slab, whose 1.2 MiB at k = 1 and 4.9 MiB at k = 3 the
     # forms took before, and no stack-sized temporary
     f, rows = _two_ball_band(k, make_rng(44, k))
-    rf = Sample.draw(pc.get_mollifier(k, 0.1), 20000, 7).smooth(f, 0.3)
+    rf = RegularizedFunction(f, 0.3, Sample.draw(pc.get_mollifier(k, 0.1), 20000, 7))
     chunk = 2 * (k + 1) ** 2 * 8 * _chunk_samples(2, k + 1)
     assert chunk <= FORM_CHUNK_BYTES
     assert len(rf._decide(rows)[1]) == 2  # every row is a band row
@@ -639,7 +673,8 @@ def test_build_and_forms_hold_draws_forms_and_one_block():
     for S in (20000, 60000):
         tracemalloc.start()
         try:
-            rf = Sample.draw(mollifier, S, 7).smooth(f, 0.3)
+            rf = RegularizedFunction(f, 0.3, Sample.draw(mollifier, S, 7))
+            assert rf.eps < 1.0  # the certificate, which a build takes at once
             assert tracemalloc.get_traced_memory()[1] <= rf.draws.nbytes + 3 * 2 ** 20
         finally:
             tracemalloc.stop()
@@ -686,7 +721,7 @@ def test_certificate_has_the_bits_of_the_whole_stack(k, S, expm_draws):
         sample = Sample.draw(mollifier, S, seed)
         draws = sample.draws
         for theta in (1.0, 0.5, 0.1, 0.01, 0.001):
-            rf = sample.smooth(ones, theta)
+            rf = RegularizedFunction(ones, theta, sample)
             assert expm_draws == []
             assert rf.plan == _stack_plan(theta * draws)
             if S < 20000:
@@ -705,16 +740,17 @@ def test_certificate_has_the_bits_of_the_whole_stack(k, S, expm_draws):
 @pytest.mark.parametrize("sigma", [0.1, 2.0])
 def test_build_certificate_has_the_bits_of_the_certificate(k, sigma):
     # each build applies Sample.certificate to the theta-free vectors of
-    # its own draws: eps and plan keep the bits of a Sample made from a
-    # fresh draw of the same seed, inf included (sigma = 2)
+    # its own draws: eps keeps the bits of a Sample made from a fresh draw
+    # of the same seed, inf included (sigma = 2), and the plan is that of
+    # the largest scaled draw
     mollifier = pc.get_mollifier(k, sigma)
     unbounded = 0
     for seed in (0, 1, 2):
         sample = Sample(sample_matrices(pc.ScaledMeasure(mollifier, 1.0), S_BLOCKS, seed))
         for theta in (1.0, 0.5, 0.1, 0.01, 0.001):
             rf = pc.regularize(ones, theta, S_BLOCKS, seed, mollifier)
-            eps, plan = sample.certificate(theta)
-            assert rf.plan == plan
+            eps = sample.certificate(theta)
+            assert rf.plan == _stack_plan(theta * sample.draws)
             assert np.float64(rf.eps).tobytes() == np.float64(eps).tobytes()
             unbounded += rf.eps == math.inf
     assert (unbounded > 0) == (sigma == 2.0)
@@ -732,7 +768,7 @@ def test_builds_of_one_draw_pass_over_it_once(monkeypatch, mollifier_k1, sampler
 
     monkeypatch.setattr(Sample, "__post_init__", spy)
     sample = Sample.draw(mollifier_k1, 700, 11)
-    builds = [sample.smooth(ones, theta) for theta in (0.3, 0.1, 0.02, 0.3)]
+    builds = [RegularizedFunction(ones, theta, sample) for theta in (0.3, 0.1, 0.02, 0.3)]
     assert sampler_calls == [700] and passes == [700]
     pc.regularize(ones, 0.1, 700, 12, mollifier_k1)
     assert sampler_calls == [700, 700] and passes == [700, 700]
@@ -743,7 +779,8 @@ def test_builds_of_one_draw_pass_over_it_once(monkeypatch, mollifier_k1, sampler
             v[0] = 1.0
     for rf in builds:
         assert rf.draws is sample.draws
-        assert (rf.eps, rf.plan) == Sample(rf.draws.copy()).certificate(rf.theta)
+        assert rf.eps == Sample(rf.draws.copy()).certificate(rf.theta)
+        assert rf.plan == _stack_plan(rf.theta * rf.draws)
 
 
 @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
@@ -760,14 +797,26 @@ def test_sample_pickle_keeps_the_bits_read_only(protocol):
     assert loaded.certificate(0.3) == sample.certificate(0.3)
 
 
-@pytest.mark.parametrize("theta", [math.nan, math.inf, -0.3, 0.0, 2.0])
-def test_sample_refuses_theta_outside_the_unit_interval(theta, mollifier_k1):
-    # no silent 0 at nan, no negative certificate below 0, no overflow at inf
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -0.3, 2.0])
+def test_sample_refuses_theta_outside_the_unit_interval(theta, mollifier_k1, sampler_calls):
+    # no silent 0 at nan, no negative certificate below 0, no overflow at
+    # inf; regularize refuses before it draws, even the largest S
     sample = Sample.draw(mollifier_k1, 2000, 3)
-    with pytest.raises(ValueError, match=r"theta must lie in \(0, 1\]"):
+    with pytest.raises(ValueError, match=r"theta must lie in \[0, 1\]"):
         sample.certificate(theta)
-    with pytest.raises(ValueError, match=r"theta must lie in \(0, 1\]"):
-        sample.smooth(ones, theta)
+    with pytest.raises(ValueError, match=r"theta must lie in \[0, 1\]"):
+        RegularizedFunction(ones, theta, sample)
+    with pytest.raises(ValueError, match=r"theta must lie in \[0, 1\]"):
+        pc.regularize(ones, theta, MAX_S, 3, mollifier_k1)
+    assert sampler_calls == [2000]
+
+
+def test_sample_certifies_theta_zero_without_a_branch(mollifier_k1):
+    # the closed form at theta = 0: every term is 0, so eps and fs are 0.0
+    sample = Sample.draw(mollifier_k1, 2000, 3)
+    rf = RegularizedFunction(ones, 0.0, sample)
+    assert sample.certificate(0.0) == rf.eps == 0.0 and rf.fs == 0.0
+    assert rf.plan == _expm_plan(0.0)
 
 
 def test_sample_leaves_the_callers_array_writeable(mollifier_k1):
@@ -807,13 +856,14 @@ def test_certificate_meets_the_distortion_bound_at_its_worst_case(k):
     phases = np.exp(2j * math.pi * rng.random(5))
     others = np.stack([random_traceless(rng, k + 1, norm) for _ in range(50)])
     draws = np.concatenate([phases[:, None, None] * worst, others])
-    eps, plan = Sample(draws).certificate(theta)
-    assert plan == _stack_plan(theta * draws)
+    rf = RegularizedFunction(ones, theta, Sample(draws))
+    eps = rf.sample.certificate(theta)
+    assert rf.eps == eps and rf.plan == _stack_plan(theta * draws)
     assert bound * (1.0 - 1e-9) <= eps <= bound * (1.0 + 1e-12)
-    assert Sample(others).certificate(theta)[0] < eps
-    assert Sample((1.0 - 1e-9) * draws).certificate(theta)[0] <= bound
+    assert Sample(others).certificate(theta) < eps
+    assert Sample((1.0 - 1e-9) * draws).certificate(theta) <= bound
     s = theta * norm
-    assert Sample(worst[None]).certificate(theta)[0] == pytest.approx(
+    assert Sample(worst[None]).certificate(theta) == pytest.approx(
         s * pc.estimate_distortion(s, k) * (1.0 + 1e-12), rel=1e-14)
 
 
@@ -877,7 +927,8 @@ def test_displacement_bound_decides_rows_past_the_series(k):
                        rng)
         decided = _decided(kernel, rows)[0]
         assert 0 < decided < rows.shape[0]
-        assert _decided(dataclasses.replace(kernel, fs=displacement_bound(kernel.eps)), rows)[0] == 0
+        old = CertificateLevels(kernel.source, kernel.theta, kernel.sample)
+        assert old.fs == displacement_bound(kernel.eps) and _decided(old, rows)[0] == 0
         chi = kernel.eval_homog(rows)
         assert np.array_equal(chi, pc.regularize(lambda z: f(z), **kwargs).eval_homog(rows))
         assert np.all(chi[t < radius + 0.1 - kernel.fs - 1e-6] == 1.0)
@@ -1120,7 +1171,7 @@ def test_certificate_decisions_match_generic_path_at_the_boundary(k):
     # displacement_bound(eps), at R -+ x, along the geodesic through both
     # centres, away from the other ball, and in random directions inside:
     # fs decides every one, the certificate none, with the same bits
-    old = dataclasses.replace(kernel, fs=displacement_bound(eps))
+    old = CertificateLevels(kernel.source, kernel.theta, kernel.sample)
     x = 0.5 * (fs + displacement_bound(eps))
     R = radius + rho
     t = [-R - x, gap + R + x, -R + x, gap + R - x]
@@ -1149,10 +1200,11 @@ def test_certificate_decisions_match_generic_path_at_the_boundary(k):
         assert np.all(chi == value)
         assert np.array_equal(chi, pc.regularize(lambda z: g(z), **kwargs).eval_homog(rows))
 
-    # theta = 0 passes the indicator through
+    # theta = 0 passes the indicator through, without placing a row
     kernel = pc.regularize(f, **dict(kwargs, theta=0.0))
-    assert kernel.eps == kernel.fs == 0.0 and kernel._decisions is None
+    assert kernel.eps == kernel.fs == 0.0
     assert np.array_equal(kernel.eval_homog(boundary), f(boundary))
+    assert "_decisions" not in vars(kernel)
 
     # stored elements far from the identity (eps >= 1/2, fs >= pi/2):
     # nothing is decided
